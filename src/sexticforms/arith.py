@@ -1,10 +1,9 @@
-"""Exact arithmetic foundation: rationals, prime fields, Laurent polynomials.
+"""Exact arithmetic foundation: rationals and Laurent polynomials over Q.
 
-The coefficient domain of a value is characteristic zero (Python ``int`` and
-``fractions.Fraction``) or a prime field selected by a ``modulus`` tag.
-Mixing domains raises :class:`~sexticforms.errors.DomainMismatch`; there are
-no implicit coercions.  Everything here is immutable after construction and
-free of floating point.
+Coefficients are Python ``int`` or ``fractions.Fraction``; a Fraction with
+denominator 1 is always stored as an ``int``.  Everything here is immutable
+after construction and free of floating point.  Mod-p arithmetic lives in
+:mod:`sexticforms.poly`.
 """
 
 from __future__ import annotations
@@ -12,13 +11,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DomainMismatch, NotDivisible
-
-Rational = Fraction
+from .errors import NotDivisible
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond any modulus used here."""
+    """Deterministic Miller-Rabin, valid far beyond any prime used here."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -56,99 +53,33 @@ def frac_from_str(s: str):
     return int(s)
 
 
-class PrimeFieldElem:
-    """An element of F_p; the modulus is validated to be prime."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value: int, p: int):
-        if not is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
-        self.value = value % p
-        self.p = p
-
-    def _check(self, other: "PrimeFieldElem") -> None:
-        if not isinstance(other, PrimeFieldElem) or other.p != self.p:
-            raise DomainMismatch("prime field moduli differ")
-
-    def __add__(self, other):
-        self._check(other)
-        return PrimeFieldElem(self.value + other.value, self.p)
-
-    def __sub__(self, other):
-        self._check(other)
-        return PrimeFieldElem(self.value - other.value, self.p)
-
-    def __mul__(self, other):
-        self._check(other)
-        return PrimeFieldElem(self.value * other.value, self.p)
-
-    def __truediv__(self, other):
-        self._check(other)
-        if other.value == 0:
-            raise ZeroDivisionError("division by zero in prime field")
-        return PrimeFieldElem(self.value * pow(other.value, -1, self.p), self.p)
-
-    def __neg__(self):
-        return PrimeFieldElem(-self.value, self.p)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PrimeFieldElem)
-            and self.p == other.p
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __repr__(self):
-        return f"{self.value} (mod {self.p})"
-
-
-def _norm_coeff(c, modulus):
-    if modulus is not None:
-        if isinstance(c, Fraction):
-            if math.gcd(c.denominator, modulus) != 1:
-                raise DomainMismatch("denominator not invertible mod p")
-            return c.numerator * pow(c.denominator, -1, modulus) % modulus
-        return int(c) % modulus
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return c.numerator
-    return c
-
-
 class LaurentPoly:
-    """Sparse exact Laurent polynomial in one variable ``r``.
+    """Sparse exact Laurent polynomial in one variable ``r`` over Q.
 
     Coefficients are keyed by integer exponent; zero coefficients are never
     stored.  Instances are immutable by convention.
     """
 
-    __slots__ = ("c", "modulus")
+    __slots__ = ("c",)
 
-    def __init__(self, coeffs=None, modulus=None):
+    def __init__(self, coeffs=None):
         out = {}
         if coeffs:
             for e, v in coeffs.items():
-                v = _norm_coeff(v, modulus)
                 if v:
+                    if isinstance(v, Fraction) and v.denominator == 1:
+                        v = v.numerator
                     out[int(e)] = v
         self.c = out
-        self.modulus = modulus
 
     # -- constructors -------------------------------------------------
     @classmethod
-    def zero(cls, modulus=None):
-        return cls({}, modulus)
+    def zero(cls):
+        return cls()
 
     @classmethod
-    def const(cls, v, modulus=None):
-        return cls({0: v}, modulus)
-
-    @classmethod
-    def r_power(cls, e, coeff=1, modulus=None):
-        return cls({e: coeff}, modulus)
+    def const(cls, v):
+        return cls({0: v})
 
     # -- predicates ---------------------------------------------------
     @property
@@ -161,48 +92,41 @@ class LaurentPoly:
     def max_exp(self) -> int:
         return max(self.c)
 
-    def _check(self, other: "LaurentPoly") -> None:
-        if self.modulus != other.modulus:
-            raise DomainMismatch("Laurent operands live in different domains")
-
     # -- ring operations ----------------------------------------------
     def __add__(self, other):
-        self._check(other)
         out = dict(self.c)
         for e, v in other.c.items():
             out[e] = out.get(e, 0) + v
-        return LaurentPoly(out, self.modulus)
+        return LaurentPoly(out)
 
     def __sub__(self, other):
-        self._check(other)
         out = dict(self.c)
         for e, v in other.c.items():
             out[e] = out.get(e, 0) - v
-        return LaurentPoly(out, self.modulus)
+        return LaurentPoly(out)
 
     def __neg__(self):
-        return LaurentPoly({e: -v for e, v in self.c.items()}, self.modulus)
+        return LaurentPoly({e: -v for e, v in self.c.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        self._check(other)
         out = {}
         for ea, va in self.c.items():
             for eb, vb in other.c.items():
                 e = ea + eb
                 out[e] = out.get(e, 0) + va * vb
-        return LaurentPoly(out, self.modulus)
+        return LaurentPoly(out)
 
     __rmul__ = __mul__
 
     def scale(self, s):
         if not s:
-            return LaurentPoly.zero(self.modulus)
-        return LaurentPoly({e: v * s for e, v in self.c.items()}, self.modulus)
+            return LaurentPoly()
+        return LaurentPoly({e: v * s for e, v in self.c.items()})
 
     def __pow__(self, n: int):
-        result = LaurentPoly.const(1, self.modulus)
+        result = LaurentPoly.const(1)
         base = self
         while n:
             if n & 1:
@@ -212,23 +136,17 @@ class LaurentPoly:
         return result
 
     def __eq__(self, other):
-        return (
-            isinstance(other, LaurentPoly)
-            and self.modulus == other.modulus
-            and self.c == other.c
-        )
+        return isinstance(other, LaurentPoly) and self.c == other.c
 
     def __hash__(self):
-        return hash((self.modulus, tuple(sorted(self.c.items()))))
+        return hash(tuple(sorted(self.c.items())))
 
     # -- specialized operations -----------------------------------------
     def invert_exponent(self) -> "LaurentPoly":
         """Substitution r -> 1/r; an involution."""
-        return LaurentPoly({-e: v for e, v in self.c.items()}, self.modulus)
+        return LaurentPoly({-e: v for e, v in self.c.items()})
 
     def eval_at_one(self):
-        if self.modulus is not None:
-            return sum(self.c.values()) % self.modulus
         total = sum(self.c.values())
         if isinstance(total, Fraction) and total.denominator == 1:
             return total.numerator
@@ -236,25 +154,21 @@ class LaurentPoly:
 
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact quotient; raises NotDivisible if the remainder is nonzero."""
-        self._check(other)
         if other.is_zero:
             raise ZeroDivisionError("division by the zero Laurent polynomial")
         if self.is_zero:
-            return LaurentPoly.zero(self.modulus)
+            return LaurentPoly()
         sa, sb = self.min_exp(), other.min_exp()
         rem = {e - sa: v for e, v in self.c.items()}
         div = {e - sb: v for e, v in other.c.items()}
-        lead = div[0]
+        lead = Fraction(div[0])
         bound = max(rem) - max(div)
         q = {}
         while rem:
             e = min(rem)
             if e > bound:
                 raise NotDivisible("Laurent division leaves a remainder")
-            if self.modulus is not None:
-                c = rem[e] * pow(lead, -1, self.modulus) % self.modulus
-            else:
-                c = Fraction(rem[e]) / Fraction(lead)
+            c = Fraction(rem[e]) / lead
             q[e] = c
             for eb, vb in div.items():
                 k = e + eb
@@ -263,7 +177,7 @@ class LaurentPoly:
                     rem[k] = nv
                 else:
                     rem.pop(k, None)
-        return LaurentPoly({e + sa - sb: v for e, v in q.items()}, self.modulus)
+        return LaurentPoly({e + sa - sb: v for e, v in q.items()})
 
     def vanishing_order_at_one(self):
         """Largest m with (r-1)^m dividing self (up to a power of r).
@@ -280,18 +194,13 @@ class LaurentPoly:
             dense[e - lo] = v
         order = 0
         while True:
-            total = sum(dense)
-            if self.modulus is not None:
-                total %= self.modulus
-            if total != 0:
+            if sum(dense) != 0:
                 return order
             # synthetic division by (r - 1), highest coefficient first
             out = [0] * (len(dense) - 1)
             acc = 0
             for i in range(len(dense) - 1, 0, -1):
                 acc += dense[i]
-                if self.modulus is not None:
-                    acc %= self.modulus
                 out[i - 1] = acc
             dense = out
             order += 1
@@ -300,12 +209,11 @@ class LaurentPoly:
 
     # -- serialization --------------------------------------------------
     def to_json(self) -> dict:
-        return {str(e): frac_to_str(v) if self.modulus is None else str(v)
-                for e, v in sorted(self.c.items())}
+        return {str(e): frac_to_str(v) for e, v in sorted(self.c.items())}
 
     @classmethod
-    def from_json(cls, data: dict, modulus=None) -> "LaurentPoly":
-        return cls({int(e): frac_from_str(v) for e, v in data.items()}, modulus)
+    def from_json(cls, data: dict) -> "LaurentPoly":
+        return cls({int(e): frac_from_str(v) for e, v in data.items()})
 
     def __str__(self):
         if self.is_zero:
@@ -320,13 +228,12 @@ class LaurentPoly:
             else:
                 mono = f"r^{e}"
             if mono == "":
-                body = frac_to_str(abs(v)) if self.modulus is None else str(v)
-            elif abs(v) == 1 and self.modulus is None:
+                body = frac_to_str(abs(v))
+            elif abs(v) == 1:
                 body = mono
             else:
-                body = f"{frac_to_str(abs(v)) if self.modulus is None else str(v)}*{mono}"
-            sign = "-" if (self.modulus is None and v < 0) else "+"
-            parts.append((sign, body))
+                body = f"{frac_to_str(abs(v))}*{mono}"
+            parts.append(("-" if v < 0 else "+", body))
         first_sign, first_body = parts[0]
         text = ("-" if first_sign == "-" else "") + first_body
         for sign, body in parts[1:]:
@@ -334,20 +241,3 @@ class LaurentPoly:
         return text
 
     __repr__ = __str__
-
-
-# Operation-style aliases used by the higher layers and the CLI.
-def laurent_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    return a * b
-
-
-def laurent_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    return a.exact_div(b)
-
-
-def vanishing_order_at_one(a: LaurentPoly):
-    return a.vanishing_order_at_one()
-
-
-def invert_exponent(a: LaurentPoly) -> LaurentPoly:
-    return a.invert_exponent()

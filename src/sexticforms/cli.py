@@ -1,8 +1,9 @@
 """Command-line interface: covariant lookup and inline evaluation, Fourier
 expansion of the named forms, and the verification suites.
 
-Exit codes: 0 success / all checks pass, 1 computational failure or failed
-check, 2 usage error (bad arguments, parse errors, unknown names).
+Exit codes: 0 success / all checks pass, 1 failed check or a division that
+leaves a remainder, 2 usage error (bad arguments, parse errors, unknown
+names, inputs the computation rejects such as odd-order covariants).
 """
 
 from __future__ import annotations
@@ -16,11 +17,7 @@ from fractions import Fraction
 
 from . import covariants, modp, numap, ringlab
 from .covariants import Covariant
-from .errors import (
-    NotDivisible,
-    ParseError,
-    UnknownName,
-)
+from .errors import NotDivisible, ParseError, SexticFormsError, UnknownName
 from .poly import SEXTIC_VARS, MultiPoly
 
 CACHE_ENV = "SEXTICFORMS_CACHE"
@@ -219,6 +216,12 @@ def cmd_expand(args) -> int:
 
 def cmd_nu(args) -> int:
     cov = covariant_from_text(args.name)
+    if cov.is_zero:
+        raise SystemExit2("the zero polynomial has no nu-image")
+    if args.power is not None and not 0 <= args.power <= cov.degree:
+        raise SystemExit2(
+            f"--power must lie between 0 and the degree {cov.degree}"
+        )
     power = (
         args.power
         if args.power is not None
@@ -244,7 +247,9 @@ def cmd_nu(args) -> int:
 
 
 def _suite_even_ring(args):
-    rows = ringlab.verify_even_generation(args.kmax, max(args.order, 3))
+    rows = ringlab.verify_even_generation(
+        args.kmax, max(args.order, 3), _cache_dir(args)
+    )
     lines = [
         f"k={r['weight']:>2}  dim={r['expected_dim']:>2}  "
         f"rank={r['rank']:>2}  {r['status']}"
@@ -288,13 +293,13 @@ def _suite_modp(args):
 
 
 def _suite_odd_weight(args):
-    rep = ringlab.odd_weight_divisibility_check()
+    rep = ringlab.odd_weight_divisibility_check(cache_dir=_cache_dir(args))
     ok = rep["status"] == "PASS"
     return ok, json.dumps(rep), {"suite": "odd-weight", "report": rep}
 
 
 def _suite_s68(args):
-    rep = ringlab.dim_s68_probe()
+    rep = ringlab.dim_s68_probe(cache_dir=_cache_dir(args))
     ok = rep["status"] == "PASS"
     return ok, json.dumps(rep), {"suite": "s68", "report": rep}
 
@@ -319,7 +324,7 @@ _SUITES = {
 _QUICK_SUITES = ("chi68-block", "char2-K", "char3", "nu")
 
 
-class SystemExit2(Exception):
+class SystemExit2(SexticFormsError):
     """Usage error raised from inside a command."""
 
 
@@ -419,12 +424,12 @@ def main(argv=None) -> int:
         parser.exit(2, f"{args.prime} is not prime\n")
     try:
         return args.func(args)
-    except (ParseError, UnknownName, SystemExit2) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NotDivisible as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except SexticFormsError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -88,10 +88,6 @@ class Covariant:
     def primitive(self) -> "Covariant":
         return Covariant(self.poly.primitive(), self.degree, self.order)
 
-    def coefficient_of_a(self, exps: dict):
-        """Coefficient of a pure a-monomial, e.g. {'a0': 1, 'a6': 1}."""
-        return self.poly.coefficient(**exps)
-
     def evaluate_at_sextic(self, coeffs, x1=0, x2=0):
         """Evaluate at a concrete sextic (a0..a6) and point (x1, x2)."""
         values = dict(zip(A_VARS, coeffs))

@@ -1,8 +1,8 @@
-"""Exact linear algebra over Q via fraction-free-ish Gaussian elimination.
+"""Exact linear algebra over Q via Gauss-Jordan elimination.
 
-Small dense problems only: rank of coefficient matrices of modular forms,
-solving for linear-combination coefficients, and determinants of resultant
-matrices.  Everything works on lists of lists of ints/Fractions.
+Small dense problems only: rank of coefficient matrices of modular forms and
+solving for linear-combination coefficients.  Everything works on lists of
+lists of ints/Fractions.
 """
 
 from __future__ import annotations
@@ -57,58 +57,3 @@ def solve_linear(matrix, rhs):
     for i, c in enumerate(pivots):
         x[c] = rows[i][-1]
     return x
-
-
-def nullspace(matrix):
-    """Basis of the right kernel of M, as lists of Fractions."""
-    if not matrix:
-        return []
-    ncols = len(matrix[0])
-    rows, pivots = _row_reduce(matrix)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            v[c] = -rows[i][f]
-        basis.append(v)
-    return basis
-
-
-def in_span(matrix, vector) -> bool:
-    """Whether ``vector`` lies in the row span of ``matrix``."""
-    if not matrix:
-        return not any(vector)
-    cols = list(zip(*matrix))
-    return solve_linear([list(c) for c in cols], vector) is not None
-
-
-def determinant(matrix) -> Fraction:
-    """Exact determinant by expansion with memoized minors.
-
-    Suits the sparse smallish matrices we feed it (resultant matrices up
-    to 10x10); memoization over column subsets keeps it fast.
-    """
-    n = len(matrix)
-    if n == 0:
-        return Fraction(1)
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    cache = {}
-
-    def minor(row, cols):
-        if row == n:
-            return Fraction(1)
-        key = cols
-        if key in cache:
-            return cache[key]
-        total = Fraction(0)
-        for k, c in enumerate(cols):
-            a = rows[row][c]
-            if a:
-                sub = minor(row + 1, cols[:k] + cols[k + 1 :])
-                total += a * sub if k % 2 == 0 else -a * sub
-        cache[key] = total
-        return total
-
-    return minor(0, tuple(range(n)))

@@ -30,29 +30,6 @@ from .poly import CHAR2_VARS, SEXTIC_VARS, MultiPoly
 A_VARS = CHAR2_VARS[:4]
 B_VARS = CHAR2_VARS[4:]
 
-#: documented targets whose explicit constructions are not carried here:
-#: generator weights of the modular-forms rings in characteristics 2 and 3.
-CHARP_RING_TARGETS = {
-    2: {"generator_weights": (1, 10, 12, 13, 48), "status": "unimplemented"},
-    3: {"generator_weights": (2, 10, 12, 14, 36), "status": "unimplemented"},
-}
-
-
-def charp_registry():
-    """Named characteristic-p forms: implemented entries and stubs."""
-    return {
-        "A mod 3": "implemented (hasse_char3_identity)",
-        "K1": "implemented (k1)",
-        "K2": "implemented (char2_lift_invariant('A'))",
-        "K3": "implemented (k3)",
-        "K4": "implemented (k4)",
-        "psi12 char 3": "unimplemented stub",
-        "chi14 char 3": "unimplemented stub",
-        "chi36 char 3": "unimplemented stub",
-        "chi13 char 2": "unimplemented stub",
-        "chi48 char 2": "unimplemented stub",
-    }
-
 
 # -- reduction mod p of the classical invariants ------------------------------
 

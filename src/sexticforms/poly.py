@@ -12,11 +12,23 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .arith import frac_from_str, frac_to_str, _norm_coeff
+from .arith import frac_from_str, frac_to_str
 from .errors import DomainMismatch, NotDivisible
 
 SEXTIC_VARS = ("a0", "a1", "a2", "a3", "a4", "a5", "a6", "x1", "x2")
 CHAR2_VARS = ("a0", "a1", "a2", "a3", "b0", "b1", "b2", "b3", "b4", "b5", "b6")
+
+
+def _norm_coeff(c, modulus):
+    if modulus is not None:
+        if isinstance(c, Fraction):
+            if math.gcd(c.denominator, modulus) != 1:
+                raise DomainMismatch("denominator not invertible mod p")
+            return c.numerator * pow(c.denominator, -1, modulus) % modulus
+        return int(c) % modulus
+    if isinstance(c, Fraction) and c.denominator == 1:
+        return c.numerator
+    return c
 
 
 def _grlex(exps):

@@ -17,7 +17,8 @@ triple (n1, n2, r-exponent rho) encodes the half-integral matrix
 
 Reliability contract: a stored window [start..kN]^2 is exact; operations
 shrink kN so that the contract is preserved (mul: kN_out =
-min(kN_a + start_b, kN_b + start_a)).
+min(kN_a + start_b, kN_b + start_a); exact_div by a form of start s:
+kN_out = min(kN_a - s, kN_b - s + start_out)).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .arith import LaurentPoly, frac_from_str, frac_to_str
+from .arith import LaurentPoly, frac_to_str
 from .errors import (
     BoundarySliceError,
     CharacterForm,
@@ -238,7 +239,8 @@ class FourierExpansion:
 
         The quotient's start offset other.start lower is certified whenever
         the division is globally exact, which is the only case the result
-        is meaningful for.
+        is meaningful for.  Its window stops where either operand's window
+        stops: q_kN = min(kN - s, other.kN - s + q_start).
         """
         if other.j != 0 or other.character or other.denom != 1:
             raise WeightMismatch("divisor must be a scalar trivial-character form")
@@ -251,7 +253,7 @@ class FourierExpansion:
         if self.start < s:
             raise NotDivisible("dividend has smaller vanishing offset than divisor")
         q_start = self.start - s
-        q_kN = self.kN - s
+        q_kN = min(self.kN - s, other.kN - s + q_start)
         if q_kN < q_start:
             raise OrderTooSmall("truncation too small for division")
         j = self.j
@@ -490,11 +492,6 @@ def rank_of_span(forms) -> int:
         for g in forms
     ]
     return linalg.rank(matrix)
-
-
-def in_span(forms, candidate) -> bool:
-    base = rank_of_span(forms)
-    return rank_of_span(list(forms) + [candidate]) == base
 
 
 # -- elliptic (degree-1) expansions -------------------------------------------

@@ -25,22 +25,19 @@ from . import covariants, numap, qexp, theta
 from .errors import OddWeight, UnknownName
 from .qexp import FourierExpansion
 
-REGISTRY_VERSION = "1"
-
 
 class NamedForm:
-    __slots__ = ("name", "expansion", "recipe", "note")
+    __slots__ = ("name", "expansion")
 
-    def __init__(self, name, expansion, recipe, note):
+    def __init__(self, name, expansion):
         self.name = name
         self.expansion = expansion
-        self.recipe = recipe
-        self.note = note
 
     def __repr__(self):
         return f"NamedForm({self.name!r}, {self.expansion!r})"
 
 
+# the registry: each name with a one-line account of how it is built
 _RECIPES = {
     "chi5": "product of the 10 even theta constants",
     "chi6_3": "Sym^6 product of the 6 odd theta gradients",
@@ -106,43 +103,58 @@ def _build(name: str, N: int) -> FourierExpansion:
     raise UnknownName(f"no named form {name!r}")
 
 
+@lru_cache(maxsize=None)
+def _source_digest() -> str:
+    """sha256 of the package's own ``*.py`` sources; part of every cache
+    key, so entries written by other code are never served."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    h = hashlib.sha256()
+    for fname in sorted(os.listdir(here)):
+        if fname.endswith(".py"):
+            with open(os.path.join(here, fname), "rb") as fh:
+                h.update(fname.encode() + b"\0" + fh.read())
+    return h.hexdigest()
+
+
 def _recipe_hash(name: str, N: int) -> str:
-    payload = f"{REGISTRY_VERSION}|{name}|{N}|{_RECIPES[name]}"
+    payload = f"{_source_digest()}|{name}|{N}"
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def _read_cached(path: str, digest: str):
+    """The expansion cached at ``path``, or None if the entry is missing,
+    unreadable, corrupt or written under another key."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        if data["recipe_hash"] != digest:
+            return None
+        return FourierExpansion.from_json(data["expansion"])
+    except (OSError, ValueError, LookupError, TypeError, AttributeError,
+            ArithmeticError):
+        return None
 
 
 def named_form(name: str, N: int, cache_dir=None) -> NamedForm:
     key = name.strip().lower().replace(",", "_").replace("-", "_")
     if key not in _RECIPES:
         raise UnknownName(f"no named form {name!r}")
-    digest = _recipe_hash(key, N)
     path = None
     if cache_dir:
+        digest = _recipe_hash(key, N)
         path = os.path.join(cache_dir, f"{key}_{N}_{digest}.json")
-        if os.path.exists(path):
-            with open(path) as fh:
-                data = json.load(fh)
-            if data.get("recipe_hash") == digest:
-                return NamedForm(
-                    key,
-                    FourierExpansion.from_json(data["expansion"]),
-                    _RECIPES[key],
-                    data.get("note", ""),
-                )
+        cached = _read_cached(path, digest)
+        if cached is not None:
+            return NamedForm(key, cached)
     expansion = _build(key, N)
-    note = f"normalization pinned; registry version {REGISTRY_VERSION}"
     if path:
         os.makedirs(cache_dir, exist_ok=True)
-        payload = {
-            "recipe_hash": digest,
-            "note": note,
-            "expansion": expansion.to_json(),
-        }
+        payload = {"recipe_hash": digest, "expansion": expansion.to_json()}
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             json.dump(payload, fh)
         os.replace(tmp, path)
-    return NamedForm(key, expansion, _RECIPES[key], note)
+    return NamedForm(key, expansion)
 
 
 # -- dimensions ---------------------------------------------------------------

@@ -57,8 +57,7 @@ def test_covariant_malformed(capsys):
 def test_expand_chi68_matches_golden_text(capsys):
     code, out, _ = run(capsys, "expand", "chi6_8", "--order", "2")
     assert code == 0
-    with open(os.path.join(GOLDEN_DIR, "chi6_8_N2.txt")) as fh:
-        assert out == fh.read()
+    assert out == cli.CHI68_GOLDEN + "\n"
 
 
 def test_expand_chi68_matches_golden_json(capsys):
@@ -127,6 +126,50 @@ def test_verify_even_ring_json_deterministic(capsys):
     payload = json.loads(out1)
     assert payload["status"] == "PASS"
     assert "timestamp" not in payload
+
+
+def test_verify_even_ring_uses_cache(tmp_path, capsys):
+    argv = ["verify", "even-ring", "--kmax", "4", "--json", "--no-timestamp"]
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0
+    code, cached, _ = run(capsys, *argv, "--cache", str(tmp_path))
+    assert code == 0
+    assert list(tmp_path.iterdir())
+    assert cached == plain
+
+
+@pytest.mark.parametrize(
+    "argv, corrupt, code, message",
+    [
+        (["nu", "a0*x1"], None, 2, "order must be even"),
+        (["nu", "A", "--power", "5"], None, 2, "--power"),
+        (["nu", "0"], None, 2, "zero polynomial"),
+        # a cache entry cut short, and one that lost its expansion
+        (["expand", "chi10"], lambda good: good[: len(good) // 2], 0, None),
+        (
+            ["expand", "chi10"],
+            lambda good: json.dumps({"recipe_hash": json.loads(good)["recipe_hash"]}),
+            0,
+            None,
+        ),
+    ],
+)
+def test_bad_input_exit_codes(tmp_path, capsys, argv, corrupt, code, message):
+    argv = argv + ["--order", "2", "--cache", str(tmp_path)]
+    if corrupt is not None:
+        run(capsys, *argv)
+        (entry,) = tmp_path.iterdir()
+        good = entry.read_text()
+        entry.write_text(corrupt(good))
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    if message is not None:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+    if corrupt is not None:
+        # a corrupt entry is a cache miss, and the rebuilt form replaces it
+        assert "(1,1): r^-1 - 2 + r" in out
+        assert entry.read_text() == good
 
 
 def test_verify_unknown_suite(capsys):

@@ -96,10 +96,3 @@ def test_singular_detection_sampled_report():
         for _ in range(10)
     ]
     assert modp.char2_discriminant_detects(pairs)["status"] == "PASS"
-
-
-def test_registry_stubs_documented():
-    reg = modp.charp_registry()
-    assert "chi13 char 2" in reg and "unimplemented" in reg["chi13 char 2"]
-    assert modp.CHARP_RING_TARGETS[2]["generator_weights"] == (1, 10, 12, 13, 48)
-    assert modp.CHARP_RING_TARGETS[3]["generator_weights"] == (2, 10, 12, 14, 36)

@@ -62,6 +62,14 @@ def test_exact_div_recovers_factor(chi10_n3):
     assert sq.exact_div_chi10().agrees_with(chi10_n3)
 
 
+def test_exact_div_window_limited_by_divisor(chi10_n3):
+    # the divisor's window bounds the quotient's: chi10 at truncation 1
+    # only determines chi10^2 / chi10 on [1, 1]
+    q = chi10_n3.mul(chi10_n3).exact_div(theta.chi_10(1))
+    assert q.kN == 1
+    assert q.agrees_with(chi10_n3)
+
+
 def test_exact_div_detects_non_holomorphy(chi10_n3):
     one = qexp.constant_one(chi10_n3.kN)
     with pytest.raises(NotDivisible):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from sexticforms import qexp, ringlab
@@ -76,6 +78,22 @@ def test_disk_cache_round_trip(tmp_path):
     assert len(files) == 1
     second = ringlab.named_form("chi10", 2, str(tmp_path))
     assert second.expansion == first.expansion
+
+
+def test_disk_cache_keyed_by_source(tmp_path, monkeypatch):
+    real = ringlab.named_form("chi10", 2).expansion
+    monkeypatch.setattr(ringlab, "_source_digest", lambda: "other sources")
+    ringlab.named_form("chi10", 2, str(tmp_path))
+    (entry,) = tmp_path.iterdir()
+    data = json.loads(entry.read_text())
+    data["expansion"] = real.scale(2).to_json()
+    entry.write_text(json.dumps(data))
+    # the sources that wrote the entry are served it ...
+    assert ringlab.named_form("chi10", 2, str(tmp_path)).expansion == real.scale(2)
+    monkeypatch.undo()
+    # ... other sources rebuild and write their own entry
+    assert ringlab.named_form("chi10", 2, str(tmp_path)).expansion == real
+    assert len(list(tmp_path.iterdir())) == 2
 
 
 def test_even_generation_small():
