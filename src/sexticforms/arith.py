@@ -4,6 +4,10 @@ Coefficients are Python ``int`` or ``fractions.Fraction``; a Fraction with
 denominator 1 is always stored as an ``int``.  Everything here is immutable
 after construction and free of floating point.  Mod-p arithmetic lives in
 :mod:`sexticforms.poly`.
+
+``mul_into`` is the one product kernel of every series in the package:
+Laurent polynomials, Fourier expansions (through ``qexp.cell_product``),
+theta products and elliptic expansions all multiply through it.
 """
 
 from __future__ import annotations
@@ -51,6 +55,38 @@ def frac_from_str(s: str):
         num, den = s.split("/")
         return Fraction(int(num), int(den))
     return int(s)
+
+
+def mul_into(acc: dict, a: dict, b: dict) -> dict:
+    """acc[ea + eb] += va * vb over sparse {exponent: coeff} dicts.
+
+    Zero sums stay in ``acc``; the caller drops them.  Returns ``acc``.
+    """
+    for ea, va in a.items():
+        for eb, vb in b.items():
+            e = ea + eb
+            acc[e] = acc.get(e, 0) + va * vb
+    return acc
+
+
+def common_ratio(pairs):
+    """The constant c with x = c*y for every pair (x, y), or None.
+
+    Pairs hold rationals or LaurentPoly (compared on the union of their
+    exponents).  Returns 0 when every x vanishes, whatever the y.
+    """
+    c = None
+    for x, y in pairs:
+        if isinstance(x, LaurentPoly):
+            terms = [(x.c.get(e, 0), y.c.get(e, 0)) for e in x.c.keys() | y.c.keys()]
+        else:
+            terms = [(x, y)]
+        for u, v in terms:
+            if c is None and v:
+                c = Fraction(u) / v
+            elif u != (c or 0) * v:
+                return None
+    return Fraction(0) if c is None else c
 
 
 class LaurentPoly:
@@ -111,12 +147,7 @@ class LaurentPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        out = {}
-        for ea, va in self.c.items():
-            for eb, vb in other.c.items():
-                e = ea + eb
-                out[e] = out.get(e, 0) + va * vb
-        return LaurentPoly(out)
+        return LaurentPoly(mul_into({}, self.c, other.c))
 
     __rmul__ = __mul__
 

@@ -218,6 +218,9 @@ def cmd_nu(args) -> int:
     cov = covariant_from_text(args.name)
     if cov.is_zero:
         raise SystemExit2("the zero polynomial has no nu-image")
+    numap.weight_of_covariant(cov.degree, cov.order)  # rejects odd orders
+    if not covariants.is_covariant(cov.poly):
+        raise SystemExit2("the polynomial is not a covariant of the sextic")
     if args.power is not None and not 0 <= args.power <= cov.degree:
         raise SystemExit2(
             f"--power must lie between 0 and the degree {cov.degree}"

@@ -175,6 +175,31 @@ def a11_order_bound(c: Covariant) -> int:
     )
 
 
+# the two sl2 derivations as (source, target, factor) moves on exponent
+# vectors (a0..a6, x1, x2):
+#   sum_{k=1..6} (7-k) a_{k-1} d/da_k - x2 d/dx1,
+#   sum_{k=0..5} (k+1) a_{k+1} d/da_k - x1 d/dx2
+_SL2_DERIVATIONS = (
+    [(k, k - 1, 7 - k) for k in range(1, 7)] + [(7, 8, -1)],
+    [(k, k + 1, k + 1) for k in range(6)] + [(8, 7, -1)],
+)
+
+
+def is_covariant(poly: MultiPoly) -> bool:
+    """True iff both sl2 derivations annihilate ``poly`` (the
+    Cayley-Aronhold test, for f = sum_i a_i x1^(6-i) x2^i)."""
+    for moves in _SL2_DERIVATIONS:
+        image = {}
+        for exps, c in poly.terms.items():
+            for src, dst, factor in moves:
+                if exps[src]:
+                    e = tuple(x - (i == src) + (i == dst) for i, x in enumerate(exps))
+                    image[e] = image.get(e, 0) + c * factor * exps[src]
+        if any(image.values()):
+            return False
+    return True
+
+
 # -- catalog ------------------------------------------------------------------
 
 def _canon(name: str) -> str:

@@ -27,7 +27,7 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .arith import LaurentPoly, frac_to_str
+from .arith import LaurentPoly, common_ratio, frac_to_str, mul_into
 from .errors import (
     BoundarySliceError,
     CharacterForm,
@@ -52,6 +52,34 @@ def _reindex(lp: LaurentPoly, num: int, den: int) -> LaurentPoly:
 
 def _graded(keys):
     return sorted(keys, key=lambda k: (k[0] + k[1], k))
+
+
+def cell_product(a, b, bound, width):
+    """Product of two cell maps {(n1, n2): (LaurentPoly, ...)}.
+
+    Keys add, and cells with an index past ``bound`` are dropped;
+    coordinate i of ``a`` times coordinate l of ``b`` lands in coordinate
+    i + l of a ``width``-long output vector (the Sym product).  Each output
+    LaurentPoly is built once, from dicts accumulated by ``mul_into``.
+    """
+    b_items = [
+        (key, [(l, y.c) for l, y in enumerate(vec) if y.c])
+        for key, vec in b.items()
+    ]
+    out = {}
+    for (a1, a2), avec in a.items():
+        xs = [(i, x.c) for i, x in enumerate(avec) if x.c]
+        for (b1, b2), ys in b_items:
+            key = (a1 + b1, a2 + b2)
+            if key[0] > bound or key[1] > bound:
+                continue
+            acc = out.get(key)
+            if acc is None:
+                acc = out[key] = [{} for _ in range(width)]
+            for i, x in xs:
+                for l, y in ys:
+                    mul_into(acc[i + l], x, y)
+    return {key: tuple(map(LaurentPoly, acc)) for key, acc in out.items()}
 
 
 class FourierExpansion:
@@ -186,22 +214,7 @@ class FourierExpansion:
             raise OrderTooSmall(
                 "truncation too small: product window is empty"
             )
-        cells = {}
-        for (a1, a2), avec in self.cells.items():
-            for (b1, b2), bvec in other.cells.items():
-                key = (a1 + b1, a2 + b2)
-                if key[0] > kN or key[1] > kN:
-                    continue
-                acc = cells.get(key)
-                if acc is None:
-                    acc = [_ZERO] * (j + 1)
-                    cells[key] = acc
-                for i, x in enumerate(avec):
-                    if x.is_zero:
-                        continue
-                    for l, y in enumerate(bvec):
-                        if not y.is_zero:
-                            acc[i + l] = acc[i + l] + x * y
+        cells = cell_product(self.cells, other.cells, kN, j + 1)
         denom = self.denom
         if denom == 2 and not character:
             # product landed back on the integral lattice; validate and halve
@@ -256,43 +269,33 @@ class FourierExpansion:
         q_kN = min(self.kN - s, other.kN - s + q_start)
         if q_kN < q_start:
             raise OrderTooSmall("truncation too small for division")
-        j = self.j
-        q_cells = {}
-
-        def q_at(key):
-            if key in q_cells:
-                return q_cells[key]
-            return (_ZERO,) * (j + 1)
-
-        keys = [
-            (m1, m2)
-            for m1 in range(q_start, q_kN + 1)
-            for m2 in range(q_start, q_kN + 1)
+        # the divisor's off-corner cells, negated: rhs -= b * q accumulates
+        neg = [
+            (key, {e: -v for e, v in vec[0].c.items()})
+            for key, vec in other.cells.items()
+            if key != (s, s)
         ]
-        for m1, m2 in _graded(keys):
-            rhs = list(self.vec_at((m1 + s, m2 + s)))
-            for (t1, t2), bvec in other.cells.items():
-                if (t1, t2) == (s, s):
-                    continue
-                u = (m1 + s - t1, m2 + s - t2)
-                if u[0] < q_start or u[1] < q_start:
-                    continue
-                qv = q_at(u)
-                b = bvec[0]
-                for i in range(j + 1):
-                    if not qv[i].is_zero:
-                        rhs[i] = rhs[i] - b * qv[i]
-            vec = tuple(x.exact_div(pivot) for x in rhs)
+        q_cells = {}
+        window = range(q_start, q_kN + 1)
+        for m1, m2 in _graded((m1, m2) for m1 in window for m2 in window):
+            rhs = [dict(x.c) for x in self.vec_at((m1 + s, m2 + s))]
+            for (t1, t2), b in neg:
+                qv = q_cells.get((m1 + s - t1, m2 + s - t2))
+                if qv is not None:
+                    for acc, x in zip(rhs, qv):
+                        mul_into(acc, b, x.c)
+            vec = tuple(LaurentPoly(d).exact_div(pivot) for d in rhs)
             if any(not x.is_zero for x in vec):
                 q_cells[(m1, m2)] = vec
         return FourierExpansion(
-            (j, self.k - other.k), False, q_kN, q_cells, q_start, 1
+            (self.j, self.k - other.k), False, q_kN, q_cells, q_start, 1
         )
 
     def exact_div_chi10(self) -> "FourierExpansion":
+        """Exact quotient by chi_10, built just deep enough for this window."""
         from . import theta
 
-        return self.exact_div(theta.chi_10(self.kN))
+        return self.exact_div(theta.chi_10(self.kN - self.start + 1))
 
     # -- boundary operators ---------------------------------------------------------
     def siegel_phi(self) -> "EllipticExpansion":
@@ -449,25 +452,12 @@ def proportionality(a: FourierExpansion, b: FourierExpansion):
     if a.weight != b.weight or a.denom != b.denom:
         return None
     top = min(a.kN, b.kN)
-    lo = min(a.start, b.start)
-    c = None
-    for k1 in range(lo, top + 1):
-        for k2 in range(lo, top + 1):
-            av, bv = a.vec_at((k1, k2)), b.vec_at((k1, k2))
-            for x, y in zip(av, bv):
-                if y.is_zero:
-                    if not x.is_zero:
-                        return None
-                    continue
-                e, yc = next(iter(y.c.items()))
-                ratio = Fraction(x.c.get(e, 0)) / Fraction(yc)
-                if c is None:
-                    c = ratio
-                elif ratio != c:
-                    return None
-                if x != y.scale(c):
-                    return None
-    return Fraction(0) if c is None else c
+    return common_ratio(
+        pair
+        for key in a.cells.keys() | b.cells.keys()
+        if max(key) <= top
+        for pair in zip(a.vec_at(key), b.vec_at(key))
+    )
 
 
 def rank_of_span(forms) -> int:
@@ -539,11 +529,7 @@ class EllipticExpansion:
 
     def mul(self, other):
         N = min(self.N, other.N)
-        out = {}
-        for n1, c1 in self.coeffs.items():
-            for n2, c2 in other.coeffs.items():
-                if n1 + n2 <= N:
-                    out[n1 + n2] = out.get(n1 + n2, 0) + c1 * c2
+        out = mul_into({}, self.coeffs, other.coeffs)
         return EllipticExpansion(self.k + other.k, N, out)
 
     def pow(self, e):
@@ -555,18 +541,7 @@ class EllipticExpansion:
     def proportional_to(self, other):
         """Constant c with self = c*other on the common window, or None."""
         N = min(self.N, other.N)
-        c = None
-        for n in range(N + 1):
-            if other[n] == 0:
-                if self[n] != 0:
-                    return None
-                continue
-            ratio = Fraction(self[n]) / Fraction(other[n])
-            if c is None:
-                c = ratio
-            elif ratio != c:
-                return None
-        return Fraction(0) if c is None else c
+        return common_ratio((self[n], other[n]) for n in range(N + 1))
 
     def __repr__(self):
         terms = ", ".join(

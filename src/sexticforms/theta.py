@@ -8,16 +8,20 @@ Theta series with characteristic (mu', mu''), mu-entries in {0, 1/2}:
 
 With q1 = e^(2 pi i tau11), q2 = e^(2 pi i tau22), r = e^(2 pi i tau12),
 the n-term carries q1^((n1+mu1)^2/2) q2^((n2+mu2)^2/2) r^((n1+mu1)(n2+mu2)).
-Exponents are stored in eighth units for q1, q2 and quarter units for r, so
-everything is integer arithmetic.  Even constants have coefficients +-1;
-odd gradients are stored with the z-derivative scaled by 2 (making them
-integers) and the constant global phase (a fourth root of unity per
-characteristic) dropped — all exposed forms are pinned by an explicit
-normalization, so global phases are unobservable.
+With t = 2n + 2mu', a theta series is a cell map in eighth units, the same
+{(n1, n2): (LaurentPoly, ...)} layout as ``FourierExpansion.cells``: key
+(t1^2, t2^2), r-exponent t1*t2 (quarter units), so everything is integer
+arithmetic.  Even constants have one coordinate with coefficients +-1; an
+odd gradient has two coordinates (the z1- and z2-partials), scaled by 2
+(making them integers) with the constant global phase (a fourth root of
+unity per characteristic) dropped — all exposed forms are pinned by an
+explicit normalization, so global phases are unobservable.
 
-Seeds built here: chi_5 (product of the 10 even constants), chi_10
-(= chi_5^2, pinned at its (1,1) coefficient), chi_6_3 (the Sym^6 product
-of the six odd gradients) and chi_6_8 = chi_5 * chi_6_3 (pinned at (1,1)).
+Products go through ``qexp.cell_product`` (and so ``arith.mul_into``),
+whose coordinate convolution is the Sym product: chi_6_3 is the plain
+product of the six gradient cell maps.  Seeds built here: chi_5 (product
+of the 10 even constants), chi_10 (= chi_5^2, pinned at its (1,1)
+coefficient), chi_6_3 and chi_6_8 = chi_5 * chi_6_3 (pinned at (1,1)).
 """
 
 from __future__ import annotations
@@ -26,14 +30,14 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import LaurentPoly
+from .arith import LaurentPoly, common_ratio
 from .errors import (
     EvenCharacteristic,
     NormalizationFailure,
     OddCharacteristic,
     SupportViolation,
 )
-from .qexp import FourierExpansion
+from .qexp import FourierExpansion, cell_product
 
 
 class ThetaCharacteristic:
@@ -83,157 +87,88 @@ def odd_characteristics():
     return [ch for ch in all_characteristics() if ch.parity == "odd"]
 
 
-class EighthExpansion:
-    """Sparse series in q1^(1/8), q2^(1/8), r^(1/4) with integer
-    coefficients, complete for all q-exponents <= the bound (in eighth
-    units, both variables)."""
-
-    __slots__ = ("bound", "c")
-
-    def __init__(self, bound, c=None):
-        self.bound = bound
-        self.c = {}
-        if c:
-            for key, v in c.items():
-                if v and key[0] <= bound and key[1] <= bound:
-                    self.c[key] = v
-
-    def add(self, other):
-        out = dict(self.c)
-        for key, v in other.c.items():
-            w = out.get(key, 0) + v
-            if w:
-                out[key] = w
-            else:
-                del out[key]
-        return EighthExpansion(min(self.bound, other.bound), out)
-
-    def scale(self, s):
-        return EighthExpansion(self.bound, {k: v * s for k, v in self.c.items()})
-
-    def mul(self, other):
-        bound = min(self.bound, other.bound)
-        out = {}
-        for (a1, a2, ar), av in self.c.items():
-            if a1 > bound or a2 > bound:
-                continue
-            for (b1, b2, br), bv in other.c.items():
-                e1, e2 = a1 + b1, a2 + b2
-                if e1 > bound or e2 > bound:
-                    continue
-                key = (e1, e2, ar + br)
-                w = out.get(key, 0) + av * bv
-                if w:
-                    out[key] = w
-                else:
-                    del out[key]
-        return EighthExpansion(bound, out)
-
-    @property
-    def is_zero(self):
-        return not self.c
-
-
-def _lattice_range(N):
-    return math.isqrt(2 * N) + 2
-
-
-def even_theta_constant(ch: ThetaCharacteristic, N: int) -> EighthExpansion:
-    """Theta constant at z = 0, complete through q-exponent N."""
-    if ch.parity != "even":
-        raise OddCharacteristic("theta constant requested for an odd characteristic")
+def _theta_series(ch: ThetaCharacteristic, N: int, values):
+    """Cell map in eighth units of a theta series complete through
+    q-exponent N: the lattice term t = 2n + m1 (t1^2, t2^2 <= 8N) adds the
+    coordinate vector ``values(t1, t2, n1, n2)`` at key (t1^2, t2^2),
+    r-exponent t1*t2."""
     bound = 8 * N
-    M = _lattice_range(N)
-    c = {}
+    M = math.isqrt(2 * N) + 2
+    acc = {}
     for n1 in range(-M, M + 1):
         t1 = 2 * n1 + ch.m1[0]
-        if t1 * t1 > bound:
-            continue
         for n2 in range(-M, M + 1):
             t2 = 2 * n2 + ch.m1[1]
-            if t2 * t2 > bound:
+            if max(t1 * t1, t2 * t2) > bound:
                 continue
-            # phase exp(2 pi i (n + mu')^t mu'') = +-1 for even ch
-            twice_dot = (2 * n1 + ch.m1[0]) * ch.m2[0] + (2 * n2 + ch.m1[1]) * ch.m2[1]
-            if twice_dot % 2:
-                raise AssertionError("even characteristic produced imaginary phase")
-            sign = -1 if (twice_dot // 2) % 2 else 1
-            key = (t1 * t1, t2 * t2, t1 * t2)
-            w = c.get(key, 0) + sign
-            if w:
-                c[key] = w
-            else:
-                del c[key]
-    return EighthExpansion(bound, c)
+            vec = values(t1, t2, n1, n2)
+            cell = acc.setdefault((t1 * t1, t2 * t2), [{} for _ in vec])
+            for d, v in zip(cell, vec):
+                d[t1 * t2] = d.get(t1 * t2, 0) + v
+    return {key: tuple(map(LaurentPoly, cell)) for key, cell in acc.items()}
+
+
+def even_theta_constant(ch: ThetaCharacteristic, N: int):
+    """Theta constant at z = 0, complete through q-exponent N, as a
+    one-coordinate cell map in eighth units."""
+    if ch.parity != "even":
+        raise OddCharacteristic("theta constant requested for an odd characteristic")
+
+    def phase(t1, t2, n1, n2):
+        # exp(2 pi i (n + mu')^t mu'') = +-1 for even ch
+        twice_dot = t1 * ch.m2[0] + t2 * ch.m2[1]
+        if twice_dot % 2:
+            raise AssertionError("even characteristic produced imaginary phase")
+        return (-1 if (twice_dot // 2) % 2 else 1,)
+
+    return _theta_series(ch, N, phase)
 
 
 def odd_theta_gradient(ch: ThetaCharacteristic, N: int):
     """The two z-partials at z = 0, scaled by 2 (and the global phase
-    dropped), as a pair of EighthExpansion."""
+    dropped), as one two-coordinate cell map in eighth units."""
     if ch.parity != "odd":
         raise EvenCharacteristic("gradient requested for an even characteristic")
-    bound = 8 * N
-    M = _lattice_range(N)
-    g1, g2 = {}, {}
-    for n1 in range(-M, M + 1):
-        t1 = 2 * n1 + ch.m1[0]
-        if t1 * t1 > bound:
+
+    def gradient(t1, t2, n1, n2):
+        # exp(2 pi i (n+mu').mu'') = global (+-i) times this sign
+        sign = -1 if (n1 * ch.m2[0] + n2 * ch.m2[1]) % 2 else 1
+        return (sign * t1, sign * t2)
+
+    return _theta_series(ch, N, gradient)
+
+
+def _theta_product(series, width: int, N: int):
+    """Sym product of theta cell maps of ``width`` coordinates each,
+    complete through q-exponent N."""
+    prod = series[0]
+    for k, other in enumerate(series[1:], 2):
+        prod = cell_product(prod, other, 8 * N, k * (width - 1) + 1)
+    return prod
+
+
+def _to_fourier(cells, weight, N, label):
+    """Convert an eighth-unit cell map to a half-integral-lattice (denom 2)
+    character FourierExpansion with start 1.
+
+    The start offset is certified by cuspidality, and checked in-window:
+    a nonzero cell with a zero q-exponent raises NormalizationFailure.  A
+    key or r-exponent off the half-integral lattice raises SupportViolation.
+    """
+    built = {}
+    for (e1, e2), vec in cells.items():
+        if all(x.is_zero for x in vec):
             continue
-        for n2 in range(-M, M + 1):
-            t2 = 2 * n2 + ch.m1[1]
-            if t2 * t2 > bound:
-                continue
-            # exp(2 pi i (n+mu').mu'') = global (+-i) times this sign
-            sign = -1 if (n1 * ch.m2[0] + n2 * ch.m2[1]) % 2 else 1
-            key = (t1 * t1, t2 * t2, t1 * t2)
-            for store, t in ((g1, t1), (g2, t2)):
-                if t:
-                    w = store.get(key, 0) + sign * t
-                    if w:
-                        store[key] = w
-                    else:
-                        del store[key]
-    return EighthExpansion(bound, g1), EighthExpansion(bound, g2)
-
-
-def _to_fourier(vec, weight, N, start_hint=0):
-    """Convert coordinate EighthExpansions to a half-integral-lattice
-    (denom 2) character FourierExpansion; validates the exponent lattice."""
-    kN = 2 * N
-    cells = {}
-    for i, series in enumerate(vec):
-        for (e1, e2, er), v in series.c.items():
-            if e1 % 4 or e2 % 4 or er % 2:
-                raise SupportViolation(
-                    "theta product does not live on the half-integral lattice"
-                )
-            key = (e1 // 4, e2 // 4)
-            if key[0] > kN or key[1] > kN:
-                continue
-            cell = cells.get(key)
-            if cell is None:
-                cell = [dict() for _ in range(len(vec))]
-                cells[key] = cell
-            cell[i][er // 2] = cell[i].get(er // 2, 0) + v
-    built = {
-        key: tuple(LaurentPoly(d) for d in cell)
-        for key, cell in cells.items()
-    }
-    form = FourierExpansion(
-        weight, True, kN, built, start_hint, denom=2, validate=False
-    )
-    return form
-
-
-def _assert_cusp_start(vec, label):
-    """Verify in-window that every coefficient with a zero q-exponent
-    vanishes; the start offset 1 itself is certified by cuspidality."""
-    for series in vec:
-        for (e1, e2, _er), v in series.c.items():
-            if (e1 == 0 or e2 == 0) and v:
-                raise NormalizationFailure(
-                    f"{label}: unexpected boundary coefficient"
-                )
+        if e1 == 0 or e2 == 0:
+            raise NormalizationFailure(f"{label}: unexpected boundary coefficient")
+        if e1 % 4 or e2 % 4 or any(e % 2 for x in vec for e in x.c):
+            raise SupportViolation(
+                "theta product does not live on the half-integral lattice"
+            )
+        built[(e1 // 4, e2 // 4)] = tuple(
+            LaurentPoly({e // 2: v for e, v in x.c.items()}) for x in vec
+        )
+    return FourierExpansion(weight, True, 2 * N, built, 1, denom=2, validate=False)
 
 
 @lru_cache(maxsize=None)
@@ -242,12 +177,8 @@ def chi_5(N: int) -> FourierExpansion:
     character, on the half-integral lattice."""
     if N < 1:
         raise ValueError("truncation must be at least 1")
-    prod = None
-    for ch in even_characteristics():
-        series = even_theta_constant(ch, N)
-        prod = series if prod is None else prod.mul(series)
-    _assert_cusp_start([prod], "chi_5")
-    return _to_fourier([prod], (0, 5), N, start_hint=1)
+    series = [even_theta_constant(ch, N) for ch in even_characteristics()]
+    return _to_fourier(_theta_product(series, 1, N), (0, 5), N, "chi_5")
 
 
 @lru_cache(maxsize=None)
@@ -257,24 +188,8 @@ def chi_6_3(N: int) -> FourierExpansion:
     prod_i (G_i1 X1 + G_i2 X2)."""
     if N < 1:
         raise ValueError("truncation must be at least 1")
-    coords = None
-    for ch in odd_characteristics():
-        g1, g2 = odd_theta_gradient(ch, N)
-        if coords is None:
-            coords = [g1, g2]
-        else:
-            new = []
-            for i in range(len(coords) + 1):
-                acc = None
-                if i < len(coords):
-                    acc = coords[i].mul(g1)
-                if i > 0:
-                    term = coords[i - 1].mul(g2)
-                    acc = term if acc is None else acc.add(term)
-                new.append(acc)
-            coords = new
-    _assert_cusp_start(coords, "chi_6_3")
-    return _to_fourier(coords, (6, 3), N, start_hint=1)
+    series = [odd_theta_gradient(ch, N) for ch in odd_characteristics()]
+    return _to_fourier(_theta_product(series, 2, N), (6, 3), N, "chi_6_3")
 
 
 _CHI10_PIN = LaurentPoly({1: 1, 0: -2, -1: 1})  # r - 2 + r^-1
@@ -286,8 +201,8 @@ def chi_10(N: int) -> FourierExpansion:
     x5 = chi_5(N)
     raw = x5.mul(x5)
     corner = raw.vec_at((1, 1))[0]
-    ratio = _laurent_ratio(corner, _CHI10_PIN)
-    if ratio is None:
+    ratio = common_ratio([(corner, _CHI10_PIN)])
+    if not ratio:
         raise NormalizationFailure(
             "chi_10 corner coefficient is not a multiple of r - 2 + r^-1"
         )
@@ -311,8 +226,8 @@ def chi_6_8(N: int) -> FourierExpansion:
     (0, 0, r^-1 - 2 + r, 2(r - r^-1), r^-1 - 2 + r, 0, 0)."""
     raw = chi_5(N).mul(chi_6_3(N))
     corner = raw.vec_at((1, 1))
-    ratio = _laurent_ratio(corner[2], _CHI68_PIN[2])
-    if ratio is None:
+    ratio = common_ratio([(corner[2], _CHI68_PIN[2])])
+    if not ratio:
         raise NormalizationFailure(
             "chi_6_8 corner coordinate 2 is not a multiple of r - 2 + r^-1"
         )
@@ -323,13 +238,3 @@ def chi_6_8(N: int) -> FourierExpansion:
         )
     return scaled
 
-
-def _laurent_ratio(a: LaurentPoly, b: LaurentPoly):
-    """Constant c with a = c*b, or None."""
-    if b.is_zero:
-        return None
-    e, v = next(iter(b.c.items()))
-    c = Fraction(a.c.get(e, 0)) / Fraction(v)
-    if a != b.scale(c) or c == 0:
-        return None
-    return c

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sexticforms.arith import (
     LaurentPoly,
+    common_ratio,
     frac_from_str,
     frac_to_str,
     is_prime,
@@ -87,3 +88,11 @@ def test_laurent_div_inverts_mul(a, b):
 def test_laurent_inversion_involution(a):
     assert a.invert_exponent().invert_exponent() == a
     assert a.invert_exponent().eval_at_one() == a.eval_at_one()
+
+
+def test_common_ratio():
+    x = LaurentPoly({-1: 1, 1: 1})
+    assert common_ratio([(x.scale(3), x), (6, 2)]) == 3
+    assert common_ratio([(x, x + LaurentPoly({0: 1}))]) is None
+    assert common_ratio([(LaurentPoly(), x), (0, 0)]) == 0
+    assert common_ratio([(1, 0)]) is None

@@ -152,6 +152,7 @@ def test_verify_even_ring_uses_cache(tmp_path, capsys):
             0,
             None,
         ),
+        (["nu", "a0"], None, 2, "not a covariant"),
     ],
 )
 def test_bad_input_exit_codes(tmp_path, capsys, argv, corrupt, code, message):

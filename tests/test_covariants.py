@@ -118,6 +118,13 @@ def test_grace_young_catalog(sextic):
         cv.grace_young("nosuch")
 
 
+def test_is_covariant():
+    names = ["A", "B", "C", "D", "E", "AB-3C", "f", "C2,0", "C2,4", "C3,2",
+             "Hessian", "V8,4", "V6,6"]
+    assert all(cv.is_covariant(cv.resolve(name).poly) for name in names)
+    assert not cv.is_covariant(_var("a0") * _var("a6") - _var("a3") ** 2)
+
+
 def test_resolve_names():
     assert cv.resolve("A") == cv.invariant("A")
     assert cv.resolve("AB-3C") == cv.combination_AB_minus_3C()

@@ -1,11 +1,12 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sexticforms import qexp, theta
+from sexticforms import arith, qexp, theta
 from sexticforms.arith import LaurentPoly
 from sexticforms.errors import (
     NotDivisible,
@@ -70,6 +71,17 @@ def test_exact_div_window_limited_by_divisor(chi10_n3):
     assert q.agrees_with(chi10_n3)
 
 
+def test_exact_div_chi10_right_sizes_divisor(monkeypatch, chi10_n3):
+    # chi10^2 on [2, 4] needs chi10 only on [1, 3] for its quotient window
+    asked = []
+    chi_10 = theta.chi_10
+    monkeypatch.setattr(theta, "chi_10", lambda n: asked.append(n) or chi_10(n))
+    q = chi10_n3.mul(chi10_n3).exact_div_chi10()
+    assert asked == [3]
+    assert (q.start, q.kN) == (1, 3)
+    assert q.agrees_with(chi10_n3)
+
+
 def test_exact_div_detects_non_holomorphy(chi10_n3):
     one = qexp.constant_one(chi10_n3.kN)
     with pytest.raises(NotDivisible):
@@ -98,6 +110,37 @@ def test_restrict_and_phi(chi10_n3):
     sliced = chi10_n3.restrict_to_a11()
     assert sliced[0] == {}  # chi_10 vanishes to order 2 along the locus
     assert chi10_n3.siegel_phi().is_zero
+
+
+def test_every_series_product_reaches_the_kernel(monkeypatch):
+    # arith.mul_into is the one swap point of every series product
+    kernel = arith.mul_into
+    calls = []
+
+    def counting(acc, a, b):
+        calls.append(1)
+        return kernel(acc, a, b)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("sexticforms") and (
+            vars(module).get("mul_into") is kernel
+        ):
+            monkeypatch.setattr(module, "mul_into", counting)
+
+    def reaches(op):
+        before = len(calls)
+        op()
+        return len(calls) > before
+
+    lp = LaurentPoly({0: 1, 1: 2})
+    f = _scalar({(1, 1): {0: 1}, (1, 2): {0: 1}}, start=1)
+    sq = f.mul(f)
+    e4 = qexp.elliptic_form("E4", 2)
+    assert reaches(lambda: lp * lp)
+    assert reaches(lambda: f.mul(f))
+    assert reaches(lambda: sq.exact_div(f))
+    assert reaches(lambda: e4.mul(e4))
+    assert reaches(lambda: theta.chi_5.__wrapped__(1))
 
 
 # -- elliptic expansions -------------------------------------------------------
@@ -130,22 +173,30 @@ _cell_vals = st.dictionaries(
 )
 
 
+_orders = st.integers(min_value=0, max_value=2)
+
+
 @st.composite
-def scalar_forms(draw, k=4):
+def scalar_forms(draw, j=None, k=4):
+    """A form of weight (j, k) on the window [0, N]; the order j is drawn
+    from 0..2 unless given, so products also convolve coordinates."""
+    if j is None:
+        j = draw(_orders)
     cells = {}
     for k1 in range(0, N + 1):
         for k2 in range(0, N + 1):
-            vals = draw(_cell_vals)
             bound = math.isqrt(4 * k1 * k2)
-            vals = {e: v for e, v in vals.items() if abs(e) <= bound and v}
-            if vals:
-                cells[(k1, k2)] = (LaurentPoly(vals),)
-    return FourierExpansion((0, k), False, N, cells, 0)
+            cells[(k1, k2)] = tuple(
+                LaurentPoly({e: v for e, v in draw(_cell_vals).items() if abs(e) <= bound})
+                for _ in range(j + 1)
+            )
+    return FourierExpansion((j, k), False, N, cells, 0)
 
 
 @settings(max_examples=200, deadline=None)
-@given(scalar_forms(), scalar_forms(), scalar_forms())
-def test_ring_axioms(a, b, c):
+@given(_orders.flatmap(lambda j: st.tuples(*[scalar_forms(j)] * 3)))
+def test_ring_axioms(forms):
+    a, b, c = forms
     assert a.add(b) == b.add(a)
     assert a.mul(b).agrees_with(b.mul(a))
     ab_c = a.mul(b).mul(c)
@@ -158,7 +209,7 @@ def test_ring_axioms(a, b, c):
 
 
 @settings(max_examples=200, deadline=None)
-@given(scalar_forms(), scalar_forms())
+@given(scalar_forms(), scalar_forms(j=0))
 def test_exact_div_inverts_mul(a, b):
     # division requires an invertible pivot cell at the start corner
     if b.vec_at((0, 0))[0].is_zero:
