@@ -250,6 +250,8 @@ def cmd_nu(args) -> int:
 
 
 def _suite_even_ring(args):
+    if args.kmax < 0:
+        raise SystemExit2("--kmax must be at least 0")
     rows = ringlab.verify_even_generation(
         args.kmax, max(args.order, 3), _cache_dir(args)
     )

@@ -29,6 +29,10 @@ from .poly import CHAR2_VARS, SEXTIC_VARS, MultiPoly
 
 A_VARS = CHAR2_VARS[:4]
 B_VARS = CHAR2_VARS[4:]
+_INVARIANCE_NAMES = ("A", "B", "C", "D")
+_INVARIANCE_SAMPLES = 25  # SL2 moves per invariant in modp_invariance_check
+_ACTION_SAMPLES = 20  # F_2 points in char2_action_check
+_ACTION_SEED = 5
 
 
 # -- reduction mod p of the classical invariants ------------------------------
@@ -109,14 +113,14 @@ def _invariant_value(poly: MultiPoly, values) -> int:
     return poly.evaluate(env)
 
 
-def modp_invariance_check(p: int, names=("A", "B", "C", "D"), samples=25, seed=11):
+def modp_invariance_check(p: int, seed=11):
     """Mod-p nonvanishing plus sampled SL2-invariance of the reductions."""
     rng = random.Random(seed)
     report = {}
-    for name in names:
+    for name in _INVARIANCE_NAMES:
         red = reduce_mod_p(covariants.invariant(name), p)
         ok = not red.poly.is_zero
-        for _ in range(samples):
+        for _ in range(_INVARIANCE_SAMPLES):
             values = [rng.randrange(p) for _ in range(7)]
             m = _random_sl2(rng)
             moved = _transformed_sextic_values(values, m)
@@ -126,7 +130,7 @@ def modp_invariance_check(p: int, names=("A", "B", "C", "D"), samples=25, seed=1
                 ok = False
                 break
         report[name] = ok
-    report["status"] = "PASS" if all(report[n] for n in names) else "FAIL"
+    report["status"] = "PASS" if all(report.values()) else "FAIL"
     return report
 
 
@@ -207,44 +211,20 @@ def _lift_sextic_coefficients():
     lifted verbatim; the result is a binary sextic whose seven coefficients
     are returned in x2-degree order.
     """
+    v = lambda n: MultiPoly.variable(CHAR2_VARS, n)  # noqa: E731
     out = []
     for i in range(7):
-        acc = MultiPoly.zero(CHAR2_VARS)
+        acc = v(f"b{i}").scale(4)
         for j in range(max(0, i - 3), min(3, i) + 1):
-            acc = acc + MultiPoly.monomial(
-                CHAR2_VARS,
-                tuple(
-                    (1 if t == j else 0) + (1 if t == i - j else 0)
-                    for t in range(4)
-                )
-                + (0,) * 7,
-            )
-        b_exps = (0,) * 4 + tuple(1 if t == i else 0 for t in range(7))
-        out.append(acc + MultiPoly.monomial(CHAR2_VARS, b_exps, 4))
+            acc = acc + v(f"a{j}") * v(f"a{i - j}")
+        out.append(acc)
     return tuple(out)
 
 
 def _lift_evaluate(cov: Covariant) -> MultiPoly:
     """Evaluate a characteristic-0 invariant on the lifted sextic."""
     lifted = _lift_sextic_coefficients()
-    cache: dict = {}
-
-    def power(i, e):
-        key = (i, e)
-        if key not in cache:
-            cache[key] = lifted[i] if e == 1 else power(i, e - 1) * lifted[i]
-        return cache[key]
-
-    acc: dict = {}
-    one = MultiPoly.const(CHAR2_VARS, 1)
-    for exps, c in cov.poly.terms.items():
-        term = one
-        for i in range(7):
-            if exps[i]:
-                term = term * power(i, exps[i])
-        for e, tc in term.terms.items():
-            acc[e] = acc.get(e, 0) + c * tc
-    return MultiPoly(CHAR2_VARS, acc)
+    return cov.poly.substitute(dict(zip(SEXTIC_VARS, lifted)))
 
 
 def _val2(poly: MultiPoly) -> int:
@@ -326,24 +306,20 @@ def _binomial_substitution(degree, prefix):
     return images
 
 
-def _substituted(inv: Char2Invariant, mapping) -> MultiPoly:
-    return inv.poly.extend_ring(_EXT_VARS).substitute(mapping)
-
-
-def char2_action_check(inv: Char2Invariant, samples: int = 20, seed: int = 5) -> bool:
+def char2_action_check(inv: Char2Invariant) -> bool:
     """Invariance under the symbolic SL2 substitutions and the extra
     unipotent action (a,b) -> (a, b + v^2 + v*a) with generic cubic v.
 
     The three symbolic checks (swap, shear with symbolic t, b-shift with
-    symbolic v) cover the full group; `samples` adds randomized F_2 point
-    evaluations of the same identities as a cross-check.
+    symbolic v) cover the full group; _ACTION_SAMPLES randomized F_2 point
+    evaluations of the same identities are a cross-check.
     """
     base = inv.poly.extend_ring(_EXT_VARS)
 
     # x1 <-> x2: a_i <-> a_(3-i), b_i <-> b_(6-i)
     swap = {f"a{i}": _ext(f"a{3 - i}") for i in range(4)}
     swap.update({f"b{i}": _ext(f"b{6 - i}") for i in range(7)})
-    if _substituted(inv, swap) != base:
+    if inv.poly.substitute(swap) != base:
         return False
 
     # x1 -> x1 + t*x2 with symbolic t
@@ -351,7 +327,7 @@ def char2_action_check(inv: Char2Invariant, samples: int = 20, seed: int = 5) ->
     shear.update(
         {f"b{i}": img for i, img in enumerate(_binomial_substitution(6, "b"))}
     )
-    if _substituted(inv, shear) != base:
+    if inv.poly.substitute(shear) != base:
         return False
 
     # (a, b) -> (a, b + v^2 + v*a) with symbolic cubic v
@@ -365,11 +341,11 @@ def char2_action_check(inv: Char2Invariant, samples: int = 20, seed: int = 5) ->
         for j in range(max(0, i - 3), min(3, i) + 1):
             img = img + v_poly[j] * a_poly[i - j]
         shift[f"b{i}"] = img
-    if _substituted(inv, shift) != base:
+    if inv.poly.substitute(shift) != base:
         return False
 
-    rng = random.Random(seed)
-    for _ in range(samples):
+    rng = random.Random(_ACTION_SEED)
+    for _ in range(_ACTION_SAMPLES):
         pair = Char2Pair(
             [rng.randrange(2) for _ in range(4)],
             [rng.randrange(2) for _ in range(7)],

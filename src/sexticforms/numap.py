@@ -3,9 +3,10 @@ modular forms.
 
 A covariant of degree d and order j maps to a meromorphic form of weight
 (j, d - j/2); poles along the product locus are cleared by powers of
-chi_10.  The meromorphic coordinates are never materialized: we substitute
-the holomorphic coordinates beta_i of chi_6_8 (beta_i = chi_10 * alpha_i)
-for a_i, so
+chi_10.  The meromorphic coordinates are never materialized: nu_raw
+evaluates the covariant through ``poly.Substitution`` at the holomorphic
+coordinates beta_i of chi_6_8 (beta_i = chi_10 * alpha_i) for a_i, and at
+X1, X2, weight-(1,0) constants at cell (0,0), for x1, x2, so
 
     nu_raw(c) = chi_10^d * nu(c),   weight (j, 11d - j/2),
 
@@ -18,9 +19,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .arith import LaurentPoly
 from .covariants import Covariant, a11_order_bound
 from .errors import NotDivisible, OddOrder
-from .qexp import FourierExpansion
+from .poly import Substitution
+from .qexp import FourierExpansion, constant_one
 from .theta import chi_6_8
 
 
@@ -55,75 +58,36 @@ def weight_of_covariant(d: int, j: int):
     return (j, d - j // 2)
 
 
-def _beta_coordinates(N: int):
-    """The seven coordinates of chi_6_8 as scalar windowed series."""
-    seed = chi_6_8(N)
-    out = []
-    for i in range(7):
-        cells = {}
-        for key, vec in seed.cells.items():
-            if not vec[i].is_zero:
-                cells[key] = (vec[i],)
-        out.append(
-            FourierExpansion(
-                (0, 0), False, seed.kN, cells, seed.start, 1, validate=False
-            )
-        )
-    return out
-
-
 def nu_raw(c: Covariant, N: int) -> FourierExpansion:
-    """Substitute coordinate i of chi_6_8 for a_i (and X_i for x_i)."""
+    """Evaluate c at a_i = coordinate i of chi_6_8 and x_i = X_i.
+
+    The window rules of the products give [d, N + d - 1]; the sum is then
+    re-weighted to (j, 11d - j/2).
+    """
     weight_of_covariant(c.degree, c.order)  # validates even order
     if c.is_zero:
         raise ValueError("cannot substitute into the zero covariant")
     d, j = c.degree, c.order
     if N < 1:
         raise ValueError("truncation must be at least 1")
-    beta = _beta_coordinates(N)
-    powers = {}
-
-    def beta_power(i, e):
-        key = (i, e)
-        if key not in powers:
-            if e == 1:
-                powers[key] = beta[i]
-            else:
-                powers[key] = beta_power(i, e - 1).mul(beta[i])
-        return powers[key]
-
-    coords = [None] * (j + 1)
-    for exps, coeff in c.poly.terms.items():
-        series = None
-        for i in range(7):
-            if exps[i]:
-                p = beta_power(i, exps[i])
-                series = p if series is None else series.mul(p)
-        series = series.scale(coeff)
-        idx = exps[8]  # x2-exponent picks the coordinate
-        coords[idx] = series if coords[idx] is None else coords[idx].add(series)
-    kN = N + d - 1
-    cells = {}
-    for i, series in enumerate(coords):
-        if series is None:
-            continue
-        for key, vec in series.cells.items():
-            if max(key) > kN:
-                continue
-            cell = cells.get(key)
-            if cell is None:
-                cell = [None] * (j + 1)
-                cells[key] = cell
-            cell[i] = vec[0]
-    from .arith import LaurentPoly
-
-    zero = LaurentPoly()
-    built = {
-        key: tuple(zero if x is None else x for x in cell)
-        for key, cell in cells.items()
-    }
+    seed = chi_6_8(N)
+    beta = [
+        FourierExpansion(
+            (0, 0), False, seed.kN,
+            {key: (vec[i],) for key, vec in seed.cells.items()},
+            seed.start, validate=False,
+        )
+        for i in range(7)
+    ]
+    # exact constants; window N - 1 never cuts a product with a beta
+    one, zero = LaurentPoly({0: 1}), LaurentPoly()
+    xs = [
+        FourierExpansion((1, 0), False, N - 1, {(0, 0): vec})
+        for vec in ((one, zero), (zero, one))
+    ]
+    e = Substitution(beta + xs, constant_one(N - 1))(c.poly.terms)
     return FourierExpansion(
-        (j, 11 * d - j // 2), False, kN, built, d, 1
+        (j, 11 * d - j // 2), False, e.kN, e.cells, e.start
     )
 
 

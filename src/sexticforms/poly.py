@@ -35,6 +35,55 @@ def _grlex(exps):
     return (sum(exps), exps)
 
 
+class Substitution:
+    """Evaluates polynomials at ``images[i]`` for variable i, with ``one``
+    the unit of their ring; images need ``*``, ``+`` and ``scale``.
+
+    ``power(i, k)`` builds images[i]**k once and keeps it.  A call groups
+    the terms on one variable at a time, the last variable outermost (the
+    sparse multivariate Horner scheme; Pena and Sauer, 2000): a factor
+    several terms share is multiplied once, and a constant cofactor is a
+    ``scale``, never a product.
+    """
+
+    def __init__(self, images, one):
+        self.images = tuple(images)
+        self.one = one
+        self._powers = {}
+
+    def power(self, i, k):
+        if (i, k) not in self._powers:
+            x = self.images[i]
+            self._powers[i, k] = x if k == 1 else self.power(i, k - 1) * x
+        return self._powers[i, k]
+
+    def __call__(self, terms):
+        """Sum of c * prod images[i]**e[i] over ``{exponents: c}``."""
+        return self._horner(list(terms.items()), len(self.images))
+
+    def _horner(self, terms, n):
+        # every exponent vanishes from variable n on
+        i = n - 1
+        while i >= 0 and not any(e[i] for e, _ in terms):
+            i -= 1
+        if i < 0:  # the constant term, if any
+            return self.one.scale(sum(c for _, c in terms))
+        groups = {}
+        for e, c in terms:
+            groups.setdefault(e[i], []).append((e, c))
+        acc = None
+        for k, group in sorted(groups.items()):
+            if not k:
+                term = self._horner(group, i)
+            elif any(any(e[:i]) for e, _ in group):
+                term = self.power(i, k) * self._horner(group, i)
+            else:  # one term: c * images[i]**k
+                c = group[0][1]
+                term = self.power(i, k) if c == 1 else self.power(i, k).scale(c)
+            acc = term if acc is None else acc + term
+        return acc
+
+
 class MultiPoly:
     __slots__ = ("vars", "terms", "modulus")
 
@@ -157,39 +206,25 @@ class MultiPoly:
     def substitute(self, mapping: dict) -> "MultiPoly":
         """Substitute polynomials for variables.
 
-        Unmapped variables must exist in the target ring and map to
-        themselves.  All images must share one ring.
+        All images must share one ring.  Unmapped variables map to
+        themselves, so each one that occurs must exist in that ring.
         """
         target = next(iter(mapping.values()))
         tvars, mod = target.vars, target.modulus
         images = []
-        for name in self.vars:
+        for i, name in enumerate(self.vars):
             if name in mapping:
                 img = mapping[name]
                 if img.vars != tvars or img.modulus != mod:
                     raise DomainMismatch("substitution images in different rings")
-                images.append(img)
+            elif name in tvars:
+                img = MultiPoly.variable(tvars, name, mod)
+            elif any(e[i] for e in self.terms):
+                raise DomainMismatch(f"{name} is not in the target ring")
             else:
-                images.append(MultiPoly.variable(tvars, name, mod))
-        cache: dict = {}
-
-        def power(i, e):
-            key = (i, e)
-            if key not in cache:
-                if e == 1:
-                    cache[key] = images[i]
-                else:
-                    cache[key] = power(i, e - 1) * images[i]
-            return cache[key]
-
-        acc = MultiPoly.zero(tvars, mod)
-        for exps, c in self.terms.items():
-            term = MultiPoly.const(tvars, c, mod)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * power(i, e)
-            acc = acc + term
-        return acc
+                img = None  # never read: the variable does not occur
+            images.append(img)
+        return Substitution(images, MultiPoly.const(tvars, 1, mod))(self.terms)
 
     def evaluate(self, values: dict):
         """Evaluate at scalars; every variable must be assigned."""

@@ -188,6 +188,8 @@ class FourierExpansion:
             validate=False,
         )
 
+    __add__ = add
+
     def scale(self, c) -> "FourierExpansion":
         cells = {
             key: tuple(x.scale(c) for x in vec)
@@ -236,6 +238,8 @@ class FourierExpansion:
         return FourierExpansion(
             (j, k), character, kN, cells, start, denom
         )
+
+    __mul__ = mul
 
     def pow(self, n: int) -> "FourierExpansion":
         if n < 1:

@@ -23,6 +23,7 @@ from functools import lru_cache
 
 from . import covariants, numap, qexp, theta
 from .errors import OddWeight, UnknownName
+from .poly import Substitution
 from .qexp import FourierExpansion
 
 
@@ -187,49 +188,27 @@ def weight_monomials(k: int):
     return out
 
 
-class _MonomialBuilder:
-    """Monomials in the four even generators with a power cache."""
-
-    def __init__(self, N: int, cache_dir=None):
-        self.gens = [
-            named_form(n, N, cache_dir).expansion
-            for n in ("psi4", "psi6", "chi10", "chi12")
-        ]
-        self.powers = {}
-
-    def gen_power(self, i, e):
-        key = (i, e)
-        if key not in self.powers:
-            if e == 1:
-                self.powers[key] = self.gens[i]
-            else:
-                self.powers[key] = self.gen_power(i, e - 1).mul(self.gens[i])
-        return self.powers[key]
-
-    def monomial(self, exps) -> FourierExpansion:
-        acc = None
-        for i, e in enumerate(exps):
-            if e:
-                p = self.gen_power(i, e)
-                acc = p if acc is None else acc.mul(p)
-        if acc is None:
-            acc = qexp.constant_one(self.gens[0].kN)
-        return acc
+def _generators(N: int, cache_dir=None) -> Substitution:
+    """Evaluates monomials {exps: 1} in psi4, psi6, chi10, chi12."""
+    gens = [
+        named_form(n, N, cache_dir).expansion
+        for n in ("psi4", "psi6", "chi10", "chi12")
+    ]
+    return Substitution(gens, qexp.constant_one(gens[0].kN))
 
 
 def verify_even_generation(k_max: int, N: int, cache_dir=None):
     """Per even weight k <= k_max: rank of the weight-k monomials in the
     four even generators vs. the generating-function dimension."""
     report = []
-    builders = {N: _MonomialBuilder(N, cache_dir)}
+    generators = {}  # per truncation, so powers are shared across weights
     for k in range(0, k_max + 1, 2):
         expected = even_dimension(k)
         trunc = N
         while True:
-            builder = builders.get(trunc)
-            if builder is None:
-                builder = builders[trunc] = _MonomialBuilder(trunc, cache_dir)
-            forms = [builder.monomial(e) for e in weight_monomials(k)]
+            if trunc not in generators:
+                generators[trunc] = _generators(trunc, cache_dir)
+            forms = [generators[trunc]({e: 1}) for e in weight_monomials(k)]
             rank = qexp.rank_of_span(forms) if forms else 0
             if rank == expected or trunc > N:
                 break
@@ -252,8 +231,8 @@ def odd_weight_divisibility_check(N: int = 5, chi35_N: int = 3, cache_dir=None):
     x35 = named_form("chi35", chi35_N, cache_dir).expansion
     per, overall = x35.a11_order()
     phi_zero = x35.siegel_phi().is_zero
-    builder = _MonomialBuilder(N, cache_dir)
-    monomials = [builder.monomial(e) for e in weight_monomials(70)]
+    gens = _generators(N, cache_dir)
+    monomials = [gens({e: 1}) for e in weight_monomials(70)]
     square = x35.mul(x35)
     base = qexp.rank_of_span(monomials)
     extended = qexp.rank_of_span(monomials + [square])

@@ -97,6 +97,12 @@ def test_nu_command(capsys):
     assert "chi_10^1" in out and "weight (0,12)" in out
 
 
+def test_nu_of_constant(capsys):
+    code, out, _ = run(capsys, "nu", "3", "--order", "2")
+    assert code == 0
+    assert "weight (0,0)" in out and "(0,0): 3" in out
+
+
 def test_nu_not_divisible(capsys):
     code, _, err = run(capsys, "nu", "A", "--order", "2", "--power", "0")
     assert code == 1
@@ -153,6 +159,7 @@ def test_verify_even_ring_uses_cache(tmp_path, capsys):
             None,
         ),
         (["nu", "a0"], None, 2, "not a covariant"),
+        (["verify", "even-ring", "--kmax", "-4"], None, 2, "--kmax"),
     ],
 )
 def test_bad_input_exit_codes(tmp_path, capsys, argv, corrupt, code, message):

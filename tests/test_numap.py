@@ -5,6 +5,8 @@ import pytest
 from sexticforms import covariants as cv
 from sexticforms import numap, qexp, theta
 from sexticforms.errors import NotDivisible, OddOrder
+from sexticforms.poly import SEXTIC_VARS, MultiPoly
+from sexticforms.qexp import FourierExpansion
 
 
 def test_weight_bookkeeping():
@@ -64,3 +66,31 @@ def test_measured_powers_at_most_certified():
     a = cv.invariant("A")
     certified, measured = numap.measured_chi10_powers(a, 2)
     assert measured <= certified
+
+
+def test_nu_raw_of_constant():
+    three = cv.Covariant(MultiPoly.const(SEXTIC_VARS, 3), 0, 0)
+    for N in (1, 2, 3):
+        out = numap.nu_raw(three, N)
+        assert out.weight == (0, 0)
+        assert out.agrees_with(qexp.constant_one(N).scale(3))
+
+
+def test_nu_raw_shares_products(monkeypatch):
+    # a factor that several monomials share is multiplied once; building
+    # each monomial on its own takes 163 products for AB-3C and 968 for D
+    theta.chi_6_8(2)
+    calls = [0]
+    mul = FourierExpansion.mul
+
+    def counted(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(FourierExpansion, "mul", counted)
+    monkeypatch.setattr(FourierExpansion, "__mul__", counted, raising=False)
+    cases = ((cv.combination_AB_minus_3C(), 100), (cv.invariant("D"), 500))
+    for c, most in cases:
+        calls[0] = 0
+        numap.nu_raw(c, 2)
+        assert 0 < calls[0] <= most

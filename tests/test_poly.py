@@ -1,10 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sexticforms.errors import NotDivisible
+from sexticforms.errors import DomainMismatch, NotDivisible
 from sexticforms.poly import CHAR2_VARS, SEXTIC_VARS, MultiPoly
 
 
@@ -33,6 +33,17 @@ def test_derivative_and_substitute():
     q = p.substitute({"x1": x1 + MultiPoly.variable(SEXTIC_VARS, "x2")})
     assert q.degree_on(["x1", "x2"]) == 3
     assert q.coefficient(a0=1, x1=1, x2=2) == 3
+
+
+def test_substitute_unmapped_variables():
+    t = MultiPoly.variable(("t",), "t")
+    a0 = MultiPoly.variable(SEXTIC_VARS, "a0")
+    a1 = MultiPoly.variable(SEXTIC_VARS, "a1")
+    mapping = {"a0": t, "a1": t * t}
+    # a2..a6, x1, x2 are not in the ring of t, and do not occur
+    assert (a0 + a1.scale(2)).substitute(mapping) == t + (t * t).scale(2)
+    with pytest.raises(DomainMismatch):
+        (a0 + MultiPoly.variable(SEXTIC_VARS, "x1")).substitute(mapping)
 
 
 def test_homogeneity_and_content():
@@ -103,3 +114,31 @@ def test_exact_div_inverts_mul(a, b):
     if b.is_zero:
         return
     assert (a * b).exact_div(b) == a
+
+
+# monomials of total degree <= 3 (the constant included) and images of
+# degree <= 2, so a substituted polynomial stays small
+def _low_degree_polys(degree, size):
+    monomial = st.lists(st.integers(0, 8), max_size=degree).map(
+        lambda vs: tuple(vs.count(i) for i in range(9))
+    )
+    terms = st.dictionaries(monomial, st.integers(-9, 9), max_size=size)
+    return terms.map(lambda t: MultiPoly(SEXTIC_VARS, t))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _low_degree_polys(3, 5),
+    st.lists(_low_degree_polys(2, 3), min_size=9, max_size=9),
+    st.lists(st.integers(-5, 5), min_size=9, max_size=9),
+)
+@example(
+    MultiPoly(SEXTIC_VARS, {(0,) * 9: 7, (1,) + (0,) * 8: 2, (0,) * 8 + (3,): -1}),
+    [_mono((0,) * i + (1,) + (0,) * (8 - i)) for i in reversed(range(9))],
+    list(range(-4, 5)),
+)
+def test_substitute_is_evaluation(p, images, point):
+    mapping = dict(zip(SEXTIC_VARS, images))
+    pt = dict(zip(SEXTIC_VARS, point))
+    values = {v: mapping[v].evaluate(pt) for v in SEXTIC_VARS}
+    assert p.substitute(mapping).evaluate(pt) == p.evaluate(values)
