@@ -1,59 +1,75 @@
-"""Exact linear algebra over Q via Gauss-Jordan elimination.
+"""Exact linear algebra over Q via fraction-free elimination over Z.
 
 Small dense problems only: rank of coefficient matrices of modular forms and
-solving for linear-combination coefficients.  Everything works on lists of
-lists of ints/Fractions.
+solving for linear-combination coefficients.  Matrices are lists of lists of
+ints/Fractions.  Each row is cleared of denominators once and then eliminated
+over Z, every updated row divided by its content (Bareiss, Math. Comp. 1968),
+so no Fraction is formed until back-substitution.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
-def _row_reduce(matrix):
-    """Return (rref rows, pivot column list) over Q. Input is not mutated."""
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
+def _primitive(row):
+    """The integer row divided by its content (gcd of its entries)."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _echelon(matrix):
+    """Row echelon form of the matrix over Z: a list of (pivot column,
+    primitive integer row), pivot columns increasing.  The pivot columns are
+    the column-rank profile.  Input is not mutated."""
+    pending = []
+    for row in matrix:
+        den = lcm(*(x.denominator for x in row))
+        row = _primitive([x.numerator * (den // x.denominator) for x in row])
+        if any(row):
+            pending.append(row)
+    echelon = []
+    for c in range(len(matrix[0]) if matrix else 0):
+        if not pending:  # every row is a pivot or eliminated to zero
             break
-    return rows, pivots
+        i = next((i for i, row in enumerate(pending) if row[c]), None)
+        if i is None:
+            continue
+        pivot = pending.pop(i)
+        a = pivot[c]
+        rest = []
+        for row in pending:
+            b = row[c]
+            if b:
+                g = gcd(a, b)
+                ag, bg = a // g, b // g
+                row = _primitive([ag * x - bg * y for x, y in zip(row, pivot)])
+                if not any(row):
+                    continue
+            rest.append(row)
+        pending = rest
+        echelon.append((c, pivot))
+    return echelon
 
 
 def rank(matrix) -> int:
-    _, pivots = _row_reduce(matrix)
-    return len(pivots)
+    return len(_echelon(matrix))
 
 
 def solve_linear(matrix, rhs):
     """One exact solution of M x = rhs, or None if inconsistent.
 
-    Free variables are set to zero.
+    Free variables are set to zero; the pivot unknowns are Fractions.
     """
     if not matrix:
         return [] if not any(rhs) else None
     ncols = len(matrix[0])
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    rows, pivots = _row_reduce(aug)
-    if ncols in pivots:
+    echelon = _echelon([list(row) + [b] for row, b in zip(matrix, rhs)])
+    if echelon and echelon[-1][0] == ncols:
         return None
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = rows[i][-1]
+    x = [0] * ncols
+    for c, row in reversed(echelon):
+        known = sum(row[j] * x[j] for j in range(c + 1, ncols) if x[j])
+        x[c] = Fraction(row[ncols] - known, row[c])
     return x

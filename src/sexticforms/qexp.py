@@ -482,7 +482,7 @@ def rank_of_span(forms) -> int:
                     support.add((key, i, e))
     columns = sorted(support, key=lambda t: (t[0][0] + t[0][1], t))
     matrix = [
-        [Fraction(g.vec_at(key)[i].c.get(e, 0)) for (key, i, e) in columns]
+        [g.vec_at(key)[i].c.get(e, 0) for (key, i, e) in columns]
         for g in forms
     ]
     return linalg.rank(matrix)

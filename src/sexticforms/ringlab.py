@@ -236,13 +236,14 @@ def odd_weight_divisibility_check(N: int = 5, chi35_N: int = 3, cache_dir=None):
     square = x35.mul(x35)
     base = qexp.rank_of_span(monomials)
     extended = qexp.rank_of_span(monomials + [square])
-    square_nonzero = any(
-        max(key) <= min(m.kN for m in monomials) for key in square.cells
-    )
+    top = min(m.kN for m in monomials)  # the window the ranks are taken in
+    square_nonzero = any(max(key) <= top for key in square.cells)
     return {
         "a11_order": overall,
         "siegel_phi_zero": phi_zero,
         "weight70_monomials": len(monomials),
+        "expected_dim": even_dimension(70),
+        "truncation": top,
         "weight70_rank": base,
         "rank_with_square": extended,
         "square_visible_in_window": square_nonzero,

@@ -144,6 +144,20 @@ def test_verify_even_ring_uses_cache(tmp_path, capsys):
     assert cached == plain
 
 
+def test_verify_odd_weight_json(tmp_path, capsys):
+    code, out, _ = run(
+        capsys, "verify", "odd-weight", "--json", "--no-timestamp",
+        "--cache", str(tmp_path),
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["status"] == "PASS"
+    rep = payload["report"]
+    assert rep["weight70_rank"] == rep["rank_with_square"] == 56
+    assert rep["expected_dim"] == 73
+    assert rep["truncation"] == 5
+
+
 @pytest.mark.parametrize(
     "argv, corrupt, code, message",
     [

@@ -101,6 +101,14 @@ def test_even_generation_small():
     assert all(r["status"] == "PASS" for r in rows)
 
 
+def test_odd_weight_report_states_its_evidence():
+    rep = ringlab.odd_weight_divisibility_check(N=3)
+    assert rep["expected_dim"] == ringlab.even_dimension(70) == 73
+    assert rep["truncation"] == 3
+    assert rep["weight70_rank"] == rep["rank_with_square"] == 20
+    assert rep["status"] == "FAIL"  # the square is not visible at N=3
+
+
 def test_nu_consistency_report():
     rep = ringlab.nu_consistency_report(2)
     assert rep["status"] == "PASS"
