@@ -1,13 +1,24 @@
-"""Exact arithmetic foundation: rationals and Laurent polynomials over Q.
+"""Exact arithmetic foundation: rationals, Laurent polynomials over Q and
+the one series product kernel.
 
 Coefficients are Python ``int`` or ``fractions.Fraction``; a Fraction with
 denominator 1 is always stored as an ``int``.  Everything here is immutable
 after construction and free of floating point.  Mod-p arithmetic lives in
 :mod:`sexticforms.poly`.
 
-``mul_into`` is the one product kernel of every series in the package:
-Laurent polynomials, Fourier expansions (through ``qexp.cell_product``),
-theta products and elliptic expansions all multiply through it.
+``kronecker`` is the one product kernel of every series in the package
+(Kronecker substitution; Schoenhage 1982, Harvey 2009): Laurent polynomials,
+elliptic expansions (as Laurent polynomials in q), Fourier expansions and
+theta products (through ``qexp.cell_product``) all multiply through it, and
+the update step of ``qexp.FourierExpansion.exact_div`` is built from its
+parts.  Each Laurent coordinate of an operand is packed once into one
+Python int, coefficient e in the slot ``w * (e - lo)`` bits up (``lo`` the
+lowest exponent of its cell); ``accumulate``, the one multiply-add, sums
+products of packed ints as bigints, each shifted into place, and
+``unpack`` reads each output coordinate once as signed digits.  Rationals
+take the same path: each operand is cleared by the lcm of its
+denominators once, and the product is divided once by the product of the
+lcms.
 """
 
 from __future__ import annotations
@@ -57,16 +68,150 @@ def frac_from_str(s: str):
     return int(s)
 
 
-def mul_into(acc: dict, a: dict, b: dict) -> dict:
-    """acc[ea + eb] += va * vb over sparse {exponent: coeff} dicts.
+# -- the Kronecker kernel ----------------------------------------------------
 
-    Zero sums stay in ``acc``; the caller drops them.  Returns ``acc``.
+
+def denominator(c: dict) -> int:
+    """The lcm of the denominators of the coefficients {e: c[e]}."""
+    if Fraction in set(map(type, c.values())):
+        return math.lcm(*(v.denominator for v in c.values()))
+    return 1
+
+
+def clear(c: dict, den: int) -> dict:
+    """{e: c[e] * den}, as ints when den clears c."""
+    return c if den == 1 else {e: int(v * den) for e, v in c.items()}
+
+
+def integral(cells):
+    """A cell map {key: (LaurentPoly, ...)} over Z: ``(rows, den)`` with
+    ``rows`` the list [(key, [(i, {e: int})])] of its nonzero coordinates
+    times ``den``, the lcm of its denominators."""
+    rows = []
+    for key, vec in cells.items():
+        row = [(i, x.c) for i, x in enumerate(vec) if x.c]
+        if row:
+            rows.append((key, row))
+    den = math.lcm(1, *(denominator(c) for _, row in rows for _, c in row))
+    if den != 1:
+        rows = [(key, [(i, clear(c, den)) for i, c in row]) for key, row in rows]
+    return rows, den
+
+
+def measure(rows):
+    """(lowest exponent, largest coefficient bit length, term count) of
+    integer rows; the lowest exponent is None when there are no terms."""
+    lo, hi, terms = None, 0, 0
+    for _, row in rows:
+        for _, c in row:
+            m = min(c)
+            if lo is None or m < lo:
+                lo = m
+            hi = max(hi, max(c.values()), -min(c.values()))
+            terms += len(c)
+    return lo, hi.bit_length(), terms
+
+
+def slot_width(bits_a: int, bits_b: int, terms: int) -> int:
+    """Slot width, in bits, of a sum of at most ``terms`` products of a
+    ``bits_a``-bit and a ``bits_b``-bit coefficient: every such sum lies
+    strictly inside (-2^(w-1), 2^(w-1)), one sign bit included."""
+    return bits_a + bits_b + terms.bit_length() + 1
+
+
+def pack(c: dict, lo: int, w: int) -> int:
+    """The integer sum of c[e] * 2^(w * (e - lo))."""
+    x = 0
+    for e, v in c.items():
+        x += v << (w * (e - lo))
+    return x
+
+
+def unpack(x: int, lo: int, w: int, out=None) -> dict:
+    """The nonzero signed w-bit digits of x as {lo + slot: digit}; each
+    digit of a packed sum is its coefficient when the sums fit the slots."""
+    out = {} if out is None else out
+    if not x:
+        return out
+    skip = ((x & -x).bit_length() - 1) // w  # empty low slots
+    x >>= skip * w
+    lo += skip
+    if x.bit_length() > 16 * w:
+        # halve long ints first: the digit loop costs slots * size; the low
+        # half is the signed residue mod 2^(w*k), its digits fitting too
+        k = x.bit_length() // (2 * w)
+        low = x & ((1 << (w * k)) - 1)
+        if low >> (w * k - 1):
+            low -= 1 << (w * k)
+        unpack(low, lo, w, out)
+        return unpack((x - low) >> (w * k), lo + k, w, out)
+    mask, half = (1 << w) - 1, 1 << (w - 1)
+    while x:
+        d = x & mask
+        x >>= w
+        if d >= half:  # a negative digit borrows from the next slot
+            d -= mask + 1
+            x += 1
+        if d:
+            out[lo] = d
+        lo += 1
+    return out
+
+
+def accumulate(acc: list, xs, ys, shift: int) -> None:
+    """acc[i + l] += (x * y) << shift over packed coordinates [(i, x)] and
+    [(l, y)]: the one multiply-add of every series product."""
+    for i, x in xs:
+        for l, y in ys:
+            acc[i + l] += x * y << shift
+
+
+def pack_rows(rows, w: int):
+    """[(key, low, [(i, packed coordinate)])] of integer rows, each cell
+    packed at ``low``, its own lowest exponent."""
+    out = []
+    for key, row in rows:
+        low = min(min(c) for _, c in row)
+        out.append((key, low, [(i, pack(c, low, w)) for i, c in row]))
+    return out
+
+
+def kronecker(a, b, bound, width):
+    """Product of two cell maps {(n1, n2): (LaurentPoly, ...)}.
+
+    Keys add, and cells with an index past ``bound`` are dropped;
+    coordinate i of ``a`` times coordinate l of ``b`` lands in coordinate
+    i + l of a ``width``-long output vector (the Sym product).  An output
+    coefficient is a sum of at most min(terms of a, terms of b) products,
+    which fixes the slot width.  Each cell is packed at its own lowest
+    exponent, and a product shifted into place at the operands' lowest.
     """
-    for ea, va in a.items():
-        for eb, vb in b.items():
-            e = ea + eb
-            acc[e] = acc.get(e, 0) + va * vb
-    return acc
+    rows_a, den_a = integral(a)
+    rows_b, den_b = integral(b)
+    lo_a, bits_a, terms_a = measure(rows_a)
+    lo_b, bits_b, terms_b = measure(rows_b)
+    if not (terms_a and terms_b):
+        return {}
+    w = slot_width(bits_a, bits_b, min(terms_a, terms_b))
+    lo = lo_a + lo_b
+    ys = sorted(pack_rows(rows_b, w))
+    out = {}
+    for (a1, a2), la, x in pack_rows(rows_a, w):
+        for (b1, b2), lb, y in ys:
+            n1, n2 = a1 + b1, a2 + b2
+            if n1 > bound:
+                break  # ys ascend in their first index
+            if n2 > bound:
+                continue
+            acc = out.get((n1, n2))
+            if acc is None:
+                acc = out[n1, n2] = [0] * width
+            accumulate(acc, x, y, w * (la + lb - lo))
+    den = den_a * den_b
+    return {
+        key: tuple(LaurentPoly.over(unpack(v, lo, w), den) for v in acc)
+        for key, acc in out.items()
+    }
 
 
 def common_ratio(pairs):
@@ -103,12 +248,22 @@ class LaurentPoly:
         if coeffs:
             for e, v in coeffs.items():
                 if v:
-                    if isinstance(v, Fraction) and v.denominator == 1:
+                    if type(v) is Fraction and v.denominator == 1:
                         v = v.numerator
                     out[int(e)] = v
         self.c = out
 
     # -- constructors -------------------------------------------------
+    @classmethod
+    def over(cls, coeffs: dict, den: int = 1) -> "LaurentPoly":
+        """coeffs / den for nonzero int coefficients; with den 1 the dict
+        is kept as given, unchecked."""
+        if den != 1:
+            return cls({e: Fraction(v, den) for e, v in coeffs.items()})
+        p = cls.__new__(cls)
+        p.c = coeffs
+        return p
+
     @classmethod
     def zero(cls):
         return cls()
@@ -147,7 +302,9 @@ class LaurentPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        return LaurentPoly(mul_into({}, self.c, other.c))
+        key = (0, 0)
+        prod = kronecker({key: (self,)}, {key: (other,)}, 0, 1)
+        return prod[key][0] if prod else LaurentPoly()
 
     __rmul__ = __mul__
 
@@ -184,31 +341,45 @@ class LaurentPoly:
         return total
 
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Exact quotient; raises NotDivisible if the remainder is nonzero."""
+        """Exact quotient; raises NotDivisible if the remainder is nonzero.
+
+        Divides over Z: the dividend is cleared of denominators and the
+        divisor made primitive, so by Gauss's lemma an exact quotient has
+        integer coefficients (each step a ``divmod`` that must leave no
+        remainder); one rational scalar restores the quotient at the end.
+        """
         if other.is_zero:
             raise ZeroDivisionError("division by the zero Laurent polynomial")
         if self.is_zero:
             return LaurentPoly()
-        sa, sb = self.min_exp(), other.min_exp()
-        rem = {e - sa: v for e, v in self.c.items()}
-        div = {e - sb: v for e, v in other.c.items()}
-        lead = Fraction(div[0])
+        den, div_den = denominator(self.c), denominator(other.c)
+        rem, div = clear(self.c, den), clear(other.c, div_den)
+        content = math.gcd(*div.values())
+        sa, sb = min(rem), min(div)
+        rem = {e - sa: v for e, v in rem.items()}
+        div = {e - sb: v // content for e, v in div.items()}
+        lead = div[0]
         bound = max(rem) - max(div)
         q = {}
         while rem:
             e = min(rem)
             if e > bound:
                 raise NotDivisible("Laurent division leaves a remainder")
-            c = Fraction(rem[e]) / lead
-            q[e] = c
+            c, r = divmod(rem[e], lead)
+            if r:
+                raise NotDivisible("Laurent division leaves a remainder")
+            q[e + sa - sb] = c
             for eb, vb in div.items():
                 k = e + eb
                 nv = rem.get(k, 0) - c * vb
                 if nv:
                     rem[k] = nv
                 else:
-                    rem.pop(k, None)
-        return LaurentPoly({e + sa - sb: v for e, v in q.items()})
+                    del rem[k]
+        quotient = LaurentPoly.over(q)
+        if div_den == den * content:
+            return quotient
+        return quotient.scale(Fraction(div_den, den * content))
 
     def vanishing_order_at_one(self):
         """Largest m with (r-1)^m dividing self (up to a power of r).

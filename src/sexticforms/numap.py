@@ -5,8 +5,8 @@ A covariant of degree d and order j maps to a meromorphic form of weight
 (j, d - j/2); poles along the product locus are cleared by powers of
 chi_10.  The meromorphic coordinates are never materialized: nu_raw
 evaluates the covariant through ``poly.Substitution`` at the holomorphic
-coordinates beta_i of chi_6_8 (beta_i = chi_10 * alpha_i) for a_i, and at
-X1, X2, weight-(1,0) constants at cell (0,0), for x1, x2, so
+coordinates beta_i of chi_6_8 (beta_i = chi_10 * alpha_i) for a_i, one
+Sym^j coordinate at a time (the terms x1^(j-i) x2^i give coordinate i), so
 
     nu_raw(c) = chi_10^d * nu(c),   weight (j, 11d - j/2),
 
@@ -59,10 +59,11 @@ def weight_of_covariant(d: int, j: int):
 
 
 def nu_raw(c: Covariant, N: int) -> FourierExpansion:
-    """Evaluate c at a_i = coordinate i of chi_6_8 and x_i = X_i.
+    """Evaluate c at a_i = coordinate i of chi_6_8, the part of c in
+    x1^(j-i) x2^i giving coordinate i.
 
-    The window rules of the products give [d, N + d - 1]; the sum is then
-    re-weighted to (j, 11d - j/2).
+    The window rules of the products give [d, N + d - 1]; the result is
+    weighted (j, 11d - j/2).
     """
     weight_of_covariant(c.degree, c.order)  # validates even order
     if c.is_zero:
@@ -79,16 +80,22 @@ def nu_raw(c: Covariant, N: int) -> FourierExpansion:
         )
         for i in range(7)
     ]
-    # exact constants; window N - 1 never cuts a product with a beta
-    one, zero = LaurentPoly({0: 1}), LaurentPoly()
-    xs = [
-        FourierExpansion((1, 0), False, N - 1, {(0, 0): vec})
-        for vec in ((one, zero), (zero, one))
-    ]
-    e = Substitution(beta + xs, constant_one(N - 1))(c.poly.terms)
-    return FourierExpansion(
-        (j, 11 * d - j // 2), False, e.kN, e.cells, e.start
-    )
+    # coordinate i collects the terms x1^(j-i) x2^i: placing a scalar into
+    # Sym^j is an index, not a product; one power cache serves them all
+    parts = {}
+    for e, v in c.poly.terms.items():
+        parts.setdefault(e[8], {})[e[:7]] = v
+    sub = Substitution(beta, constant_one(N - 1))
+    coords = {i: sub(terms) for i, terms in parts.items()}
+    kN = min(x.kN for x in coords.values())
+    start = min(x.start for x in coords.values())
+    zero = LaurentPoly()
+    cells = {}
+    for i, x in coords.items():
+        for key, (lp,) in x.cells.items():
+            if max(key) <= kN:
+                cells.setdefault(key, [zero] * (j + 1))[i] = lp
+    return FourierExpansion((j, 11 * d - j // 2), False, kN, cells, start)
 
 
 def nu_normalized(c: Covariant, m: int, N: int) -> NuResult:

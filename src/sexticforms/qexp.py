@@ -26,8 +26,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import linalg
-from .arith import LaurentPoly, common_ratio, frac_to_str, mul_into
+from . import arith, linalg
+from .arith import LaurentPoly, common_ratio, frac_to_str
 from .errors import (
     BoundarySliceError,
     CharacterForm,
@@ -54,32 +54,9 @@ def _graded(keys):
     return sorted(keys, key=lambda k: (k[0] + k[1], k))
 
 
-def cell_product(a, b, bound, width):
-    """Product of two cell maps {(n1, n2): (LaurentPoly, ...)}.
-
-    Keys add, and cells with an index past ``bound`` are dropped;
-    coordinate i of ``a`` times coordinate l of ``b`` lands in coordinate
-    i + l of a ``width``-long output vector (the Sym product).  Each output
-    LaurentPoly is built once, from dicts accumulated by ``mul_into``.
-    """
-    b_items = [
-        (key, [(l, y.c) for l, y in enumerate(vec) if y.c])
-        for key, vec in b.items()
-    ]
-    out = {}
-    for (a1, a2), avec in a.items():
-        xs = [(i, x.c) for i, x in enumerate(avec) if x.c]
-        for (b1, b2), ys in b_items:
-            key = (a1 + b1, a2 + b2)
-            if key[0] > bound or key[1] > bound:
-                continue
-            acc = out.get(key)
-            if acc is None:
-                acc = out[key] = [{} for _ in range(width)]
-            for i, x in xs:
-                for l, y in ys:
-                    mul_into(acc[i + l], x, y)
-    return {key: tuple(map(LaurentPoly, acc)) for key, acc in out.items()}
+# the product of two cell maps {(n1, n2): (LaurentPoly, ...)}, coordinates
+# convolved as the Sym product: the packed-integer kernel itself
+cell_product = arith.kronecker
 
 
 class FourierExpansion:
@@ -273,24 +250,76 @@ class FourierExpansion:
         q_kN = min(self.kN - s, other.kN - s + q_start)
         if q_kN < q_start:
             raise OrderTooSmall("truncation too small for division")
-        # the divisor's off-corner cells, negated: rhs -= b * q accumulates
+        # Over Z: with D = d_den * self and B = b_den * other cleared, this
+        # computes Q = scale * D / B, scale growing by the denominators of
+        # any non-integral quotient cell, and returns Q * b_den / (d_den *
+        # scale).  The update rhs -= b * q runs on packed cells (the negated
+        # off-corner divisor cells and the quotient cells) in a slot width
+        # that bounds max(dividend bits, b_bits + q_bits) plus the term
+        # count; when the quotient outgrows it, it widens with slack and
+        # the stored cells are repacked.
+        rows, d_den = arith.integral(self.cells)
+        dividend = dict(rows)
+        div, b_den = arith.integral(other.cells)
+        div = dict(div)
+        pivot = LaurentPoly.over(div.pop((s, s))[0][1])
         neg = [
-            (key, {e: -v for e, v in vec[0].c.items()})
-            for key, vec in other.cells.items()
-            if key != (s, s)
+            (t, [(0, {e: -v for e, v in c.items()})])
+            for t, ((_, c),) in div.items()
         ]
+        _, d_bits, _ = arith.measure(rows)
+        _, b_bits, b_terms = arith.measure(neg)
+        count = (b_terms + 1).bit_length() + 1
+        q_bits, scale, w = d_bits, 1, 0
         q_cells = {}
+
+        def packed(cells):
+            cell_rows = [(k, [(i, x.c) for i, x in enumerate(v) if x.c]) for k, v in cells]
+            return {k: (low, x) for k, low, x in arith.pack_rows(cell_rows, w)}
+
         window = range(q_start, q_kN + 1)
         for m1, m2 in _graded((m1, m2) for m1 in window for m2 in window):
-            rhs = [dict(x.c) for x in self.vec_at((m1 + s, m2 + s))]
-            for (t1, t2), b in neg:
-                qv = q_cells.get((m1 + s - t1, m2 + s - t2))
-                if qv is not None:
-                    for acc, x in zip(rhs, qv):
-                        mul_into(acc, b, x.c)
-            vec = tuple(LaurentPoly(d).exact_div(pivot) for d in rhs)
-            if any(not x.is_zero for x in vec):
-                q_cells[(m1, m2)] = vec
+            need = max(d_bits, b_bits + q_bits) + count
+            if need > w:
+                w = need + need // 4
+                packed_neg = arith.pack_rows(neg, w)
+                packed_q = packed(q_cells.items())
+            products = []
+            for (t1, t2), low, nb in packed_neg:
+                qx = packed_q.get((m1 + s - t1, m2 + s - t2))
+                if qx is not None:
+                    products.append((low + qx[0], qx[1], nb))
+            drow = dividend.get((m1 + s, m2 + s), ())
+            lows = [low for low, _, _ in products] + [min(c) for _, c in drow]
+            if not lows:
+                continue
+            lo = min(lows)
+            rhs = [0] * (self.j + 1)
+            for i, c in drow:
+                rhs[i] = arith.pack(c, lo, w) * scale
+            for low, qx, nb in products:
+                arith.accumulate(rhs, qx, nb, w * (low - lo))
+            vec = tuple(
+                LaurentPoly.over(arith.unpack(x, lo, w)).exact_div(pivot)
+                for x in rhs
+            )
+            if all(x.is_zero for x in vec):
+                continue
+            den = math.lcm(*(arith.denominator(x.c) for x in vec))
+            if den != 1:  # keep every stored cell integral; repack them all
+                scale *= den
+                d_bits += den.bit_length()
+                q_bits += den.bit_length()
+                q_cells = {k: tuple(x.scale(den) for x in v) for k, v in q_cells.items()}
+                vec = tuple(x.scale(den) for x in vec)
+                w = 0
+            q_cells[(m1, m2)] = vec
+            top = max(max(map(abs, x.c.values())) for x in vec if x.c)
+            q_bits = max(q_bits, top.bit_length())
+            packed_q.update(packed([((m1, m2), vec)]))
+        if b_den != d_den * scale:
+            ratio = Fraction(b_den, d_den * scale)
+            q_cells = {k: tuple(x.scale(ratio) for x in v) for k, v in q_cells.items()}
         return FourierExpansion(
             (self.j, self.k - other.k), False, q_kN, q_cells, q_start, 1
         )
@@ -533,8 +562,8 @@ class EllipticExpansion:
 
     def mul(self, other):
         N = min(self.N, other.N)
-        out = mul_into({}, self.coeffs, other.coeffs)
-        return EllipticExpansion(self.k + other.k, N, out)
+        out = LaurentPoly(self.coeffs) * LaurentPoly(other.coeffs)
+        return EllipticExpansion(self.k + other.k, N, out.c)
 
     def pow(self, e):
         result = self

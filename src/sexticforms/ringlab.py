@@ -65,14 +65,18 @@ def _skew_scale() -> Fraction:
 
 
 def _build_chi35(N: int) -> FourierExpansion:
-    seed_N = max(2, N - 1)
-    built = {"f": theta.chi_6_8(seed_N)}
+    """chi35 on the window [2, N]: the chain from chi6_8 at max(2, N - 1)
+    leaves [2, max(3, N)], cut down to N."""
+    built = {"f": theta.chi_6_8(max(2, N - 1))}
     for out, left, right, k in covariants.skew_chain_transvectants():
         built[out] = numap.transvectant_expansion(built[left], built[right], k)
     x = built["e0"].scale(_skew_scale())
     for _ in range(13):
         x = x.exact_div_chi10()
-    return x
+    cells = {key: vec for key, vec in x.cells.items() if max(key) <= N}
+    return FourierExpansion(
+        x.weight, False, min(N, x.kN), cells, x.start, validate=False
+    )
 
 
 @lru_cache(maxsize=None)

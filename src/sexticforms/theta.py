@@ -17,7 +17,7 @@ odd gradient has two coordinates (the z1- and z2-partials), scaled by 2
 unity per characteristic) dropped — all exposed forms are pinned by an
 explicit normalization, so global phases are unobservable.
 
-Products go through ``qexp.cell_product`` (and so ``arith.mul_into``),
+Products go through ``qexp.cell_product`` (and so ``arith.kronecker``),
 whose coordinate convolution is the Sym product: chi_6_3 is the plain
 product of the six gradient cell maps.  Seeds built here: chi_5 (product
 of the 10 even constants), chi_10 (= chi_5^2, pinned at its (1,1)

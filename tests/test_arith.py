@@ -3,7 +3,7 @@ from fractions import Fraction
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sexticforms.arith import (
@@ -57,6 +57,28 @@ def test_laurent_exact_div():
     assert LaurentPoly.zero().exact_div(p).is_zero
 
 
+def test_laurent_exact_div_over_z():
+    # a divisor with content 2: the quotient of 1 by 2 + 2r is not a
+    # Laurent polynomial, that of 1 + 2r + r^2 is (1 + r)/2
+    two_one = LaurentPoly({0: 2, 1: 2})
+    with pytest.raises(NotDivisible):
+        LaurentPoly.const(1).exact_div(two_one)
+    q = LaurentPoly({0: 1, 1: 2, 2: 1}).exact_div(two_one)
+    assert q == LaurentPoly({0: Fraction(1, 2), 1: Fraction(1, 2)})
+    # negative leading and trailing coefficients, and exponents below zero
+    p = LaurentPoly({-2: -3, 0: 5, 1: -7})
+    f = LaurentPoly({-1: Fraction(2, 3), 4: -1})
+    assert (p * f).exact_div(p) == f
+    assert (p * f).exact_div(f) == p
+    assert (p * f).exact_div(p.scale(-2)) == f.scale(Fraction(-1, 2))
+    # non-exact pairs: a remainder past the quotient's degree, and a step
+    # whose divmod leaves one after the first step divided
+    with pytest.raises(NotDivisible):
+        (p * f + LaurentPoly({3: 1})).exact_div(p)
+    with pytest.raises(NotDivisible):
+        LaurentPoly({0: 3, 1: 3}).exact_div(LaurentPoly({0: 3, 1: 2}))
+
+
 def test_laurent_json_round_trip():
     p = LaurentPoly({-2: Fraction(1, 3), 5: -4})
     assert LaurentPoly.from_json(p.to_json()) == p
@@ -77,6 +99,7 @@ def test_laurent_ring_axioms(a, b, c):
 
 @settings(max_examples=200, deadline=None)
 @given(laurents, laurents)
+@example(LaurentPoly({0: Fraction(1, 2)}), LaurentPoly({0: 2}))
 def test_laurent_div_inverts_mul(a, b):
     if b.is_zero:
         return

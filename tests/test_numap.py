@@ -78,7 +78,9 @@ def test_nu_raw_of_constant():
 
 def test_nu_raw_shares_products(monkeypatch):
     # a factor that several monomials share is multiplied once; building
-    # each monomial on its own takes 163 products for AB-3C and 968 for D
+    # each monomial on its own takes 163 products for AB-3C and 968 for D.
+    # A Sym^j coordinate is placed, not multiplied in: with x1, x2 as
+    # one-cell products Hessian took 54 and V8,4 29
     theta.chi_6_8(2)
     calls = [0]
     mul = FourierExpansion.mul
@@ -89,7 +91,12 @@ def test_nu_raw_shares_products(monkeypatch):
 
     monkeypatch.setattr(FourierExpansion, "mul", counted)
     monkeypatch.setattr(FourierExpansion, "__mul__", counted, raising=False)
-    cases = ((cv.combination_AB_minus_3C(), 100), (cv.invariant("D"), 500))
+    cases = (
+        (cv.combination_AB_minus_3C(), 100),
+        (cv.invariant("D"), 500),
+        (cv.grace_young("Hessian"), 24),
+        (cv.grace_young("V8,4"), 15),
+    )
     for c, most in cases:
         calls[0] = 0
         numap.nu_raw(c, 2)

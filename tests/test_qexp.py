@@ -3,7 +3,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sexticforms import arith, qexp, theta
@@ -113,19 +113,20 @@ def test_restrict_and_phi(chi10_n3):
 
 
 def test_every_series_product_reaches_the_kernel(monkeypatch):
-    # arith.mul_into is the one swap point of every series product
-    kernel = arith.mul_into
+    # arith.accumulate, the multiply-add of the packed-integer kernel, is
+    # the one swap point of every series product
+    kernel = arith.accumulate
     calls = []
 
-    def counting(acc, a, b):
+    def counting(*args):
         calls.append(1)
-        return kernel(acc, a, b)
+        return kernel(*args)
 
     for module in list(sys.modules.values()):
         if module.__name__.startswith("sexticforms") and (
-            vars(module).get("mul_into") is kernel
+            vars(module).get("accumulate") is kernel
         ):
-            monkeypatch.setattr(module, "mul_into", counting)
+            monkeypatch.setattr(module, "accumulate", counting)
 
     def reaches(op):
         before = len(calls)
@@ -141,6 +142,97 @@ def test_every_series_product_reaches_the_kernel(monkeypatch):
     assert reaches(lambda: sq.exact_div(f))
     assert reaches(lambda: e4.mul(e4))
     assert reaches(lambda: theta.chi_5.__wrapped__(1))
+
+
+# -- the packed-integer kernel against a schoolbook convolution -----------------
+
+
+def _schoolbook(a, b, bound, width):
+    out = {}
+    for (a1, a2), avec in a.items():
+        for (b1, b2), bvec in b.items():
+            key = (a1 + b1, a2 + b2)
+            if max(key) > bound:
+                continue
+            acc = out.setdefault(key, [{} for _ in range(width)])
+            for i, x in enumerate(avec):
+                for l, y in enumerate(bvec):
+                    for ea, va in x.c.items():
+                        for eb, vb in y.c.items():
+                            d = acc[i + l]
+                            d[ea + eb] = d.get(ea + eb, 0) + va * vb
+    return {key: tuple(map(LaurentPoly, acc)) for key, acc in out.items()}
+
+
+def _nonzero_cells(cells):
+    return {k: v for k, v in cells.items() if any(not x.is_zero for x in v)}
+
+
+def _canonical(lp):
+    # ints stay ints, and a Fraction never has denominator 1
+    return all(
+        type(v) is int or (type(v) is Fraction and v.denominator != 1)
+        for v in lp.c.values()
+    )
+
+
+_big = st.integers(min_value=-(2**200), max_value=2**200)
+_coeff = st.one_of(
+    _big, st.builds(Fraction, _big, st.integers(min_value=1, max_value=60))
+)
+_spread = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-500, max_value=500),
+)
+_wide_laurent = st.dictionaries(_spread, _coeff, max_size=5).map(LaurentPoly)
+_M = 2**200 - 1  # three products of M * M overflow a slot one bit narrower
+
+
+@settings(max_examples=200, deadline=None)
+@given(_wide_laurent, _wide_laurent)
+@example(LaurentPoly({0: _M, 1: _M, 2: _M}), LaurentPoly({0: _M, 1: _M, 2: _M}))
+@example(LaurentPoly({-400: -_M, 0: _M, 3: _M}), LaurentPoly({0: _M, 400: -_M, 2: _M}))
+def test_laurent_mul_matches_schoolbook(a, b):
+    prod = a * b
+    assert prod == _schoolbook({(0, 0): (a,)}, {(0, 0): (b,)}, 0, 1).get(
+        (0, 0), (LaurentPoly(),)
+    )[0]
+    assert _canonical(prod)
+
+
+@st.composite
+def _cell_maps(draw):
+    width = draw(st.integers(min_value=1, max_value=3))
+    keys = st.tuples(*[st.integers(min_value=0, max_value=3)] * 2)
+    return draw(st.dictionaries(
+        keys, st.tuples(*[_wide_laurent] * width), max_size=4
+    ))
+
+
+def _cells_of(vectors):
+    return {key: tuple(LaurentPoly(c) for c in vec) for key, vec in vectors.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cell_maps(), _cell_maps(), st.integers(min_value=0, max_value=6))
+@example(
+    _cells_of({(0, 0): ({0: _M},), (1, 0): ({0: _M},), (2, 0): ({0: _M},)}),
+    _cells_of({(2, 0): ({0: _M},), (1, 0): ({0: _M},), (0, 0): ({0: _M},)}),
+    2,
+)
+@example(
+    _cells_of({(0, 0): ({0: -_M, 7: _M}, {}, {-9: _M})}),
+    _cells_of({(1, 1): ({}, {9: _M}), (3, 0): ({0: Fraction(_M, 3)}, {})}),
+    2,
+)
+def test_cell_product_matches_schoolbook(a, b, bound):
+    wa = len(next(iter(a.values()), (None,)))
+    wb = len(next(iter(b.values()), (None,)))
+    width = wa + wb - 1
+    got = qexp.cell_product(a, b, bound, width)
+    assert all(max(key) <= bound and len(v) == width for key, v in got.items())
+    assert all(_canonical(x) for v in got.values() for x in v)
+    assert _nonzero_cells(got) == _nonzero_cells(_schoolbook(a, b, bound, width))
 
 
 # -- elliptic expansions -------------------------------------------------------
@@ -209,11 +301,25 @@ def test_ring_axioms(forms):
 
 
 @settings(max_examples=200, deadline=None)
-@given(scalar_forms(), scalar_forms(j=0))
-def test_exact_div_inverts_mul(a, b):
-    # division requires an invertible pivot cell at the start corner
+@given(
+    scalar_forms(),
+    scalar_forms(j=0),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+    st.integers(min_value=1, max_value=6),
+)
+@example(  # an integral quotient cell, then one with denominator 2
+    _scalar({(0, 0): {0: 2}, (0, 1): {0: 1}}),
+    _scalar({(0, 0): {0: 1}, (1, 1): {-1: 1, 1: 1}}),
+    Fraction(1, 2),
+    2,
+)
+def test_exact_div_inverts_mul(a, b, c, content):
+    # division requires an invertible pivot cell at the start corner; with
+    # a rational dividend and a divisor whose corner has content, a * c
+    # need not be integral after clearing denominators
     if b.vec_at((0, 0))[0].is_zero:
         return
+    a, b = a.scale(c), b.scale(content)
     assert a.mul(b).exact_div(b).agrees_with(a)
 
 

@@ -64,8 +64,15 @@ def test_vector_valued_cusp_forms():
         assert form.start >= 1
 
 
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_named_form_truncation_is_the_order(N):
+    for name in ringlab.registry_names():
+        assert ringlab.named_form(name, N).expansion.truncation == N, name
+
+
 def test_chi35_shape():
-    x35 = ringlab.named_form("chi35", 2).expansion
+    # the first nonzero cells are (2,3) and (3,2): the window [2,2] holds none
+    x35 = ringlab.named_form("chi35", 3).expansion
     assert (x35.j, x35.k) == (0, 35)
     assert x35.start == 2
     per, overall = x35.a11_order()
