@@ -9,9 +9,9 @@ after construction and free of floating point.  Mod-p arithmetic lives in
 ``kronecker`` is the one product kernel of every series in the package
 (Kronecker substitution; Schoenhage 1982, Harvey 2009): Laurent polynomials,
 elliptic expansions (as Laurent polynomials in q), Fourier expansions and
-theta products (through ``qexp.cell_product``) all multiply through it, and
-the update step of ``qexp.FourierExpansion.exact_div`` is built from its
-parts.  Each Laurent coordinate of an operand is packed once into one
+theta products all multiply through it, and ``quotient``, the cell-map
+division behind ``qexp.FourierExpansion.exact_div``, is built from its
+parts; no other module knows the packed format.  Each Laurent coordinate of an operand is packed once into one
 Python int, coefficient e in the slot ``w * (e - lo)`` bits up (``lo`` the
 lowest exponent of its cell); ``accumulate``, the one multiply-add, sums
 products of packed ints as bigints, each shifted into place, and
@@ -136,15 +136,6 @@ def unpack(x: int, lo: int, w: int, out=None) -> dict:
     skip = ((x & -x).bit_length() - 1) // w  # empty low slots
     x >>= skip * w
     lo += skip
-    if x.bit_length() > 16 * w:
-        # halve long ints first: the digit loop costs slots * size; the low
-        # half is the signed residue mod 2^(w*k), its digits fitting too
-        k = x.bit_length() // (2 * w)
-        low = x & ((1 << (w * k)) - 1)
-        if low >> (w * k - 1):
-            low -= 1 << (w * k)
-        unpack(low, lo, w, out)
-        return unpack((x - low) >> (w * k), lo + k, w, out)
     mask, half = (1 << w) - 1, 1 << (w - 1)
     while x:
         d = x & mask
@@ -212,6 +203,82 @@ def kronecker(a, b, bound, width):
         key: tuple(LaurentPoly.over(unpack(v, lo, w), den) for v in acc)
         for key, acc in out.items()
     }
+
+
+def quotient(d, b, corner, keys, width):
+    """The cell map q with d = b * q, for a scalar (width 1) divisor b whose
+    ``corner`` cell is nonzero: cell m of q is (d[m + corner] - the sum of
+    b[t] * q[m + corner - t] over t != corner) / b[corner], solved in the
+    order of ``keys``, which must reach a cell before every cell needing it.
+
+    Over Z: with D and B the operands cleared of denominators, it computes
+    Q = scale * D / B, ``scale`` growing by the denominators of any
+    non-integral quotient cell so that every stored cell stays integral,
+    and returns Q rescaled by one rational at the end.  The negated
+    off-corner divisor cells are packed once and each quotient cell once,
+    in slots bounding the scaled dividend coefficient plus the at most
+    (terms of b) products that reach one output coefficient; when the
+    quotient outgrows them, the width grows by a quarter and the stored
+    cells are repacked.
+    """
+    rows, d_den = integral(d)
+    dividend = dict(rows)
+    div, b_den = integral(b)
+    div = dict(div)
+    pivot = LaurentPoly.over(div.pop(corner)[0][1])
+    neg = [(t, [(0, {e: -v for e, v in c.items()})]) for t, ((_, c),) in div.items()]
+    _, d_bits, _ = measure(rows)
+    _, b_bits, b_terms = measure(neg)
+    q_bits, scale, w = d_bits, 1, 0
+    q = {}
+
+    def packed(cells):
+        cell_rows = [(key, [(i, x.c) for i, x in enumerate(v) if x.c]) for key, v in cells]
+        return {key: (low, x) for key, low, x in pack_rows(cell_rows, w)}
+
+    c1, c2 = corner
+    for m1, m2 in keys:
+        need = slot_width(max(d_bits, b_bits + q_bits), 0, b_terms + 1)
+        if need > w:
+            w = need + need // 4
+            packed_neg = pack_rows(neg, w)
+            packed_q = packed(q.items())
+        n1, n2 = m1 + c1, m2 + c2
+        products = []
+        for (t1, t2), low, nb in packed_neg:
+            qx = packed_q.get((n1 - t1, n2 - t2))
+            if qx is not None:
+                products.append((low + qx[0], qx[1], nb))
+        drow = dividend.get((n1, n2), ())
+        lows = [low for low, _, _ in products] + [min(c) for _, c in drow]
+        if not lows:
+            continue
+        lo = min(lows)
+        rhs = [0] * width
+        for i, c in drow:
+            rhs[i] = pack(c, lo, w) * scale
+        for low, qx, nb in products:
+            accumulate(rhs, qx, nb, w * (low - lo))
+        vec = tuple(LaurentPoly.over(unpack(x, lo, w)).exact_div(pivot) for x in rhs)
+        if all(x.is_zero for x in vec):
+            continue
+        den = math.lcm(*(denominator(x.c) for x in vec))
+        if den != 1:  # keep every stored cell integral; all are repacked
+            scale *= den
+            d_bits += den.bit_length()
+            q_bits += den.bit_length()
+            q = {key: tuple(x.scale(den) for x in v) for key, v in q.items()}
+            vec = tuple(x.scale(den) for x in vec)
+            w = 0
+        q[m1, m2] = vec
+        top = max(max(map(abs, x.c.values())) for x in vec if x.c)
+        q_bits = max(q_bits, top.bit_length())
+        if w:
+            packed_q.update(packed([((m1, m2), vec)]))
+    if b_den != d_den * scale:
+        ratio = Fraction(b_den, d_den * scale)
+        q = {key: tuple(x.scale(ratio) for x in v) for key, v in q.items()}
+    return q
 
 
 def common_ratio(pairs):

@@ -54,11 +54,6 @@ def _graded(keys):
     return sorted(keys, key=lambda k: (k[0] + k[1], k))
 
 
-# the product of two cell maps {(n1, n2): (LaurentPoly, ...)}, coordinates
-# convolved as the Sym product: the packed-integer kernel itself
-cell_product = arith.kronecker
-
-
 class FourierExpansion:
     __slots__ = ("j", "k", "character", "denom", "kN", "start", "cells")
 
@@ -193,7 +188,7 @@ class FourierExpansion:
             raise OrderTooSmall(
                 "truncation too small: product window is empty"
             )
-        cells = cell_product(self.cells, other.cells, kN, j + 1)
+        cells = arith.kronecker(self.cells, other.cells, kN, j + 1)
         denom = self.denom
         if denom == 2 and not character:
             # product landed back on the integral lattice; validate and halve
@@ -241,8 +236,7 @@ class FourierExpansion:
         if self.character or self.denom != 1:
             raise WeightMismatch("dividend must be on the integral lattice")
         s = other.start
-        pivot = other.vec_at((s, s))[0]
-        if pivot.is_zero:
+        if other.vec_at((s, s))[0].is_zero:
             raise NotDivisible("divisor corner cell vanishes")
         if self.start < s:
             raise NotDivisible("dividend has smaller vanishing offset than divisor")
@@ -250,76 +244,9 @@ class FourierExpansion:
         q_kN = min(self.kN - s, other.kN - s + q_start)
         if q_kN < q_start:
             raise OrderTooSmall("truncation too small for division")
-        # Over Z: with D = d_den * self and B = b_den * other cleared, this
-        # computes Q = scale * D / B, scale growing by the denominators of
-        # any non-integral quotient cell, and returns Q * b_den / (d_den *
-        # scale).  The update rhs -= b * q runs on packed cells (the negated
-        # off-corner divisor cells and the quotient cells) in a slot width
-        # that bounds max(dividend bits, b_bits + q_bits) plus the term
-        # count; when the quotient outgrows it, it widens with slack and
-        # the stored cells are repacked.
-        rows, d_den = arith.integral(self.cells)
-        dividend = dict(rows)
-        div, b_den = arith.integral(other.cells)
-        div = dict(div)
-        pivot = LaurentPoly.over(div.pop((s, s))[0][1])
-        neg = [
-            (t, [(0, {e: -v for e, v in c.items()})])
-            for t, ((_, c),) in div.items()
-        ]
-        _, d_bits, _ = arith.measure(rows)
-        _, b_bits, b_terms = arith.measure(neg)
-        count = (b_terms + 1).bit_length() + 1
-        q_bits, scale, w = d_bits, 1, 0
-        q_cells = {}
-
-        def packed(cells):
-            cell_rows = [(k, [(i, x.c) for i, x in enumerate(v) if x.c]) for k, v in cells]
-            return {k: (low, x) for k, low, x in arith.pack_rows(cell_rows, w)}
-
         window = range(q_start, q_kN + 1)
-        for m1, m2 in _graded((m1, m2) for m1 in window for m2 in window):
-            need = max(d_bits, b_bits + q_bits) + count
-            if need > w:
-                w = need + need // 4
-                packed_neg = arith.pack_rows(neg, w)
-                packed_q = packed(q_cells.items())
-            products = []
-            for (t1, t2), low, nb in packed_neg:
-                qx = packed_q.get((m1 + s - t1, m2 + s - t2))
-                if qx is not None:
-                    products.append((low + qx[0], qx[1], nb))
-            drow = dividend.get((m1 + s, m2 + s), ())
-            lows = [low for low, _, _ in products] + [min(c) for _, c in drow]
-            if not lows:
-                continue
-            lo = min(lows)
-            rhs = [0] * (self.j + 1)
-            for i, c in drow:
-                rhs[i] = arith.pack(c, lo, w) * scale
-            for low, qx, nb in products:
-                arith.accumulate(rhs, qx, nb, w * (low - lo))
-            vec = tuple(
-                LaurentPoly.over(arith.unpack(x, lo, w)).exact_div(pivot)
-                for x in rhs
-            )
-            if all(x.is_zero for x in vec):
-                continue
-            den = math.lcm(*(arith.denominator(x.c) for x in vec))
-            if den != 1:  # keep every stored cell integral; repack them all
-                scale *= den
-                d_bits += den.bit_length()
-                q_bits += den.bit_length()
-                q_cells = {k: tuple(x.scale(den) for x in v) for k, v in q_cells.items()}
-                vec = tuple(x.scale(den) for x in vec)
-                w = 0
-            q_cells[(m1, m2)] = vec
-            top = max(max(map(abs, x.c.values())) for x in vec if x.c)
-            q_bits = max(q_bits, top.bit_length())
-            packed_q.update(packed([((m1, m2), vec)]))
-        if b_den != d_den * scale:
-            ratio = Fraction(b_den, d_den * scale)
-            q_cells = {k: tuple(x.scale(ratio) for x in v) for k, v in q_cells.items()}
+        keys = _graded((m1, m2) for m1 in window for m2 in window)
+        q_cells = arith.quotient(self.cells, other.cells, (s, s), keys, self.j + 1)
         return FourierExpansion(
             (self.j, self.k - other.k), False, q_kN, q_cells, q_start, 1
         )

@@ -17,11 +17,11 @@ odd gradient has two coordinates (the z1- and z2-partials), scaled by 2
 unity per characteristic) dropped — all exposed forms are pinned by an
 explicit normalization, so global phases are unobservable.
 
-Products go through ``qexp.cell_product`` (and so ``arith.kronecker``),
-whose coordinate convolution is the Sym product: chi_6_3 is the plain
-product of the six gradient cell maps.  Seeds built here: chi_5 (product
-of the 10 even constants), chi_10 (= chi_5^2, pinned at its (1,1)
-coefficient), chi_6_3 and chi_6_8 = chi_5 * chi_6_3 (pinned at (1,1)).
+Products go through ``arith.kronecker``, whose coordinate convolution is
+the Sym product: chi_6_3 is the plain product of the six gradient cell
+maps.  Seeds built here: chi_5 (product of the 10 even constants), chi_10
+(= chi_5^2, pinned at its (1,1) coefficient), chi_6_3 and
+chi_6_8 = chi_5 * chi_6_3 (pinned at (1,1)).
 """
 
 from __future__ import annotations
@@ -30,14 +30,14 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import LaurentPoly, common_ratio
+from .arith import LaurentPoly, common_ratio, kronecker
 from .errors import (
     EvenCharacteristic,
     NormalizationFailure,
     OddCharacteristic,
     SupportViolation,
 )
-from .qexp import FourierExpansion, cell_product
+from .qexp import FourierExpansion
 
 
 class ThetaCharacteristic:
@@ -143,7 +143,7 @@ def _theta_product(series, width: int, N: int):
     complete through q-exponent N."""
     prod = series[0]
     for k, other in enumerate(series[1:], 2):
-        prod = cell_product(prod, other, 8 * N, k * (width - 1) + 1)
+        prod = kronecker(prod, other, 8 * N, k * (width - 1) + 1)
     return prod
 
 
