@@ -176,7 +176,15 @@ def covariant_from_text(text: str) -> Covariant:
 def _cache_dir(args):
     if args.no_cache:
         return None
-    return args.cache or os.environ.get(CACHE_ENV)
+    path = args.cache or os.environ.get(CACHE_ENV)
+    if path:
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError as exc:  # a regular file, or a path through one
+            raise SystemExit2(
+                f"cannot use {path!r} as the cache directory: {exc.strerror}"
+            ) from None
+    return path
 
 
 def _emit(payload, args):

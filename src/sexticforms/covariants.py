@@ -3,10 +3,11 @@
 The sextic is f = sum_i a_i x1^(6-i) x2^i.  Covariants are bihomogeneous
 polynomials in (a0..a6, x1, x2), graded by degree (in the a's) and order
 (in x1, x2).  New covariants are produced by transvection; the classical
-invariants A..E of degrees 2, 4, 6, 10, 15 are built from transvectant
-candidates (A printed in full; B, C, E solved against anchor coefficients;
-D from the resultant of the partial derivatives) and each is normalized so
-a fixed set of anchor monomial coefficients takes pinned integer values.
+invariants A..E of degrees 2, 4, 6, 10, 15 are built from candidates (A
+printed in full; B, C from transvectants, D from the resultant of the
+partial derivatives, E from the skew transvectant chain), and one routine
+solves each combination so a fixed set of anchor monomial coefficients
+takes pinned integer values, checked against further pinned coefficients.
 """
 
 from __future__ import annotations
@@ -352,39 +353,25 @@ def invariant(name: str) -> Covariant:
             label="invariant C",
         )
     if key == "D":
-        res = _discriminant_resultant()
-        d = Covariant(res, 10, 0)
-        anchor = _a_monomial(a0=2, a6=2, a3=6)
-        lead = d.poly.terms.get(anchor, 0)
-        if not lead:
-            raise NormalizationFailure("discriminant anchor coefficient vanishes")
-        d = d.scale(Fraction(729, lead))
-        checks = [
-            (_a_monomial(a0=2, a4=1, a5=1, a6=1, a3=5), -486),
-            (_a_monomial(a0=2, a5=3, a3=5), 108),
-            (_a_monomial(a0=1, a1=1, a2=1, a6=2, a3=5), -486),
-            (_a_monomial(a1=3, a6=2, a3=5), 108),
-        ]
-        for mono, value in checks:
-            if d.poly.terms.get(mono, 0) != value:
-                raise NormalizationFailure(
-                    f"invariant D: coefficient check failed at exponents {mono}"
-                )
-        return d
+        return _solve_anchored(
+            [Covariant(_discriminant_resultant(), 10, 0)],
+            anchors=[(_a_monomial(a0=2, a6=2, a3=6), 729)],
+            checks=[
+                (_a_monomial(a0=2, a4=1, a5=1, a6=1, a3=5), -486),
+                (_a_monomial(a0=2, a5=3, a3=5), 108),
+                (_a_monomial(a0=1, a1=1, a2=1, a6=2, a3=5), -486),
+                (_a_monomial(a1=3, a6=2, a3=5), 108),
+            ],
+            label="invariant D",
+        )
     if key == "E":
-        e0 = skew_chain_invariant()
-        anchor = _a_monomial(a0=2, a5=3, a3=10)
-        lead = e0.poly.terms.get(anchor, 0)
-        if not lead:
-            raise NormalizationFailure("skew invariant anchor coefficient vanishes")
-        e = e0.scale(Fraction(-729, lead))
-        # mirror term under a_i <-> a_{6-i} (which negates E)
-        check = _a_monomial(a1=3, a6=2, a3=10)
-        if e.poly.terms.get(check, 0) != 729:
-            raise NormalizationFailure(
-                "invariant E: a1^3 a6^2 a3^10 coefficient check failed"
-            )
-        return e
+        return _solve_anchored(
+            [skew_chain_invariant()],
+            anchors=[(_a_monomial(a0=2, a5=3, a3=10), -729)],
+            # mirror term under a_i <-> a_{6-i} (which negates E)
+            checks=[(_a_monomial(a1=3, a6=2, a3=10), 729)],
+            label="invariant E",
+        )
     raise UnknownName(f"unknown invariant {name!r}")
 
 

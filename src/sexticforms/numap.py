@@ -12,16 +12,19 @@ Sym^j coordinate at a time (the terms x1^(j-i) x2^i give coordinate i), so
 
 and then divide by chi_10 as many times as requested.  A failing division
 (NotDivisible) is the detection mechanism for genuine non-holomorphy.
+
+transvectant_expansion is the transvectant on the q-side.  It applies no
+factorial norm, so a chain of them stays over Z; a form built that way
+(chi_35) takes its scale from one pin, ``FourierExpansion.pinned``.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .arith import LaurentPoly
 from .covariants import Covariant, a11_order_bound
-from .errors import NotDivisible, OddOrder
+from .errors import NotDivisible, OddOrder, OrderTooSmall
 from .poly import Substitution
 from .qexp import FourierExpansion, constant_one
 from .theta import chi_6_8
@@ -139,12 +142,12 @@ def transvectant_expansion(
     g: FourierExpansion, h: FourierExpansion, k: int
 ) -> FourierExpansion:
     """Transvectant of vector-valued expansions, differentiating the
-    symbol variables X1, X2 only.  Matches the symbolic transvectant under
-    substitution: scalar factors (powers of chi_10) pass through."""
+    symbol variables X1, X2 only, with no factorial norm: for g, h of
+    orders m, n it equals the symbolic transvectant (g, h)_k under
+    substitution times m! n! / ((m-k)! (n-k)!), so integer expansions give
+    integer results.  Scalar factors (powers of chi_10) pass through."""
     m, n = g.j, h.j
     if k > m or k > n:
-        from .errors import OrderTooSmall
-
         raise OrderTooSmall(f"transvectant index {k} exceeds order {min(m, n)}")
     if k == 0:
         return g.mul(h)
@@ -188,11 +191,6 @@ def transvectant_expansion(
         term = gp[idx].mul(hp[k - idx])
         term = term.scale((-1) ** idx * math.comb(k, idx))
         acc = term if acc is None else acc.add(term)
-    norm = Fraction(
-        math.factorial(m - k) * math.factorial(n - k),
-        math.factorial(m) * math.factorial(n),
-    )
-    acc = acc.scale(norm)
     # the q-side transvectant raises the scalar weight by k
     return FourierExpansion(
         (m + n - 2 * k, g.k + h.k + k),

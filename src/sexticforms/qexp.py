@@ -31,6 +31,7 @@ from .arith import LaurentPoly, common_ratio, frac_to_str
 from .errors import (
     BoundarySliceError,
     CharacterForm,
+    NormalizationFailure,
     NotDivisible,
     OrderTooSmall,
     SupportViolation,
@@ -174,6 +175,21 @@ class FourierExpansion:
 
     def sub(self, other) -> "FourierExpansion":
         return self.add(other.scale(-1))
+
+    def pinned(self, key, i, value: LaurentPoly) -> "FourierExpansion":
+        """This expansion rescaled so that coordinate i of cell ``key`` is
+        ``value``: the one scale of every normalized form.
+
+        Raises NormalizationFailure unless that coordinate is a nonzero
+        multiple of ``value``.
+        """
+        ratio = common_ratio([(self.vec_at(key)[i], value)])
+        if not ratio:
+            raise NormalizationFailure(
+                f"weight {self.weight}: coordinate {i} at {tuple(key)} is not "
+                f"a nonzero multiple of {value}"
+            )
+        return self.scale(1 / ratio)
 
     # -- multiplication --------------------------------------------------------
     def mul(self, other) -> "FourierExpansion":

@@ -1,11 +1,16 @@
 """Named-form registry and ring-structure experiments.
 
 Builds the named scalar and vector-valued forms (psi_4, psi_6, chi_10,
-chi_12, chi_35, chi_8_8, chi_4_10, chi_6_8, ...) with pinned
-normalizations, and runs the desk-scale generation checks: ranks of
-weight-k monomials in {psi_4, psi_6, chi_10, chi_12} against the
-generating function 1/((1-t^4)(1-t^6)(1-t^10)(1-t^12)), and the
-odd-weight probe that chi_35 squared falls back into the even subring.
+chi_12, chi_35, chi_8_8, chi_4_10, chi_6_8, ...) from one registry table.
+A normalized form takes its scale from one pin, FourierExpansion.pinned:
+one coordinate of one cell set to a fixed value (chi_10 and chi_6_8 at
+(1,1) in ``theta``, psi_6 at (0,0) and chi_35 at (2,3) here), so the
+chi_35 transvectant chain runs over Z up to its pin.
+
+The module also runs the desk-scale generation checks: ranks of weight-k
+monomials in {psi_4, psi_6, chi_10, chi_12} against the generating
+function 1/((1-t^4)(1-t^6)(1-t^10)(1-t^12)), and the odd-weight probe that
+chi_35 squared falls back into the even subring.
 
 Rank verdicts are evidence at a truncation, not proofs: a full-rank
 result is reported as "consistent with" the expected dimension, and a
@@ -18,10 +23,10 @@ import hashlib
 import json
 import os
 import tempfile
-from fractions import Fraction
 from functools import lru_cache
 
 from . import covariants, numap, qexp, theta
+from .arith import LaurentPoly
 from .errors import OddWeight, UnknownName
 from .poly import Substitution
 from .qexp import FourierExpansion
@@ -38,74 +43,65 @@ class NamedForm:
         return f"NamedForm({self.name!r}, {self.expansion!r})"
 
 
-# the registry: each name with a one-line account of how it is built
-_RECIPES = {
-    "chi5": "product of the 10 even theta constants",
-    "chi6_3": "Sym^6 product of the 6 odd theta gradients",
-    "chi10": "chi5^2, (1,1) coefficient pinned to r - 2 + r^-1",
-    "chi6_8": "chi5 * chi6_3, (1,1) coefficient vector pinned",
-    "psi4": "nu(B)",
-    "psi6": "nu(-8*A*B - 3*C)/8",
-    "chi12": "nu(A) * chi10",
-    "chi8_8": "nu(Hessian) * chi10",
-    "chi4_10": "nu(V[8,4]) * chi10",
-    "chi35": "chi10^2 * nu(E) via the q-side transvectant chain",
-}
+def _theta(name):
+    """Builder of the theta seed ``name``, looked up when called."""
+    return lambda N: getattr(theta, name)(N)
 
 
-def registry_names():
-    return sorted(_RECIPES)
+def _nu(m, extra, covariant, *args):
+    """Builder of chi_10^m * nu(covariant(*args)) at truncation N + extra."""
+    return lambda N: numap.nu_normalized(covariant(*args), m, N + extra).expansion
 
 
-def _skew_scale() -> Fraction:
-    """Scalar lambda with E = lambda * (unnormalized chain invariant)."""
-    anchor = covariants._a_monomial(a0=2, a5=3, a3=10)
-    lead = covariants.skew_chain_invariant().poly.terms[anchor]
-    return Fraction(-729, lead)
+def _build_psi6(N: int) -> FourierExpansion:
+    # constant term 1, as for E6, the image of psi6 under the Siegel operator
+    raw = _nu(0, 1, covariants.combination_AB_minus_3C)(N)
+    return raw.pinned((0, 0), 0, LaurentPoly.const(1))
 
 
 def _build_chi35(N: int) -> FourierExpansion:
-    """chi35 on the window [2, N]: the chain from chi6_8 at max(2, N - 1)
-    leaves [2, max(3, N)], cut down to N."""
+    """chi35 on the window [2, N].  The chain from chi6_8 at max(2, N - 1)
+    runs over Z and gives chi10^15 * nu(E) up to scale; 13 divisions leave
+    [2, max(3, N)], where the (2,3) pin fixes the scale, cut down to N."""
     built = {"f": theta.chi_6_8(max(2, N - 1))}
     for out, left, right, k in covariants.skew_chain_transvectants():
         built[out] = numap.transvectant_expansion(built[left], built[right], k)
-    x = built["e0"].scale(_skew_scale())
+    x = built["e0"]
     for _ in range(13):
         x = x.exact_div_chi10()
+    x = x.pinned((2, 3), 0, LaurentPoly({1: 8192, -1: -8192}))
     cells = {key: vec for key, vec in x.cells.items() if max(key) <= N}
     return FourierExpansion(
         x.weight, False, min(N, x.kN), cells, x.start, validate=False
     )
 
 
+# the registry, name: (how it is built, builder N -> FourierExpansion)
+_REGISTRY = {
+    "chi5": ("product of the 10 even theta constants", _theta("chi_5")),
+    "chi6_3": ("Sym^6 product of the 6 odd theta gradients", _theta("chi_6_3")),
+    "chi10": ("chi5^2, (1,1) coefficient pinned to r - 2 + r^-1", _theta("chi_10")),
+    "chi6_8": ("chi5 * chi6_3, (1,1) coefficient vector pinned", _theta("chi_6_8")),
+    "psi4": ("nu(B)", _nu(0, 1, covariants.invariant, "B")),
+    "psi6": ("nu(-8*A*B - 3*C), (0,0) coefficient pinned to 1", _build_psi6),
+    "chi12": ("nu(A) * chi10", _nu(1, 0, covariants.invariant, "A")),
+    "chi8_8": ("nu(Hessian) * chi10", _nu(1, 0, covariants.grace_young, "Hessian")),
+    "chi4_10": ("nu(V[8,4]) * chi10", _nu(1, 0, covariants.grace_young, "V8,4")),
+    "chi35": (
+        "chi10^2 * nu(E) via the q-side transvectant chain, "
+        "(2,3) coefficient pinned to 8192*(r - r^-1)",
+        _build_chi35,
+    ),
+}
+
+
+def registry_names():
+    return sorted(_REGISTRY)
+
+
 @lru_cache(maxsize=None)
 def _build(name: str, N: int) -> FourierExpansion:
-    if name == "chi5":
-        return theta.chi_5(N)
-    if name == "chi6_3":
-        return theta.chi_6_3(N)
-    if name == "chi10":
-        return theta.chi_10(N)
-    if name == "chi6_8":
-        return theta.chi_6_8(N)
-    if name == "psi4":
-        return numap.nu_normalized(covariants.invariant("B"), 0, N + 1).expansion
-    if name == "psi6":
-        # Scaled so the Siegel operator sends psi6 to the elliptic E6.
-        raw = numap.nu_normalized(
-            covariants.combination_AB_minus_3C(), 0, N + 1
-        ).expansion
-        return raw.scale(Fraction(1, 8))
-    if name == "chi12":
-        return numap.nu_normalized(covariants.invariant("A"), 1, N).expansion
-    if name == "chi8_8":
-        return numap.nu_normalized(covariants.grace_young("Hessian"), 1, N).expansion
-    if name == "chi4_10":
-        return numap.nu_normalized(covariants.grace_young("V8,4"), 1, N).expansion
-    if name == "chi35":
-        return _build_chi35(N)
-    raise UnknownName(f"no named form {name!r}")
+    return _REGISTRY[name][1](N)
 
 
 @lru_cache(maxsize=None)
@@ -142,7 +138,7 @@ def _read_cached(path: str, digest: str):
 
 def named_form(name: str, N: int, cache_dir=None) -> NamedForm:
     key = name.strip().lower().replace(",", "_").replace("-", "_")
-    if key not in _RECIPES:
+    if key not in _REGISTRY:
         raise UnknownName(f"no named form {name!r}")
     path = None
     if cache_dir:

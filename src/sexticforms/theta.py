@@ -27,10 +27,9 @@ chi_6_8 = chi_5 * chi_6_3 (pinned at (1,1)).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
-from .arith import LaurentPoly, common_ratio, kronecker
+from .arith import LaurentPoly, kronecker
 from .errors import (
     EvenCharacteristic,
     NormalizationFailure,
@@ -199,14 +198,7 @@ _CHI10_PIN = LaurentPoly({1: 1, 0: -2, -1: 1})  # r - 2 + r^-1
 def chi_10(N: int) -> FourierExpansion:
     """chi_5 squared, rescaled so the (1,1) coefficient is r - 2 + r^-1."""
     x5 = chi_5(N)
-    raw = x5.mul(x5)
-    corner = raw.vec_at((1, 1))[0]
-    ratio = common_ratio([(corner, _CHI10_PIN)])
-    if not ratio:
-        raise NormalizationFailure(
-            "chi_10 corner coefficient is not a multiple of r - 2 + r^-1"
-        )
-    return raw.scale(Fraction(1) / ratio)
+    return x5.mul(x5).pinned((1, 1), 0, _CHI10_PIN)
 
 
 _CHI68_PIN = (
@@ -224,17 +216,9 @@ _CHI68_PIN = (
 def chi_6_8(N: int) -> FourierExpansion:
     """chi_5 * chi_6_3, rescaled so the (1,1) coefficient vector equals
     (0, 0, r^-1 - 2 + r, 2(r - r^-1), r^-1 - 2 + r, 0, 0)."""
-    raw = chi_5(N).mul(chi_6_3(N))
-    corner = raw.vec_at((1, 1))
-    ratio = common_ratio([(corner[2], _CHI68_PIN[2])])
-    if not ratio:
-        raise NormalizationFailure(
-            "chi_6_8 corner coordinate 2 is not a multiple of r - 2 + r^-1"
-        )
-    scaled = raw.scale(Fraction(1) / ratio)
+    scaled = chi_5(N).mul(chi_6_3(N)).pinned((1, 1), 2, _CHI68_PIN[2])
     if scaled.vec_at((1, 1)) != _CHI68_PIN:
         raise NormalizationFailure(
             "chi_6_8 corner vector does not match the pinned normalization"
         )
     return scaled
-

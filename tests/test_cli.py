@@ -174,10 +174,17 @@ def test_verify_odd_weight_json(tmp_path, capsys):
         ),
         (["nu", "a0"], None, 2, "not a covariant"),
         (["verify", "even-ring", "--kmax", "-4"], None, 2, "--kmax"),
+        # "file": the cache path names a regular file
+        (["expand", "chi10"], "file", 2, "cache directory"),
     ],
 )
 def test_bad_input_exit_codes(tmp_path, capsys, argv, corrupt, code, message):
-    argv = argv + ["--order", "2", "--cache", str(tmp_path)]
+    cache = tmp_path
+    if corrupt == "file":
+        cache = tmp_path / "file"
+        cache.write_text("")
+        corrupt = None
+    argv = argv + ["--order", "2", "--cache", str(cache)]
     if corrupt is not None:
         run(capsys, *argv)
         (entry,) = tmp_path.iterdir()

@@ -55,11 +55,12 @@ def test_minimal_chi10_powers():
 
 
 def test_transvectant_expansion_commutes(sextic):
-    # q-side transvection of nu(f) with itself against the symbolic route
+    # q-side transvection of nu(f) with itself against the symbolic route;
+    # the q-side applies no norm, so it carries 6! 6! / (0! 0!)
     nf = numap.nu_raw(sextic, 2)
     lhs = numap.transvectant_expansion(nf, nf, 6)
     rhs = numap.nu_raw(cv.grace_young("C2,0"), 2)
-    assert qexp.proportionality(lhs, rhs) == 1
+    assert qexp.proportionality(lhs, rhs) == math.factorial(6) ** 2
 
 
 def test_measured_powers_at_most_certified():

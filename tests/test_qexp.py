@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sexticforms import arith, qexp, theta
 from sexticforms.arith import LaurentPoly
 from sexticforms.errors import (
+    NormalizationFailure,
     NotDivisible,
     SupportViolation,
     WeightMismatch,
@@ -55,6 +56,16 @@ def test_mul_weights_and_window(chi10_n3):
     assert sq.start == 2
     assert sq.kN == chi10_n3.kN + 1  # start offset extends the window
     assert sq.vec_at((2, 2))[0] == LaurentPoly({1: 1, 0: -2, -1: 1}) ** 2
+
+
+def test_pinned_fixes_one_coordinate(chi10_n3, chi68_n2):
+    pin = LaurentPoly({1: 1, 0: -2, -1: 1})
+    assert chi10_n3.scale(Fraction(-3, 7)).pinned((1, 1), 0, pin) == chi10_n3
+    assert chi68_n2.scale(5).pinned((1, 1), 2, pin) == chi68_n2
+    with pytest.raises(NormalizationFailure):  # the coordinate is zero
+        chi68_n2.pinned((1, 1), 0, pin)
+    with pytest.raises(NormalizationFailure):  # not a multiple of the pin
+        chi10_n3.pinned((1, 1), 0, LaurentPoly({1: 1, -1: 1}))
 
 
 def test_exact_div_recovers_factor(chi10_n3):
