@@ -238,18 +238,18 @@ def cmd_nu(args) -> int:
         if args.power is not None
         else numap.minimal_chi10_power(cov)
     )
-    result = numap.nu_normalized(cov, power, args.order)
+    expansion = numap.nu_normalized(cov, power, args.order)
     _emit(
         {
             "text": (
                 f"chi_10^{power} * nu(covariant), degree {cov.degree}, "
-                f"order {cov.order}\n{result.expansion.to_text()}"
+                f"order {cov.order}\n{expansion.to_text()}"
             ),
             "json": {
                 "chi10_power": power,
                 "degree": cov.degree,
                 "order": cov.order,
-                "expansion": result.expansion.to_json(),
+                "expansion": expansion.to_json(),
             },
         },
         args,

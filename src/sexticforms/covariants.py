@@ -2,7 +2,10 @@
 
 The sextic is f = sum_i a_i x1^(6-i) x2^i.  Covariants are bihomogeneous
 polynomials in (a0..a6, x1, x2), graded by degree (in the a's) and order
-(in x1, x2).  New covariants are produced by transvection; the classical
+(in x1, x2).  New covariants are produced by transvection: every
+construction calls the norm-free ``poly.transvect`` (the routine the q-side
+transvectant in ``numap`` also calls) and stays over Z; the public
+``transvectant`` applies the factorial norm as one scalar.  The classical
 invariants A..E of degrees 2, 4, 6, 10, 15 are built from candidates (A
 printed in full; B, C from transvectants, D from the resultant of the
 partial derivatives, E from the skew transvectant chain), and one routine
@@ -23,7 +26,7 @@ from .errors import (
     OrderTooSmall,
     UnknownName,
 )
-from .poly import SEXTIC_VARS, MultiPoly
+from .poly import SEXTIC_VARS, MultiPoly, transvect
 
 A_VARS = SEXTIC_VARS[:7]
 X_VARS = SEXTIC_VARS[7:]
@@ -89,6 +92,10 @@ class Covariant:
     def primitive(self) -> "Covariant":
         return Covariant(self.poly.primitive(), self.degree, self.order)
 
+    def derivative(self, name: str) -> "Covariant":
+        """Partial derivative in x1 or x2, of order one less."""
+        return Covariant(self.poly.derivative(name), self.degree, self.order - 1)
+
     def evaluate_at_sextic(self, coeffs, x1=0, x2=0):
         """Evaluate at a concrete sextic (a0..a6) and point (x1, x2)."""
         values = dict(zip(A_VARS, coeffs))
@@ -115,33 +122,20 @@ def universal_sextic() -> Covariant:
 
 
 def transvectant(g: Covariant, h: Covariant, k: int) -> Covariant:
-    """The k-th transvectant (g, h)_k with factorial normalization."""
+    """The k-th transvectant (g, h)_k with factorial normalization:
+    ``transvect(g, h, k)`` times (m-k)! (n-k)! / (m! n!) for orders m, n.
+
+    This is the only place the norm is applied; every construction inside
+    the package calls ``transvect`` and takes its scale from an anchor or
+    ``primitive()``."""
     m, n = g.order, h.order
     if k > m or k > n:
         raise OrderTooSmall(f"transvectant index {k} exceeds order {min(m, n)}")
-    if k == 0:
-        return g * h
-
-    def partials(p: MultiPoly):
-        # row j holds d^k p / dx1^(k-j) dx2^j
-        row = [p]
-        for _ in range(k):
-            row = [q.derivative("x1") for q in row] + [
-                row[-1].derivative("x2")
-            ]
-        return row
-
-    gp = partials(g.poly)
-    hp = partials(h.poly)
-    acc = MultiPoly.zero(SEXTIC_VARS)
-    for j in range(k + 1):
-        term = gp[j] * hp[k - j]
-        acc = acc + term.scale((-1) ** j * math.comb(k, j))
     norm = Fraction(
         math.factorial(m - k) * math.factorial(n - k),
         math.factorial(m) * math.factorial(n),
     )
-    return Covariant(acc.scale(norm), g.degree + h.degree, m + n - 2 * k)
+    return transvect(g, h, k).scale(norm)
 
 
 def act_sl2(m, c: Covariant) -> Covariant:
@@ -220,11 +214,11 @@ def grace_young(name: str) -> Covariant:
     if key == "C3,2":
         return transvectant(f, grace_young("C2,4"), 4)
     if key in ("HESSIAN", "V10,2", "H"):
-        return transvectant(f, f, 2).primitive()
+        return transvect(f, f, 2).primitive()
     if key == "V8,4":
-        return transvectant(f, f, 4).primitive()
+        return transvect(f, f, 4).primitive()
     if key == "V6,6":
-        return transvectant(f, f, 6).primitive()
+        return transvect(f, f, 6).primitive()
     raise UnknownName(f"unknown covariant {name!r}")
 
 
@@ -318,9 +312,9 @@ def invariant(name: str) -> Covariant:
         return Covariant(MultiPoly(SEXTIC_VARS, terms), 2, 0)
     if key == "B":
         a = invariant("A")
-        i4 = transvectant(grace_young("C2,4"), grace_young("C2,4"), 4)
+        i = transvect(f, f, 4)
         return _solve_anchored(
-            [a * a, i4],
+            [a * a, transvect(i, i, 4)],
             anchors=[
                 (_a_monomial(a0=1, a6=1, a3=2), 81),
                 (_a_monomial(a1=1, a5=1, a3=2), 9),
@@ -337,10 +331,9 @@ def invariant(name: str) -> Covariant:
     if key == "C":
         a = invariant("A")
         b = invariant("B")
-        c32 = grace_young("C3,2")
-        i6 = transvectant(c32, c32, 2)
+        c32 = transvect(f, transvect(f, f, 4), 4)
         return _solve_anchored(
-            [a * a * a, a * b, i6],
+            [a * a * a, a * b, transvect(c32, c32, 2)],
             anchors=[
                 (_a_monomial(a0=1, a6=1, a3=4), 162),
                 (_a_monomial(a1=1, a5=1, a3=4), 72),
@@ -390,10 +383,11 @@ def skew_chain_transvectants():
 
 @lru_cache(maxsize=None)
 def skew_chain_invariant() -> Covariant:
-    """Unnormalized degree-15 skew invariant via the transvectant chain."""
+    """The degree-15 skew invariant from the chain of norm-free
+    transvectants: integer coefficients, scale fixed by invariant("E")."""
     built = {"f": universal_sextic()}
     for out, left, right, k in skew_chain_transvectants():
-        built[out] = transvectant(built[left], built[right], k)
+        built[out] = transvect(built[left], built[right], k)
     e0 = built["e0"]
     assert (e0.degree, e0.order) == (15, 0)
     return e0

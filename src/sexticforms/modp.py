@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 from functools import lru_cache
 
 from . import covariants
 from .arith import is_prime
 from .covariants import Covariant
 from .errors import ZeroAfterReduction
-from .poly import CHAR2_VARS, SEXTIC_VARS, MultiPoly
+from .poly import CHAR2_VARS, SEXTIC_VARS, MultiPoly, transvect
 
 A_VARS = CHAR2_VARS[:4]
 B_VARS = CHAR2_VARS[4:]
@@ -69,7 +68,7 @@ def hasse_char3_identity() -> dict:
 def degree2_space_dimension_mod3() -> int:
     """Rank of the transvectant-built degree-2 invariant space mod 3."""
     f = covariants.universal_sextic()
-    cand = covariants.transvectant(f, f, 6).poly.primitive().reduce_mod(3)
+    cand = transvect(f, f, 6).poly.primitive().reduce_mod(3)
     return 0 if cand.is_zero else 1
 
 
@@ -229,23 +228,14 @@ def _lift_evaluate(cov: Covariant) -> MultiPoly:
 
 def _val2(poly: MultiPoly) -> int:
     """2-adic valuation of the integer content."""
-    v = None
-    for c in poly.terms.values():
-        c = abs(int(c))
-        w = 0
-        while c % 2 == 0:
-            c //= 2
-            w += 1
-        v = w if v is None else min(v, w)
-        if v == 0:
-            break
-    return v
+    return min((c & -c).bit_length() - 1 for c in poly.terms.values())
 
 
 def _strip_and_reduce(poly: MultiPoly, degree: int, label: str) -> Char2Invariant:
     if poly.is_zero:
         raise ZeroAfterReduction(f"lift of {label} vanishes identically")
-    reduced = poly.scale(Fraction(1, 2 ** _val2(poly))).reduce_mod(2)
+    v = _val2(poly)
+    reduced = MultiPoly(poly.vars, {e: c >> v for e, c in poly.terms.items()}, 2)
     if reduced.is_zero:
         raise ZeroAfterReduction(f"lift of {label} is zero mod 2")
     return Char2Invariant(reduced, degree)

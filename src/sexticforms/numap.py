@@ -13,46 +13,21 @@ Sym^j coordinate at a time (the terms x1^(j-i) x2^i give coordinate i), so
 and then divide by chi_10 as many times as requested.  A failing division
 (NotDivisible) is the detection mechanism for genuine non-holomorphy.
 
-transvectant_expansion is the transvectant on the q-side.  It applies no
-factorial norm, so a chain of them stays over Z; a form built that way
-(chi_35) takes its scale from one pin, ``FourierExpansion.pinned``.
+transvectant_expansion is the transvectant on the q-side: the norm-free
+``poly.transvect`` that covariants also use, run on the Sym^j symbol
+variables (``FourierExpansion.derivative``), plus the weight shift.  It
+applies no factorial norm, so a chain of them stays over Z; a form built
+that way (chi_35) takes its scale from one pin, ``FourierExpansion.pinned``.
 """
 
 from __future__ import annotations
 
-import math
-
 from .arith import LaurentPoly
 from .covariants import Covariant, a11_order_bound
 from .errors import NotDivisible, OddOrder, OrderTooSmall
-from .poly import Substitution
+from .poly import Substitution, transvect
 from .qexp import FourierExpansion, constant_one
 from .theta import chi_6_8
-
-
-class NuResult:
-    __slots__ = (
-        "expansion",
-        "covariant_degree",
-        "covariant_order",
-        "chi10_power_applied",
-        "holomorphic",
-    )
-
-    def __init__(self, expansion, d, j, m, holomorphic):
-        self.expansion = expansion
-        self.covariant_degree = d
-        self.covariant_order = j
-        self.chi10_power_applied = m
-        self.holomorphic = holomorphic
-
-    def __repr__(self):
-        return (
-            f"NuResult(weight={self.expansion.weight}, degree="
-            f"{self.covariant_degree}, order={self.covariant_order}, "
-            f"chi10_power={self.chi10_power_applied}, "
-            f"holomorphic={self.holomorphic})"
-        )
 
 
 def weight_of_covariant(d: int, j: int):
@@ -101,18 +76,17 @@ def nu_raw(c: Covariant, N: int) -> FourierExpansion:
     return FourierExpansion((j, 11 * d - j // 2), False, kN, cells, start)
 
 
-def nu_normalized(c: Covariant, m: int, N: int) -> NuResult:
+def nu_normalized(c: Covariant, m: int, N: int) -> FourierExpansion:
     """chi_10^m * nu(c): nu_raw divided (d - m) times by chi_10.
 
     Raises NotDivisible when chi_10^m * nu(c) is not holomorphic.
     """
-    d, j = c.degree, c.order
-    if not 0 <= m <= d:
+    if not 0 <= m <= c.degree:
         raise ValueError("chi_10 power must satisfy 0 <= m <= degree")
     e = nu_raw(c, N)
-    for _ in range(d - m):
+    for _ in range(c.degree - m):
         e = e.exact_div_chi10()
-    return NuResult(e, d, j, m, True)
+    return e
 
 
 def minimal_chi10_power(c: Covariant) -> int:
@@ -126,8 +100,7 @@ def measured_chi10_powers(c: Covariant, N: int):
     """(certified, measured) chi_10 powers: starting from the certified
     bound, keep dividing until a division fails."""
     certified = minimal_chi10_power(c)
-    result = nu_normalized(c, certified, N)
-    e = result.expansion
+    e = nu_normalized(c, certified, N)
     measured = certified
     while measured > 0:
         try:
@@ -141,63 +114,17 @@ def measured_chi10_powers(c: Covariant, N: int):
 def transvectant_expansion(
     g: FourierExpansion, h: FourierExpansion, k: int
 ) -> FourierExpansion:
-    """Transvectant of vector-valued expansions, differentiating the
-    symbol variables X1, X2 only, with no factorial norm: for g, h of
-    orders m, n it equals the symbolic transvectant (g, h)_k under
-    substitution times m! n! / ((m-k)! (n-k)!), so integer expansions give
-    integer results.  Scalar factors (powers of chi_10) pass through."""
+    """Transvectant of vector-valued expansions, ``poly.transvect`` on the
+    symbol variables X1, X2 with no factorial norm: for g, h of orders
+    m, n it equals the symbolic transvectant (g, h)_k under substitution
+    times m! n! / ((m-k)! (n-k)!), so integer expansions give integer
+    results.  Scalar factors (powers of chi_10) pass through."""
     m, n = g.j, h.j
     if k > m or k > n:
         raise OrderTooSmall(f"transvectant index {k} exceeds order {min(m, n)}")
-    if k == 0:
-        return g.mul(h)
-
-    def dx1(a: FourierExpansion) -> FourierExpansion:
-        order = a.j
-        cells = {
-            key: tuple(
-                vec[i].scale(order - i) for i in range(order)
-            )
-            for key, vec in a.cells.items()
-        }
-        return FourierExpansion(
-            (order - 1, a.k), a.character, a.kN, cells, a.start, a.denom,
-            validate=False,
-        )
-
-    def dx2(a: FourierExpansion) -> FourierExpansion:
-        order = a.j
-        cells = {
-            key: tuple(
-                vec[i + 1].scale(i + 1) for i in range(order)
-            )
-            for key, vec in a.cells.items()
-        }
-        return FourierExpansion(
-            (order - 1, a.k), a.character, a.kN, cells, a.start, a.denom,
-            validate=False,
-        )
-
-    def partials(a):
-        row = [a]
-        for _ in range(k):
-            row = [dx1(q) for q in row] + [dx2(row[-1])]
-        return row
-
-    gp = partials(g)
-    hp = partials(h)
-    acc = None
-    for idx in range(k + 1):
-        term = gp[idx].mul(hp[k - idx])
-        term = term.scale((-1) ** idx * math.comb(k, idx))
-        acc = term if acc is None else acc.add(term)
+    t = transvect(g, h, k)
     # the q-side transvectant raises the scalar weight by k
     return FourierExpansion(
-        (m + n - 2 * k, g.k + h.k + k),
-        acc.character,
-        acc.kN,
-        acc.cells,
-        acc.start,
-        acc.denom,
+        (t.j, t.k + k), t.character, t.kN, t.cells, t.start, t.denom,
         validate=False,
     )

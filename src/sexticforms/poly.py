@@ -5,6 +5,10 @@ binary sextic in a0..a6, x1, x2 and the characteristic-2 invariants in
 a0..a3, b0..b6.  Monomials are exponent tuples parallel to the ``vars``
 tuple; the monomial order is graded lexicographic with earlier variables
 larger.
+
+Two routines are written once for every ring that supplies the operations
+they use: ``Substitution`` (evaluation) and ``transvect`` (the norm-free
+transvectant, shared by covariants and Fourier expansions).
 """
 
 from __future__ import annotations
@@ -82,6 +86,31 @@ class Substitution:
                 term = self.power(i, k) if c == 1 else self.power(i, k).scale(c)
             acc = term if acc is None else acc + term
         return acc
+
+
+def transvect(g, h, k: int):
+    """The k-th transvectant of g and h in x1, x2 with no factorial norm,
+
+        sum_j (-1)^j C(k, j) d^k g/dx1^(k-j) dx2^j * d^k h/dx1^j dx2^(k-j),
+
+    so integer operands give an integer result.  Operands need
+    ``derivative("x1"|"x2")``, ``*``, ``+`` and ``scale``: covariants and
+    vector-valued Fourier expansions (on their Sym^j symbol variables).
+    """
+
+    def partials(p):
+        # row j holds d^k p / dx1^(k-j) dx2^j
+        row = [p]
+        for _ in range(k):
+            row = [q.derivative("x1") for q in row] + [row[-1].derivative("x2")]
+        return row
+
+    gp, hp = partials(g), partials(h)
+    acc = None
+    for j in range(k + 1):
+        term = (gp[j] * hp[k - j]).scale((-1) ** j * math.comb(k, j))
+        acc = term if acc is None else acc + term
+    return acc
 
 
 class MultiPoly:

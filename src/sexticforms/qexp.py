@@ -176,6 +176,26 @@ class FourierExpansion:
     def sub(self, other) -> "FourierExpansion":
         return self.add(other.scale(-1))
 
+    def derivative(self, name: str) -> "FourierExpansion":
+        """Partial derivative in the symbol variable X1 (``"x1"``) or X2
+        (``"x2"``) of the Sym^j coordinates; weight (j - 1, k)."""
+        j = self.j
+        # coordinate i holds X1^(j-i) X2^i: (source coordinate, exponent)
+        if name == "x1":
+            pick = [(i, j - i) for i in range(j)]
+        elif name == "x2":
+            pick = [(i, i) for i in range(1, j + 1)]
+        else:
+            raise ValueError(f"no symbol variable {name!r}")
+        cells = {
+            key: tuple(vec[i].scale(e) for i, e in pick)
+            for key, vec in self.cells.items()
+        }
+        return FourierExpansion(
+            (j - 1, self.k), self.character, self.kN, cells, self.start,
+            self.denom, validate=False,
+        )
+
     def pinned(self, key, i, value: LaurentPoly) -> "FourierExpansion":
         """This expansion rescaled so that coordinate i of cell ``key`` is
         ``value``: the one scale of every normalized form.

@@ -50,7 +50,7 @@ def _theta(name):
 
 def _nu(m, extra, covariant, *args):
     """Builder of chi_10^m * nu(covariant(*args)) at truncation N + extra."""
-    return lambda N: numap.nu_normalized(covariant(*args), m, N + extra).expansion
+    return lambda N: numap.nu_normalized(covariant(*args), m, N + extra)
 
 
 def _build_psi6(N: int) -> FourierExpansion:
@@ -258,7 +258,7 @@ def dim_s68_probe(N: int = 3, cache_dir=None):
     the theta product chi5*chi6_3 and nu(D*f)/chi10^11."""
     reference = named_form("chi6_8", N, cache_dir).expansion
     d_times_f = covariants.invariant("D") * covariants.universal_sextic()
-    other = numap.nu_normalized(d_times_f, 0, N + 1).expansion
+    other = numap.nu_normalized(d_times_f, 0, N + 1)
     const = qexp.proportionality(other, reference)
     return {
         "constructions": ["chi5 * chi6_3", "nu(D*f) / chi10^11"],

@@ -7,6 +7,9 @@ from sexticforms import cli
 from sexticforms.errors import ParseError
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+BENCH_REF = os.path.join(
+    os.path.dirname(__file__), "..", "perfbench", "refs", "cli-symbolic.json"
+)
 
 
 def run(capsys, *argv):
@@ -52,6 +55,15 @@ def test_covariant_malformed(capsys):
     code, _, err = run(capsys, "covariant", "a0 + + *")
     assert code == 2
     assert "position" in err
+
+
+@pytest.mark.parametrize("name", ["D", "E"])
+def test_covariant_json_matches_benchmark_ref(capsys, name):
+    # the one full pin of D's and E's polynomials: the benchmark's reference
+    code, out, _ = run(capsys, "covariant", name, "--json")
+    assert code == 0
+    with open(BENCH_REF) as fh:
+        assert json.loads(out) == json.load(fh)[f"covariant {name}"]
 
 
 def test_expand_chi68_matches_golden_text(capsys):

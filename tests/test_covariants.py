@@ -165,6 +165,12 @@ def test_skew_chain_shape():
     assert (e0.degree, e0.order) == (15, 0)
 
 
+def test_skew_chain_is_over_z():
+    # the chain applies no factorial norm; E takes its scale from its anchor
+    coeffs = cv.skew_chain_invariant().poly.terms.values()
+    assert all(type(c) is int for c in coeffs)
+
+
 # -- randomized SL2 invariance of A..E (acceptance: >=200 cases) -------------
 
 _SL2_POINTS = st.tuples(
