@@ -63,10 +63,7 @@ def test_criterion_3_nu_consistency():
     except NotDivisible:
         bare_fails = True
     res = numap.nu_normalized(a, 1, 2)
-    cusp12 = (
-        (res.j, res.k) == (0, 12)
-        and res.siegel_phi().is_zero
-    )
+    cusp12 = (res.j, res.k) == (0, 12) and res.siegel_phi().is_zero
     elapsed = time.monotonic() - t0
     ok = rep["status"] == "PASS" and bare_fails and cusp12 and elapsed < 600
     report(
