@@ -29,8 +29,16 @@ from fractions import Fraction
 from .errors import NotDivisible
 
 
+# the least strong pseudoprime to every prime base up to 37 (Sorenson and
+# Webster, Math. Comp. 2017): 399165290221 * 798330580441
+PSI_12 = 318665857834031151167461
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond any prime used here."""
+    """Miller-Rabin to the prime bases up to 37, exact for n < PSI_12 =
+    318665857834031151167461; raises ValueError for n >= PSI_12."""
+    if n >= PSI_12:
+        raise ValueError(f"primality of {n} is only decided below {PSI_12}")
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):

@@ -112,11 +112,7 @@ def parse_polynomial(text: str) -> MultiPoly:
                 break
         base = atom()
         if tok.take_op("^"):
-            pos = tok.pos
-            e = tok.take_int()
-            if e < 0:
-                raise ParseError("negative exponent", pos)
-            base = base**e
+            base = base**tok.take_int()
         return base if sign == 1 else base.scale(-1)
 
     def term():
@@ -433,8 +429,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.order < 1:
         parser.exit(2, "truncation order must be >= 1\n")
-    if args.prime is not None and not modp.is_prime(args.prime):
-        parser.exit(2, f"{args.prime} is not prime\n")
+    try:
+        if args.prime is not None and not modp.is_prime(args.prime):
+            parser.exit(2, f"{args.prime} is not prime\n")
+    except ValueError as exc:
+        parser.exit(2, f"{exc}\n")
     try:
         return args.func(args)
     except NotDivisible as exc:

@@ -7,10 +7,11 @@ construction calls the norm-free ``poly.transvect`` (the routine the q-side
 transvectant in ``numap`` also calls) and stays over Z; the public
 ``transvectant`` applies the factorial norm as one scalar.  The classical
 invariants A..E of degrees 2, 4, 6, 10, 15 are built from candidates (A
-printed in full; B, C from transvectants, D from the resultant of the
-partial derivatives, E from the skew transvectant chain), and one routine
-solves each combination so a fixed set of anchor monomial coefficients
-takes pinned integer values, checked against further pinned coefficients.
+printed in full; B, C, D and E from the covariants of one transvectant
+chain, D through Clebsch's degree-10 invariant and E as the chain's skew
+end), and one routine solves each combination so a fixed set of anchor
+monomial coefficients takes pinned integer values, checked against further
+pinned coefficients.
 """
 
 from __future__ import annotations
@@ -52,6 +53,13 @@ class Covariant:
         self.degree = degree
         self.order = order
 
+    @classmethod
+    def _of(cls, poly: MultiPoly, degree: int, order: int) -> "Covariant":
+        """A covariant bihomogeneous by construction, kept unchecked."""
+        c = cls.__new__(cls)
+        c.poly, c.degree, c.order = poly, degree, order
+        return c
+
     @property
     def is_zero(self):
         return self.poly.is_zero
@@ -69,8 +77,8 @@ class Covariant:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Covariant(self.poly.scale(other), self.degree, self.order)
-        return Covariant(
+            return self.scale(other)
+        return Covariant._of(
             self.poly * other.poly,
             self.degree + other.degree,
             self.order + other.order,
@@ -81,20 +89,20 @@ class Covariant:
     def __add__(self, other):
         if (self.degree, self.order) != (other.degree, other.order):
             raise ValueError("can only add covariants of equal bidegree")
-        return Covariant(self.poly + other.poly, self.degree, self.order)
+        return Covariant._of(self.poly + other.poly, self.degree, self.order)
 
     def __sub__(self, other):
         return self + (-1) * other
 
     def scale(self, s):
-        return Covariant(self.poly.scale(s), self.degree, self.order)
+        return Covariant._of(self.poly.scale(s), self.degree, self.order)
 
     def primitive(self) -> "Covariant":
-        return Covariant(self.poly.primitive(), self.degree, self.order)
+        return Covariant._of(self.poly.primitive(), self.degree, self.order)
 
     def derivative(self, name: str) -> "Covariant":
         """Partial derivative in x1 or x2, of order one less."""
-        return Covariant(self.poly.derivative(name), self.degree, self.order - 1)
+        return Covariant._of(self.poly.derivative(name), self.degree, self.order - 1)
 
     def evaluate_at_sextic(self, coeffs, x1=0, x2=0):
         """Evaluate at a concrete sextic (a0..a6) and point (x1, x2)."""
@@ -230,14 +238,17 @@ def _a_monomial(**exps):
 
 
 def _solve_anchored(candidates, anchors, checks, label):
-    """Linear combination of candidate covariants matching anchor
-    coefficients exactly, verified against further pinned coefficients."""
+    """The one combination of candidate covariants matching the anchor
+    coefficients exactly, verified against further pinned coefficients.
+    Raises NormalizationFailure when the anchors admit no combination or
+    more than one (anchor matrix of rank below the number of candidates)."""
     matrix = [
         [cand.poly.terms.get(mono, 0) for cand in candidates]
         for mono, _ in anchors
     ]
-    rhs = [value for _, value in anchors]
-    sol = linalg.solve_linear(matrix, rhs)
+    if linalg.rank(matrix) < len(candidates):
+        raise NormalizationFailure(f"{label}: the anchors leave a free candidate")
+    sol = linalg.solve_linear(matrix, [value for _, value in anchors])
     if sol is None:
         raise NormalizationFailure(f"no anchored combination exists for {label}")
     acc = MultiPoly.zero(SEXTIC_VARS)
@@ -253,55 +264,9 @@ def _solve_anchored(candidates, anchors, checks, label):
     return result
 
 
-def _poly_det(rows):
-    """Determinant of a matrix of MultiPoly by memoized minor expansion."""
-    n = len(rows)
-    zero = MultiPoly.zero(SEXTIC_VARS)
-    cache = {}
-
-    def minor(cols):
-        if not cols:
-            return MultiPoly.const(SEXTIC_VARS, 1)
-        if cols in cache:
-            return cache[cols]
-        row = rows[n - len(cols)]
-        total = zero
-        for k, c in enumerate(cols):
-            entry = row[c]
-            if not entry.is_zero:
-                sub = entry * minor(cols[:k] + cols[k + 1 :])
-                total = total + (sub if k % 2 == 0 else -sub)
-        cache[cols] = total
-        return total
-
-    return minor(tuple(range(n)))
-
-
-def _discriminant_resultant() -> MultiPoly:
-    """Resultant of the dehomogenized partials of f (two quintics)."""
-    # df/dx1 at x2=1 has coefficients (6-i) a_i, i=0..5 (degree 5 down)
-    # df/dx2 at x2=1 has coefficients (j+1) a_{j+1}, j=0..5
-    p = [
-        MultiPoly.monomial(SEXTIC_VARS, _a_monomial(**{f"a{i}": 1}), 6 - i)
-        for i in range(6)
-    ]
-    q = [
-        MultiPoly.monomial(SEXTIC_VARS, _a_monomial(**{f"a{j + 1}": 1}), j + 1)
-        for j in range(6)
-    ]
-    zero = MultiPoly.zero(SEXTIC_VARS)
-    rows = []
-    for shift in range(5):
-        rows.append([zero] * shift + p + [zero] * (4 - shift))
-    for shift in range(5):
-        rows.append([zero] * shift + q + [zero] * (4 - shift))
-    return _poly_det(rows)
-
-
 @lru_cache(maxsize=None)
 def invariant(name: str) -> Covariant:
     key = name.strip().upper()
-    f = universal_sextic()
     if key == "A":
         terms = {
             _a_monomial(a0=1, a6=1): 120,
@@ -311,8 +276,7 @@ def invariant(name: str) -> Covariant:
         }
         return Covariant(MultiPoly(SEXTIC_VARS, terms), 2, 0)
     if key == "B":
-        a = invariant("A")
-        i = transvect(f, f, 4)
+        a, i = invariant("A"), _chain("i")
         return _solve_anchored(
             [a * a, transvect(i, i, 4)],
             anchors=[
@@ -329,11 +293,9 @@ def invariant(name: str) -> Covariant:
             label="invariant B",
         )
     if key == "C":
-        a = invariant("A")
-        b = invariant("B")
-        c32 = transvect(f, transvect(f, f, 4), 4)
+        a, b, l = invariant("A"), invariant("B"), _chain("l")
         return _solve_anchored(
-            [a * a * a, a * b, transvect(c32, c32, 2)],
+            [a * a * a, a * b, transvect(l, l, 2)],
             anchors=[
                 (_a_monomial(a0=1, a6=1, a3=4), 162),
                 (_a_monomial(a1=1, a5=1, a3=4), 72),
@@ -346,14 +308,27 @@ def invariant(name: str) -> Covariant:
             label="invariant C",
         )
     if key == "D":
+        a, b, c = invariant("A"), invariant("B"), invariant("C")
+        aa = a * a
+        # Clebsch's degree-10 invariant (y3, y1)_2 with y1 = (f, i)_4,
+        # y2 = (i, y1)_2, y3 = (i, y2)_2: the chain's l, m, s (Mestre 1991)
+        clebsch = transvect(_chain("s"), _chain("l"), 2)
         return _solve_anchored(
-            [Covariant(_discriminant_resultant(), 10, 0)],
-            anchors=[(_a_monomial(a0=2, a6=2, a3=6), 729)],
-            checks=[
+            [aa * aa * a, aa * a * b, a * b * b, aa * c, b * c, clebsch],
+            # D is fixed by a_i <-> a_{6-i}: one anchor per mirror class,
+            # the mirrors of three of them as checks
+            anchors=[
+                (_a_monomial(a0=2, a6=2, a3=6), 729),
                 (_a_monomial(a0=2, a4=1, a5=1, a6=1, a3=5), -486),
                 (_a_monomial(a0=2, a5=3, a3=5), 108),
+                (_a_monomial(a0=5, a6=5), -46656),
+                (_a_monomial(a1=6, a6=4), 3125),
+                (_a_monomial(a1=5, a5=5), 256),
+            ],
+            checks=[
                 (_a_monomial(a0=1, a1=1, a2=1, a6=2, a3=5), -486),
                 (_a_monomial(a1=3, a6=2, a3=5), 108),
+                (_a_monomial(a0=4, a5=6), 3125),
             ],
             label="invariant D",
         )
@@ -382,15 +357,21 @@ def skew_chain_transvectants():
 
 
 @lru_cache(maxsize=None)
+def _chain(name: str) -> Covariant:
+    """The covariant ``name`` of the skew chain ("f", "i", "l", ...), built
+    on demand from norm-free transvectants, so over Z."""
+    if name == "f":
+        return universal_sextic()
+    left, right, k = next(
+        step[1:] for step in skew_chain_transvectants() if step[0] == name
+    )
+    return transvect(_chain(left), _chain(right), k)
+
+
 def skew_chain_invariant() -> Covariant:
-    """The degree-15 skew invariant from the chain of norm-free
-    transvectants: integer coefficients, scale fixed by invariant("E")."""
-    built = {"f": universal_sextic()}
-    for out, left, right, k in skew_chain_transvectants():
-        built[out] = transvect(built[left], built[right], k)
-    e0 = built["e0"]
-    assert (e0.degree, e0.order) == (15, 0)
-    return e0
+    """The degree-15 skew invariant ending the chain: integer coefficients,
+    scale fixed by invariant("E")."""
+    return _chain("e0")
 
 
 def combination_AB_minus_3C() -> Covariant:
@@ -398,15 +379,19 @@ def combination_AB_minus_3C() -> Covariant:
 
     Up to scale this is the unique point of the three-dimensional degree-6
     invariant space whose nu-image is holomorphic (divisible by the tenth
-    power of the cusp form chi_10 with holomorphic quotient); the scale is
-    pinned by the coefficient 1458 at a0*a6*a3^4.
+    power of the cusp form chi_10 with holomorphic quotient); the anchors
+    pin it to -8*A*B - 3*C, with 1458 at a0*a6*a3^4.
     """
     a, b, c = invariant("A"), invariant("B"), invariant("C")
-    combo = (a * b).scale(-8) - c.scale(3)
-    assert combo.poly.coefficient(a0=1, a6=1, a3=4) == 1458
-    assert combo.poly.coefficient(a0=1, a4=1, a5=1, a3=3) == -486
-    assert combo.poly.coefficient(a1=1, a2=1, a6=1, a3=3) == -486
-    return combo
+    return _solve_anchored(
+        [a * b, c],
+        anchors=[
+            (_a_monomial(a0=1, a6=1, a3=4), 1458),
+            (_a_monomial(a0=1, a4=1, a5=1, a3=3), -486),
+        ],
+        checks=[(_a_monomial(a1=1, a2=1, a6=1, a3=3), -486)],
+        label="AB - 3C",
+    )
 
 
 def resolve(name: str) -> Covariant:

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sexticforms.arith import (
+    PSI_12,
     LaurentPoly,
     common_ratio,
     frac_from_str,
@@ -30,6 +31,21 @@ laurents = coeffs.map(LaurentPoly)
 def test_primes():
     assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert not is_prime(1) and not is_prime(-3)
+
+
+def test_primes_past_trial_division():
+    # no factor up to 37, so each is decided in the Miller-Rabin rounds
+    assert is_prime(2**61 - 1)
+    assert not is_prime(1763)  # 41 * 43
+    assert not is_prime(3215031751)  # 151 * 751 * 28351, strong to 2, 3, 5, 7
+
+
+def test_primes_refused_from_psi_12():
+    # PSI_12 = 399165290221 * 798330580441 passes every base up to 37
+    assert PSI_12 == 399165290221 * 798330580441
+    for n in (PSI_12, PSI_12 + 2):
+        with pytest.raises(ValueError, match="only decided below"):
+            is_prime(n)
 
 
 def test_frac_round_trip():

@@ -66,6 +66,31 @@ def test_covariant_json_matches_benchmark_ref(capsys, name):
         assert json.loads(out) == json.load(fh)[f"covariant {name}"]
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a0^", "expected an integer"),
+        ("(a0", "expected ')'"),
+        ("a0 a1", "trailing input"),
+        ("a0 + x1", "not bihomogeneous"),
+    ],
+)
+def test_covariant_parse_errors(capsys, text, message):
+    code, _, err = run(capsys, "covariant", text)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_verify_quick_matches_benchmark_ref(capsys):
+    # chi68-block, char2-K, char3 and nu (which builds D) through the CLI
+    code, out, _ = run(capsys, "verify", "quick", "--json", "--no-timestamp")
+    assert code == 0
+    with open(BENCH_REF) as fh:
+        ref = json.load(fh)["verify quick"]
+    assert [json.loads(line) for line in out.splitlines()] == ref
+
+
 def test_expand_chi68_matches_golden_text(capsys):
     code, out, _ = run(capsys, "expand", "chi6_8", "--order", "2")
     assert code == 0
@@ -225,6 +250,16 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "modp", "--prime", "6"])
     assert exc.value.code == 2
+
+
+def test_prime_past_the_decided_range(capsys):
+    # 318665857834031151167461 passes Miller-Rabin to every base up to 37
+    # but is 399165290221 * 798330580441
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "modp", "--prime", "318665857834031151167461"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "only decided below" in err
 
 
 def test_verify_modp_requires_prime(capsys):

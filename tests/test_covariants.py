@@ -6,8 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sexticforms import covariants as cv
-from sexticforms.errors import NotUnimodular, OrderTooSmall, UnknownName
-from sexticforms.poly import SEXTIC_VARS, MultiPoly
+from sexticforms.errors import (
+    NormalizationFailure,
+    NotUnimodular,
+    OrderTooSmall,
+    UnknownName,
+)
+from sexticforms.poly import CHAR2_VARS, SEXTIC_VARS, MultiPoly
 
 
 def _var(name):
@@ -17,6 +22,30 @@ def _var(name):
 def test_universal_sextic_shape(sextic):
     assert (sextic.degree, sextic.order) == (1, 6)
     assert sextic.poly.coefficient(a3=1, x1=3, x2=3) == 1
+
+
+@pytest.mark.parametrize(
+    "poly, degree, order, message",
+    [
+        (MultiPoly.variable(CHAR2_VARS, "a0"), 1, 0, "sextic ring"),
+        (_var("a0") * _var("a1") + _var("a2"), 2, 0, "degree"),
+        (_var("a0") * (_var("x1") + _var("x2") ** 2), 1, 2, "order"),
+    ],
+)
+def test_covariant_constructor_checks(poly, degree, order, message):
+    with pytest.raises(ValueError, match=message):
+        cv.Covariant(poly, degree, order)
+
+
+def test_solve_anchored_refuses_a_free_candidate():
+    a = cv.invariant("A")
+    with pytest.raises(NormalizationFailure, match="free candidate"):
+        cv._solve_anchored(
+            [a, a.scale(2)],
+            anchors=[(cv._a_monomial(a0=1, a6=1), 120)],
+            checks=[],
+            label="A twice",
+        )
 
 
 def test_transvectant_normalization():
@@ -78,6 +107,10 @@ def test_invariant_D_pinned_coefficients():
     assert d.coefficient(a0=2, a5=3, a3=5) == 108
     assert d.coefficient(a0=1, a1=1, a2=1, a6=2, a3=5) == -486
     assert d.coefficient(a1=3, a6=2, a3=5) == 108
+    assert d.coefficient(a0=5, a6=5) == -46656
+    assert d.coefficient(a1=6, a6=4) == 3125
+    assert d.coefficient(a0=4, a5=6) == 3125
+    assert d.coefficient(a1=5, a5=5) == 256
 
 
 def test_invariant_E_pinned_coefficients():
