@@ -11,14 +11,33 @@ after construction and free of floating point.  Mod-p arithmetic lives in
 elliptic expansions (as Laurent polynomials in q), Fourier expansions and
 theta products all multiply through it, and ``quotient``, the cell-map
 division behind ``qexp.FourierExpansion.exact_div``, is built from its
-parts; no other module knows the packed format.  Each Laurent coordinate of an operand is packed once into one
-Python int, coefficient e in the slot ``w * (e - lo)`` bits up (``lo`` the
-lowest exponent of its cell); ``accumulate``, the one multiply-add, sums
-products of packed ints as bigints, each shifted into place, and
-``unpack`` reads each output coordinate once as signed digits.  Rationals
-take the same path: each operand is cleared by the lcm of its
-denominators once, and the product is divided once by the product of the
-lcms.
+parts; no other module knows the packed format.  Each Laurent coordinate of
+an operand is packed into one Python int, coefficient e in the slot
+``w * (e - lo)`` bits up (``lo`` the lowest exponent of its cell);
+``accumulate``, the one multiply-add, sums products of packed ints as
+bigints, each shifted into place, and ``unpack`` reads each output
+coordinate once as signed digits.  Rationals take the same path: each
+operand is cleared by the lcm of its denominators, and the product is
+divided once by the product of the lcms.
+
+Prepared operands.  An ``Operand`` holds what ``kronecker`` needs of one
+cell map: its integer rows and denominator, lowest exponent, coefficient
+bit size and term count, its swap sign, and its packing at the last slot
+width asked for (a new width repacks).  It is built from the cell map
+once; ``qexp.FourierExpansion`` keeps its own, which is safe because an
+expansion is immutable, so a form used in many products is cleared,
+measured and checked for symmetry once.
+
+Swap signs.  The swap sign of a scalar cell map is the s in {1, -1} with
+cell (n2, n1) = s * cell (n1, n2) for every cell (``swap_sign``).  For a
+scalar Siegel modular form of degree 2 and weight k it is (-1)^k: the
+action of U = [[0, 1], [1, 0]] in GL2(Z) on the half-integral index
+matrix swaps n1 and n2 and multiplies by det(U)^k.  The sign is read off
+the cells, never assumed from a weight, and a vector-valued map (whose
+swap also reverses its coordinates), an asymmetric map, or a map with
+sign -1 and a nonzero diagonal cell has none.  The product of two maps
+with swap signs s and t has swap sign s * t, so ``kronecker`` then
+computes only the output cells with n2 <= n1 and mirrors the rest.
 """
 
 from __future__ import annotations
@@ -63,6 +82,8 @@ def is_prime(n: int) -> bool:
 
 def frac_to_str(x) -> str:
     """Serialize a rational as ``"num/den"``, omitting the denominator 1."""
+    if type(x) is int:
+        return str(x)
     x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
@@ -175,8 +196,64 @@ def pack_rows(rows, w: int):
     return out
 
 
+def swap_sign(cells):
+    """The s in {1, -1} with cell (n2, n1) = s * cell (n1, n2) for every
+    cell of a scalar cell map {(n1, n2): (LaurentPoly,)}, or None: for a
+    vector-valued map, a cell without its mirror, mirrors that differ by
+    other than one common sign, or a nonzero diagonal cell under sign -1.
+    Zero cells count as absent, and a map without nonzero cells has sign 1.
+    """
+    if any(len(vec) != 1 for vec in cells.values()):
+        return None
+    sign = None
+    for (n1, n2), (x,) in cells.items():
+        if not x.c:
+            continue
+        mirror = cells.get((n2, n1))
+        y = mirror[0].c if mirror else {}
+        if n1 > n2:  # compared from the other side; only its presence here
+            if not y:
+                return None
+            continue
+        if y == x.c:
+            s = 1
+        elif len(y) == len(x.c) and all(y.get(e) == -v for e, v in x.c.items()):
+            s = -1
+        else:
+            return None
+        if sign is None:
+            sign = s
+        elif s != sign:
+            return None
+    return 1 if sign is None else sign
+
+
+class Operand:
+    """A cell map {(n1, n2): (LaurentPoly, ...)} prepared for ``kronecker``:
+    its integer ``rows`` and denominator ``den`` (``integral``), lowest
+    exponent ``lo``, largest coefficient ``bits`` and term count ``terms``
+    (``measure``), its swap ``sign`` (``swap_sign``), and its packing at the
+    last slot width asked for."""
+
+    __slots__ = ("rows", "den", "lo", "bits", "terms", "sign", "_width", "_packed")
+
+    def __init__(self, cells):
+        self.rows, self.den = integral(cells)
+        self.lo, self.bits, self.terms = measure(self.rows)
+        self.sign = swap_sign(cells)
+        self._width = self._packed = None
+
+    def packed(self, w: int):
+        """``pack_rows`` of the rows at slot width w, kept until another
+        width is asked for."""
+        if w != self._width:
+            self._packed, self._width = pack_rows(self.rows, w), w
+        return self._packed
+
+
 def kronecker(a, b, bound, width):
-    """Product of two cell maps {(n1, n2): (LaurentPoly, ...)}.
+    """Product of two cell maps {(n1, n2): (LaurentPoly, ...)}, each given
+    as the map or as its ``Operand``.
 
     Keys add, and cells with an index past ``bound`` are dropped;
     coordinate i of ``a`` times coordinate l of ``b`` lands in coordinate
@@ -184,33 +261,46 @@ def kronecker(a, b, bound, width):
     coefficient is a sum of at most min(terms of a, terms of b) products,
     which fixes the slot width.  Each cell is packed at its own lowest
     exponent, and a product shifted into place at the operands' lowest.
+    When both operands have a swap sign, only the cells with n2 <= n1 are
+    computed, and cell (n2, n1) is cell (n1, n2) times the product of the
+    signs.
     """
-    rows_a, den_a = integral(a)
-    rows_b, den_b = integral(b)
-    lo_a, bits_a, terms_a = measure(rows_a)
-    lo_b, bits_b, terms_b = measure(rows_b)
-    if not (terms_a and terms_b):
+    a = a if isinstance(a, Operand) else Operand(a)
+    b = b if isinstance(b, Operand) else Operand(b)
+    if not (a.terms and b.terms):
         return {}
-    w = slot_width(bits_a, bits_b, min(terms_a, terms_b))
-    lo = lo_a + lo_b
-    ys = sorted(pack_rows(rows_b, w))
+    w = slot_width(a.bits, b.bits, min(a.terms, b.terms))
+    lo = a.lo + b.lo
+    half = a.sign is not None and b.sign is not None
+    groups = {}  # b's rows by first index, ascending, each ascending in the second
+    for (b1, b2), lb, y in sorted(b.packed(w)):
+        groups.setdefault(b1, []).append((b2, lb, y))
     out = {}
-    for (a1, a2), la, x in pack_rows(rows_a, w):
-        for (b1, b2), lb, y in ys:
-            n1, n2 = a1 + b1, a2 + b2
+    for (a1, a2), la, x in a.packed(w):
+        for b1, group in groups.items():
+            n1 = a1 + b1
             if n1 > bound:
-                break  # ys ascend in their first index
-            if n2 > bound:
-                continue
-            acc = out.get((n1, n2))
-            if acc is None:
-                acc = out[n1, n2] = [0] * width
-            accumulate(acc, x, y, w * (la + lb - lo))
-    den = den_a * den_b
-    return {
+                break
+            cap = n1 if half else bound  # the half holds the cells n2 <= n1
+            for b2, lb, y in group:
+                n2 = a2 + b2
+                if n2 > cap:
+                    break
+                acc = out.get((n1, n2))
+                if acc is None:
+                    acc = out[n1, n2] = [0] * width
+                accumulate(acc, x, y, w * (la + lb - lo))
+    den = a.den * b.den
+    cells = {
         key: tuple(LaurentPoly.over(unpack(v, lo, w), den) for v in acc)
         for key, acc in out.items()
     }
+    if half:
+        sign = a.sign * b.sign
+        for (n1, n2), vec in list(cells.items()):
+            if n2 < n1:
+                cells[n2, n1] = vec if sign == 1 else tuple(-x for x in vec)
+    return cells
 
 
 def quotient(d, b, corner, keys, width):

@@ -183,38 +183,32 @@ def _cache_dir(args):
     return path
 
 
-def _emit(payload, args):
+def _emit(args, text, data):
+    """Print ``data()`` as JSON under --json, else ``text()``; only the
+    format asked for is built."""
     if args.json:
-        print(json.dumps(payload["json"], sort_keys=True))
+        print(json.dumps(data(), sort_keys=True))
     else:
-        print(payload["text"])
+        print(text())
 
 
 def cmd_covariant(args) -> int:
     cov = covariant_from_text(args.name)
     _emit(
-        {
-            "text": f"degree {cov.degree}, order {cov.order}\n{cov.poly.to_text()}",
-            "json": {
-                "degree": cov.degree,
-                "order": cov.order,
-                "polynomial": cov.poly.to_json(),
-            },
-        },
         args,
+        lambda: f"degree {cov.degree}, order {cov.order}\n{cov.poly.to_text()}",
+        lambda: {
+            "degree": cov.degree,
+            "order": cov.order,
+            "polynomial": cov.poly.to_json(),
+        },
     )
     return 0
 
 
 def cmd_expand(args) -> int:
     form = ringlab.named_form(args.name, args.order, _cache_dir(args))
-    _emit(
-        {
-            "text": form.expansion.to_text(),
-            "json": form.expansion.to_json(),
-        },
-        args,
-    )
+    _emit(args, form.expansion.to_text, form.expansion.to_json)
     return 0
 
 
@@ -236,19 +230,17 @@ def cmd_nu(args) -> int:
     )
     expansion = numap.nu_normalized(cov, power, args.order)
     _emit(
-        {
-            "text": (
-                f"chi_10^{power} * nu(covariant), degree {cov.degree}, "
-                f"order {cov.order}\n{expansion.to_text()}"
-            ),
-            "json": {
-                "chi10_power": power,
-                "degree": cov.degree,
-                "order": cov.order,
-                "expansion": expansion.to_json(),
-            },
-        },
         args,
+        lambda: (
+            f"chi_10^{power} * nu(covariant), degree {cov.degree}, "
+            f"order {cov.order}\n{expansion.to_text()}"
+        ),
+        lambda: {
+            "chi10_power": power,
+            "degree": cov.degree,
+            "order": cov.order,
+            "expansion": expansion.to_json(),
+        },
     )
     return 0
 

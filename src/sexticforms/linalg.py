@@ -19,17 +19,31 @@ def _primitive(row):
     return [x // g for x in row] if g > 1 else row
 
 
-def _echelon(matrix):
+def _cleared(row):
+    """The rational row cleared of denominators and made primitive."""
+    den = lcm(*(x.denominator for x in row))
+    return _primitive([x.numerator * (den // x.denominator) for x in row])
+
+
+def _eliminate(row, c, pivot):
+    """The integer row with its column c cleared by the pivot row, primitive."""
+    a, b = pivot[c], row[c]
+    g = gcd(a, b)
+    ag, bg = a // g, b // g
+    return _primitive([ag * x - bg * y for x, y in zip(row, pivot)])
+
+
+def echelon(matrix):
     """Row echelon form of the matrix over Z: a list of (pivot column,
-    primitive integer row), pivot columns increasing.  The pivot columns are
-    the column-rank profile.  Input is not mutated."""
+    primitive integer row), pivot columns increasing, each row zero before
+    its pivot column.  The pivot columns are the column-rank profile.
+    Input is not mutated."""
     pending = []
     for row in matrix:
-        den = lcm(*(x.denominator for x in row))
-        row = _primitive([x.numerator * (den // x.denominator) for x in row])
+        row = _cleared(row)
         if any(row):
             pending.append(row)
-    echelon = []
+    rows = []
     for c in range(len(matrix[0]) if matrix else 0):
         if not pending:  # every row is a pivot or eliminated to zero
             break
@@ -37,24 +51,31 @@ def _echelon(matrix):
         if i is None:
             continue
         pivot = pending.pop(i)
-        a = pivot[c]
         rest = []
         for row in pending:
-            b = row[c]
-            if b:
-                g = gcd(a, b)
-                ag, bg = a // g, b // g
-                row = _primitive([ag * x - bg * y for x, y in zip(row, pivot)])
+            if row[c]:
+                row = _eliminate(row, c, pivot)
                 if not any(row):
                     continue
             rest.append(row)
         pending = rest
-        echelon.append((c, pivot))
-    return echelon
+        rows.append((c, pivot))
+    return rows
 
 
 def rank(matrix) -> int:
-    return len(_echelon(matrix))
+    return len(echelon(matrix))
+
+
+def in_span(echelon_rows, row) -> bool:
+    """Whether ``row`` lies in the row space over Q of ``echelon_rows``, the
+    output of ``echelon``: the row, cleared of denominators, is eliminated
+    over Z at each pivot column in turn and must end as zero."""
+    row = _cleared(row)
+    for c, pivot in echelon_rows:
+        if row[c]:
+            row = _eliminate(row, c, pivot)
+    return not any(row)
 
 
 def solve_linear(matrix, rhs):
@@ -65,11 +86,11 @@ def solve_linear(matrix, rhs):
     if not matrix:
         return [] if not any(rhs) else None
     ncols = len(matrix[0])
-    echelon = _echelon([list(row) + [b] for row, b in zip(matrix, rhs)])
-    if echelon and echelon[-1][0] == ncols:
+    rows = echelon([list(row) + [b] for row, b in zip(matrix, rhs)])
+    if rows and rows[-1][0] == ncols:
         return None
     x = [0] * ncols
-    for c, row in reversed(echelon):
+    for c, row in reversed(rows):
         known = sum(row[j] * x[j] for j in range(c + 1, ncols) if x[j])
         x[c] = Fraction(row[ncols] - known, row[c])
     return x

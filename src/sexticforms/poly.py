@@ -39,6 +39,18 @@ def _grlex(exps):
     return (sum(exps), exps)
 
 
+def _packed_terms(terms, f: int):
+    """[(k, c)] of {exponents: c}, with k the exponent vector read as the
+    digits of an int in base 2^f, its first exponent the most significant."""
+    out = []
+    for e, c in terms.items():
+        k = 0
+        for x in e:
+            k = k << f | x
+        out.append((k, c))
+    return out
+
+
 class Substitution:
     """Evaluates polynomials at ``images[i]`` for variable i, with ``one``
     the unit of their ring; images need ``*``, ``+`` and ``scale``.
@@ -192,15 +204,28 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        a, b = self.terms, other.terms
+        # each exponent vector packed into one int, one f-bit field per
+        # variable; f holds the largest exponent of the product, so packed
+        # vectors add as ints without a carry between fields
+        top = max((max(e, default=0) for e in self.terms), default=0) + max(
+            (max(e, default=0) for e in other.terms), default=0
+        )
+        f = top.bit_length()
+        a, b = _packed_terms(self.terms, f), _packed_terms(other.terms, f)
         if len(a) > len(b):
             a, b = b, a
         out = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                out[e] = out.get(e, 0) + ca * cb
-        return MultiPoly(self.vars, out, self.modulus)
+        for ka, ca in a:
+            for kb, cb in b:
+                k = ka + kb
+                out[k] = out.get(k, 0) + ca * cb
+        n, mask = len(self.vars), (1 << f) - 1
+        shifts = [f * (n - 1 - i) for i in range(n)]
+        return MultiPoly(
+            self.vars,
+            {tuple(k >> s & mask for s in shifts): c for k, c in out.items()},
+            self.modulus,
+        )
 
     __rmul__ = __mul__
 

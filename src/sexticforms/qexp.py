@@ -56,7 +56,7 @@ def _graded(keys):
 
 
 class FourierExpansion:
-    __slots__ = ("j", "k", "character", "denom", "kN", "start", "cells")
+    __slots__ = ("j", "k", "character", "denom", "kN", "start", "cells", "_operand")
 
     def __init__(self, weight, character, kN, cells, start=0, denom=1, validate=True):
         self.j, self.k = weight
@@ -78,6 +78,7 @@ class FourierExpansion:
                 raise ValueError(f"cell {key} outside window [{start},{kN}]")
             store[key] = vec
         self.cells = store
+        self._operand = None
         if validate and not self.character and self.denom == 1:
             self._validate_support()
 
@@ -212,6 +213,13 @@ class FourierExpansion:
         return self.scale(1 / ratio)
 
     # -- multiplication --------------------------------------------------------
+    def operand(self) -> arith.Operand:
+        """The cells prepared for ``arith.kronecker``, built on first use
+        and kept: an expansion is immutable."""
+        if self._operand is None:
+            self._operand = arith.Operand(self.cells)
+        return self._operand
+
     def mul(self, other) -> "FourierExpansion":
         if self.denom != other.denom:
             raise WeightMismatch("index-lattice mismatch in product")
@@ -224,7 +232,7 @@ class FourierExpansion:
             raise OrderTooSmall(
                 "truncation too small: product window is empty"
             )
-        cells = arith.kronecker(self.cells, other.cells, kN, j + 1)
+        cells = arith.kronecker(self.operand(), other.operand(), kN, j + 1)
         denom = self.denom
         if denom == 2 and not character:
             # product landed back on the integral lattice; validate and halve
@@ -456,28 +464,48 @@ def proportionality(a: FourierExpansion, b: FourierExpansion):
     )
 
 
-def rank_of_span(forms) -> int:
-    if not forms:
-        return 0
+def span_matrix(forms):
+    """The coefficient rows of ``forms``, one column per (cell, coordinate,
+    r-exponent) in the support of some form on their common window,
+    columns in graded order.
+
+    Column rule: when every form has the same swap sign s
+    (``arith.swap_sign``), the columns of the cells (n1, n2) with n1 > n2
+    are dropped.  Each is s times the column of (n2, n1), which is kept,
+    so the rank of the rows is unchanged.
+    """
     first = forms[0]
     for g in forms[1:]:
         if g.weight != first.weight or g.denom != first.denom:
             raise WeightMismatch("rank over mixed weights")
     top = min(g.kN for g in forms)
-    support = set()
+    signs = {arith.swap_sign(g.cells) for g in forms}
+    fold = len(signs) == 1 and None not in signs
+    entries = []
     for g in forms:
+        row = {}
         for key, vec in g.cells.items():
-            if max(key) > top:
+            if max(key) > top or (fold and key[0] > key[1]):
                 continue
             for i, lp in enumerate(vec):
-                for e in lp.c:
-                    support.add((key, i, e))
-    columns = sorted(support, key=lambda t: (t[0][0] + t[0][1], t))
-    matrix = [
-        [g.vec_at(key)[i].c.get(e, 0) for (key, i, e) in columns]
-        for g in forms
-    ]
-    return linalg.rank(matrix)
+                for e, v in lp.c.items():
+                    row[key, i, e] = v
+        entries.append(row)
+    columns = sorted(set().union(*entries), key=lambda t: (t[0][0] + t[0][1], t))
+    return [[row.get(col, 0) for col in columns] for row in entries]
+
+
+def rank_of_span(forms) -> int:
+    """Rank over Q of the coefficients of ``forms`` on their common window.
+
+    Column rule (``span_matrix``): when every form has the same swap sign,
+    the mirrored columns, those of the cells (n1, n2) with n1 > n2, are
+    dropped, which leaves the rank unchanged; otherwise every column of the
+    support is kept.
+    """
+    if not forms:
+        return 0
+    return linalg.rank(span_matrix(forms))
 
 
 # -- elliptic (degree-1) expansions -------------------------------------------

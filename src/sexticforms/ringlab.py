@@ -25,7 +25,7 @@ import os
 import tempfile
 from functools import lru_cache
 
-from . import covariants, numap, qexp, theta
+from . import covariants, linalg, numap, qexp, theta
 from .arith import LaurentPoly
 from .errors import OddWeight, UnknownName
 from .poly import Substitution
@@ -153,7 +153,7 @@ def named_form(name: str, N: int, cache_dir=None) -> NamedForm:
         payload = {"recipe_hash": digest, "expansion": expansion.to_json()}
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh)
+            fh.write(json.dumps(payload))  # the C encoder; json.dump is pure Python
         os.replace(tmp, path)
     return NamedForm(key, expansion)
 
@@ -227,15 +227,21 @@ def verify_even_generation(k_max: int, N: int, cache_dir=None):
 
 def odd_weight_divisibility_check(N: int = 5, chi35_N: int = 3, cache_dir=None):
     """chi_35 probes: cusp (Siegel operator 0), order 1 along the product
-    locus, and chi_35^2 lying in the span of the weight-70 even monomials."""
+    locus, and chi_35^2 lying in the span of the weight-70 even monomials.
+
+    ``weight70_rank`` is the rank of the monomials and ``rank_with_square``
+    that rank plus one unless chi_35^2 lies in their span, both read from
+    one elimination of the monomials' coefficient rows."""
     x35 = named_form("chi35", chi35_N, cache_dir).expansion
     per, overall = x35.a11_order()
     phi_zero = x35.siegel_phi().is_zero
     gens = _generators(N, cache_dir)
     monomials = [gens({e: 1}) for e in weight_monomials(70)]
     square = x35.mul(x35)
-    base = qexp.rank_of_span(monomials)
-    extended = qexp.rank_of_span(monomials + [square])
+    *rows, square_row = qexp.span_matrix(monomials + [square])
+    echelon = linalg.echelon(rows)
+    base = len(echelon)
+    extended = base + (not linalg.in_span(echelon, square_row))
     top = min(m.kN for m in monomials)  # the window the ranks are taken in
     square_nonzero = any(max(key) <= top for key in square.cells)
     return {

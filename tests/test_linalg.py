@@ -100,3 +100,19 @@ def test_solve_linear_matches_reference(system):
     assert all(sum(a * b for a, b in zip(row, x)) == v for row, v in zip(m, rhs))
     assert all(x[c] == 0 for c in range(ncols) if c not in pivots)
     assert x == [rows[pivots.index(c)][-1] if c in pivots else 0 for c in range(ncols)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.data())
+@example([[1, 0], [0, 0]], None)
+def test_in_span_matches_rank(m, data):
+    ncols = len(m[0]) if m else 0
+    if data is None:
+        row = [0, 1]
+    elif m and data.draw(st.booleans()):  # a combination of the rows
+        coeffs = [data.draw(entries) for _ in m]
+        row = [sum(c * r[j] for c, r in zip(coeffs, m)) for j in range(ncols)]
+    else:
+        row = [data.draw(entries) for _ in range(ncols)]
+    inside = linalg.rank(m + [row]) == linalg.rank(m)
+    assert linalg.in_span(linalg.echelon(m), row) == inside

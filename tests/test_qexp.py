@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sexticforms import arith, qexp, theta
+from sexticforms import arith, linalg, qexp, theta
 from sexticforms.arith import LaurentPoly
 from sexticforms.errors import (
     NormalizationFailure,
@@ -244,6 +244,126 @@ def test_kronecker_matches_schoolbook(a, b, bound):
     assert all(max(key) <= bound and len(v) == width for key, v in got.items())
     assert all(_canonical(x) for v in got.values() for x in v)
     assert _nonzero_cells(got) == _nonzero_cells(_schoolbook(a, b, bound, width))
+
+
+# -- swap signs: the symmetric half of the kernel -------------------------------
+
+
+def _swap_map(half, sign):
+    """The scalar cell map with the cells ``half`` (n1 <= n2) and their
+    mirrors times ``sign``; a diagonal cell is kept only under sign 1."""
+    cells = {}
+    for (n1, n2), lp in half.items():
+        if n1 == n2 and sign == -1:
+            continue
+        cells[n1, n2] = (lp,)
+        cells[n2, n1] = (lp.scale(sign),)
+    return cells
+
+
+_upper_keys = st.tuples(*[st.integers(min_value=0, max_value=3)] * 2).map(
+    lambda k: (min(k), max(k))
+)
+
+
+@st.composite
+def _swap_maps(draw, sign):
+    return _swap_map(draw(st.dictionaries(_upper_keys, _wide_laurent, max_size=5)), sign)
+
+
+_signs = st.sampled_from((1, -1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _signs.flatmap(_swap_maps),
+    _signs.flatmap(_swap_maps),
+    st.integers(min_value=0, max_value=6),
+)
+@example(
+    _swap_map({(0, 1): LaurentPoly({0: _M, 2: -_M}), (1, 1): LaurentPoly({1: _M})}, 1),
+    _swap_map({(0, 2): LaurentPoly({-3: Fraction(_M, 7)}), (2, 3): LaurentPoly({0: 1})}, -1),
+    4,
+)
+def test_kronecker_on_swap_symmetric_maps(a, b, bound):
+    assert arith.swap_sign(a) is not None and arith.swap_sign(b) is not None
+    got = arith.kronecker(a, b, bound, 1)
+    assert all(_canonical(x) for v in got.values() for x in v)
+    assert _nonzero_cells(got) == _nonzero_cells(_schoolbook(a, b, bound, 1))
+
+
+def test_swap_sign_detection():
+    x, y = LaurentPoly({0: 1, 1: -2}), LaurentPoly({-1: 3})
+    sym = {(0, 1): (x,), (1, 0): (x,), (2, 2): (y,)}
+    anti = {(0, 1): (x,), (1, 0): (-x,), (1, 2): (y,), (2, 1): (-y,)}
+    assert arith.swap_sign(sym) == 1
+    assert arith.swap_sign(anti) == -1
+    assert arith.swap_sign({}) == 1
+    assert arith.swap_sign({(1, 2): (LaurentPoly(),)}) == 1  # zero cells are absent
+    # mixed signs
+    assert arith.swap_sign({**sym, (1, 2): (y,), (2, 1): (-y,)}) is None
+    # a missing mirror, seen from either side
+    assert arith.swap_sign({(0, 1): (x,)}) is None
+    assert arith.swap_sign({(1, 0): (x,)}) is None
+    # mirrors that are not +-1 times each other
+    assert arith.swap_sign({(0, 1): (x,), (1, 0): (x.scale(2),)}) is None
+    assert arith.swap_sign({(0, 1): (x,), (1, 0): (-x + y,)}) is None
+    # a nonzero diagonal cell under sign -1
+    assert arith.swap_sign({**anti, (2, 2): (y,)}) is None
+    # vector-valued, even when each coordinate is symmetric
+    assert arith.swap_sign({(0, 1): (x, x), (1, 0): (x, x)}) is None
+    assert arith.kronecker(arith.Operand(anti), sym, 3, 1) == arith.kronecker(
+        anti, arith.Operand(sym), 3, 1
+    )
+
+
+def test_expansion_keeps_its_prepared_operand(chi10_n3):
+    op = chi10_n3.operand()
+    assert op is chi10_n3.operand() and op.sign == 1
+    chi10_n3.mul(chi10_n3)
+    assert chi10_n3.operand() is op
+    assert theta.chi_6_8(2).operand().sign is None  # vector-valued
+
+
+def _full_rank(forms):
+    # every (cell, coordinate, r-exponent) column on the common window
+    top = min(g.kN for g in forms)
+    columns = sorted({
+        (key, i, e)
+        for g in forms for key, vec in g.cells.items() if max(key) <= top
+        for i, lp in enumerate(vec) for e in lp.c
+    })
+    return linalg.rank(
+        [[g.vec_at(key)[i].c.get(e, 0) for key, i, e in columns] for g in forms]
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(_signs, st.dictionaries(
+        _upper_keys,
+        st.dictionaries(st.integers(-2, 2), st.integers(-3, 3), max_size=2).map(LaurentPoly),
+        max_size=4,
+    )), min_size=1, max_size=5),
+    st.booleans(),
+)
+def test_rank_with_dropped_columns_is_the_full_rank(drawn, same_sign):
+    # with one swap sign the mirrored columns are dropped; mixed signs keep all
+    forms = [
+        FourierExpansion(
+            (0, 4), False, 3, _swap_map(half, drawn[0][0] if same_sign else sign),
+            validate=False,
+        )
+        for sign, half in drawn
+    ]
+    assert qexp.rank_of_span(forms) == _full_rank(forms)
+    signs = {arith.swap_sign(g.cells) for g in forms}
+    folded = len(signs) == 1
+    columns = {
+        (key, e) for g in forms for key, (lp,) in g.cells.items() for e in lp.c
+        if not folded or key[0] <= key[1]
+    }
+    assert all(len(row) == len(columns) for row in qexp.span_matrix(forms))
 
 
 # -- elliptic expansions -------------------------------------------------------

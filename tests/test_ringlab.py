@@ -125,6 +125,19 @@ def test_odd_weight_report_states_its_evidence():
     assert rep["status"] == "FAIL"  # the square is not visible at N=3
 
 
+def test_one_elimination_gives_both_weight70_ranks():
+    # the report reads both ranks off one elimination; two rank_of_span
+    # calls over the same forms must agree with it
+    rep = ringlab.odd_weight_divisibility_check(N=5, chi35_N=3)
+    gens = ringlab._generators(5)
+    monomials = [gens({e: 1}) for e in ringlab.weight_monomials(70)]
+    x35 = ringlab.named_form("chi35", 3).expansion
+    square = x35.mul(x35)
+    assert rep["weight70_rank"] == qexp.rank_of_span(monomials) == 56
+    assert rep["rank_with_square"] == qexp.rank_of_span(monomials + [square]) == 56
+    assert rep["square_visible_in_window"] and rep["status"] == "PASS"
+
+
 def test_nu_consistency_report():
     rep = ringlab.nu_consistency_report(2)
     assert rep["status"] == "PASS"
