@@ -90,6 +90,27 @@ def frac_to_str(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def render_sum(terms) -> str:
+    """Display text of a sum of (coefficient, monomial text) terms, in the
+    order given: ``c*mono``, with the coefficient left out when it is 1 in
+    size and the monomial when it is ""; the terms are joined by `` + `` or
+    `` - `` and a leading minus binds to the first.  An empty sum is "0"."""
+    parts = []
+    for c, mono in terms:
+        mag = abs(c)
+        if not mono:
+            body = frac_to_str(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{frac_to_str(mag)}*{mono}"
+        parts.append(("- " if c < 0 else "+ ") + body)
+    if not parts:
+        return "0"
+    text = " ".join(parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
 def frac_from_str(s: str):
     if "/" in s:
         num, den = s.split("/")
@@ -547,32 +568,18 @@ class LaurentPoly:
         return quotient.scale(Fraction(div_den, den * content))
 
     def vanishing_order_at_one(self):
-        """Largest m with (r-1)^m dividing self (up to a power of r).
-
-        Returns ``math.inf`` for the zero polynomial.  Uses dense synthetic
-        division by (r-1); no floating point.
-        """
+        """Largest m with (r-1)^m dividing self (up to a power of r): the
+        number of exact divisions by r - 1 that succeed.  Returns
+        ``math.inf`` for the zero polynomial."""
         if self.is_zero:
             return math.inf
-        lo = self.min_exp()
-        deg = self.max_exp() - lo
-        dense = [0] * (deg + 1)
-        for e, v in self.c.items():
-            dense[e - lo] = v
-        order = 0
+        x, order = self, 0
         while True:
-            if sum(dense) != 0:
+            try:
+                x = x.exact_div(_R_MINUS_ONE)
+            except NotDivisible:
                 return order
-            # synthetic division by (r - 1), highest coefficient first
-            out = [0] * (len(dense) - 1)
-            acc = 0
-            for i in range(len(dense) - 1, 0, -1):
-                acc += dense[i]
-                out[i - 1] = acc
-            dense = out
             order += 1
-            if not dense:
-                return order
 
     # -- serialization --------------------------------------------------
     def to_json(self) -> dict:
@@ -583,28 +590,12 @@ class LaurentPoly:
         return cls({int(e): frac_from_str(v) for e, v in data.items()})
 
     def __str__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for e in sorted(self.c):
-            v = self.c[e]
-            if e == 0:
-                mono = ""
-            elif e == 1:
-                mono = "r"
-            else:
-                mono = f"r^{e}"
-            if mono == "":
-                body = frac_to_str(abs(v))
-            elif abs(v) == 1:
-                body = mono
-            else:
-                body = f"{frac_to_str(abs(v))}*{mono}"
-            parts.append(("-" if v < 0 else "+", body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return render_sum(
+            (self.c[e], "" if e == 0 else "r" if e == 1 else f"r^{e}")
+            for e in sorted(self.c)
+        )
 
     __repr__ = __str__
+
+
+_R_MINUS_ONE = LaurentPoly({1: 1, 0: -1})

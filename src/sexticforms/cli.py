@@ -272,43 +272,45 @@ def _suite_chi68_block(args):
     return ok, text, {"suite": "chi68-block", "match": ok}
 
 
+def _reported(suite, report, text=json.dumps, **extra):
+    """(ok, text, payload) of a suite that returns one report: ok when its
+    status is PASS, ``text(report)`` for the text output, and the report
+    with any ``extra`` keys as the JSON payload."""
+    ok = report["status"] == "PASS"
+    return ok, text(report), {"suite": suite, "report": report, **extra}
+
+
 def _suite_char2(args):
-    rep = modp.verify_char2_suite()
-    ok = rep["status"] == "PASS"
-    lines = [f"{k}: {v}" for k, v in rep.items()]
-    return ok, "\n".join(lines), {"suite": "char2-K", "report": rep}
+    return _reported(
+        "char2-K", modp.verify_char2_suite(),
+        lambda rep: "\n".join(f"{k}: {v}" for k, v in rep.items()),
+    )
 
 
 def _suite_char3(args):
-    rep = modp.verify_char3_suite()
-    ok = rep["status"] == "PASS"
-    return ok, json.dumps(rep, indent=2), {"suite": "char3", "report": rep}
+    return _reported(
+        "char3", modp.verify_char3_suite(), lambda rep: json.dumps(rep, indent=2)
+    )
 
 
 def _suite_modp(args):
     if args.prime is None:
         raise SystemExit2("suite modp requires --prime")
     rep = modp.modp_invariance_check(args.prime)
-    ok = rep["status"] == "PASS"
-    return ok, json.dumps(rep), {"suite": "modp", "prime": args.prime, "report": rep}
+    return _reported("modp", rep, prime=args.prime)
 
 
 def _suite_odd_weight(args):
     rep = ringlab.odd_weight_divisibility_check(cache_dir=_cache_dir(args))
-    ok = rep["status"] == "PASS"
-    return ok, json.dumps(rep), {"suite": "odd-weight", "report": rep}
+    return _reported("odd-weight", rep)
 
 
 def _suite_s68(args):
-    rep = ringlab.dim_s68_probe(cache_dir=_cache_dir(args))
-    ok = rep["status"] == "PASS"
-    return ok, json.dumps(rep), {"suite": "s68", "report": rep}
+    return _reported("s68", ringlab.dim_s68_probe(cache_dir=_cache_dir(args)))
 
 
 def _suite_nu(args):
-    rep = ringlab.nu_consistency_report()
-    ok = rep["status"] == "PASS"
-    return ok, json.dumps(rep), {"suite": "nu", "report": rep}
+    return _reported("nu", ringlab.nu_consistency_report())
 
 
 _SUITES = {

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from .arith import LaurentPoly
 from .covariants import Covariant, a11_order_bound
-from .errors import NotDivisible, OddOrder, OrderTooSmall
+from .errors import OddOrder, OrderTooSmall
 from .poly import Substitution, transvect
 from .qexp import FourierExpansion, constant_one
 from .theta import chi_6_8
@@ -90,25 +90,10 @@ def nu_normalized(c: Covariant, m: int, N: int) -> FourierExpansion:
 
 
 def minimal_chi10_power(c: Covariant) -> int:
-    """Least m with a11_order_bound(c) + 2m >= 0; certified sufficient
-    (the actual minimum may be smaller, see measured_chi10_powers)."""
+    """Least m with a11_order_bound(c) + 2m >= 0; certified sufficient,
+    though the actual minimum may be smaller."""
     bound = a11_order_bound(c)
     return max(0, -(bound // 2))
-
-
-def measured_chi10_powers(c: Covariant, N: int):
-    """(certified, measured) chi_10 powers: starting from the certified
-    bound, keep dividing until a division fails."""
-    certified = minimal_chi10_power(c)
-    e = nu_normalized(c, certified, N)
-    measured = certified
-    while measured > 0:
-        try:
-            e = e.exact_div_chi10()
-        except NotDivisible:
-            break
-        measured -= 1
-    return certified, measured
 
 
 def transvectant_expansion(

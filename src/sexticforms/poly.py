@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .arith import frac_from_str, frac_to_str
+from .arith import frac_from_str, frac_to_str, render_sum
 from .errors import DomainMismatch, NotDivisible
 
 SEXTIC_VARS = ("a0", "a1", "a2", "a3", "a4", "a5", "a6", "x1", "x2")
@@ -395,43 +395,19 @@ class MultiPoly:
         return MultiPoly(self.vars, out, p)
 
     # -- rendering ------------------------------------------------------------
-    def _coeff_str(self, c):
-        if self.modulus is not None:
-            return str(c)
-        return frac_to_str(c)
-
     def to_text(self) -> str:
         """Canonical text: graded-lex descending, '*'-separated monomials."""
-        if self.is_zero:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, key=_grlex, reverse=True):
-            c = self.terms[e]
-            factors = []
-            for name, exp in zip(self.vars, e):
-                if exp == 1:
-                    factors.append(name)
-                elif exp > 1:
-                    factors.append(f"{name}^{exp}")
-            mono = "*".join(factors)
-            neg = self.modulus is None and c < 0
-            mag = -c if neg else c
-            if not mono:
-                body = self._coeff_str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{self._coeff_str(mag)}*{mono}"
-            parts.append(("-" if neg else "+", body))
-        sign, body = parts[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return render_sum(
+            (self.terms[e], "*".join(
+                name if exp == 1 else f"{name}^{exp}"
+                for name, exp in zip(self.vars, e) if exp
+            ))
+            for e in sorted(self.terms, key=_grlex, reverse=True)
+        )
 
     def to_json(self) -> dict:
         terms = [
-            {"e": list(e), "c": self._coeff_str(self.terms[e])}
+            {"e": list(e), "c": frac_to_str(self.terms[e])}
             for e in sorted(self.terms, key=_grlex, reverse=True)
         ]
         return {

@@ -110,10 +110,6 @@ class FourierExpansion:
         """Coefficient vector at integer indices (logical units)."""
         return self.vec_at((n1 * self.denom, n2 * self.denom))
 
-    @property
-    def is_zero_window(self):
-        return not self.cells
-
     def __eq__(self, other):
         return (
             isinstance(other, FourierExpansion)
@@ -129,13 +125,7 @@ class FourierExpansion:
         """Exact equality of all coefficients on the common window."""
         if self.weight != other.weight or self.denom != other.denom:
             return False
-        top = min(self.kN, other.kN)
-        lo = min(self.start, other.start)
-        for k1 in range(lo, top + 1):
-            for k2 in range(lo, top + 1):
-                if self.vec_at((k1, k2)) != other.vec_at((k1, k2)):
-                    return False
-        return True
+        return all(x == y for x, y in _common_window(self, other))
 
     def _compatible(self, other):
         if self.weight != other.weight:
@@ -251,8 +241,9 @@ class FourierExpansion:
             cells, denom = half, 1
             kN //= 2
             start = (start + 1) // 2
+        # a sum of positive semi-definite index matrices is one: no re-check
         return FourierExpansion(
-            (j, k), character, kN, cells, start, denom
+            (j, k), character, kN, cells, start, denom, validate=False
         )
 
     __mul__ = mul
@@ -356,28 +347,6 @@ class FourierExpansion:
         overall = min(per) if per else math.inf
         return per, overall
 
-    # -- symmetry probes -----------------------------------------------------
-    def swap_symmetry_check(self) -> bool:
-        """coefficient(n2, n1) equals the coordinate-reversal of
-        coefficient(n1, n2) times (-1)^k (the tau11 <-> tau22,
-        X1 <-> X2 swap; its det-factor contributes the sign)."""
-        sign = -1 if self.k % 2 else 1
-        for (k1, k2), vec in self.cells.items():
-            want = tuple(lp.scale(sign) for lp in reversed(vec))
-            if self.vec_at((k2, k1)) != want:
-                return False
-        return True
-
-    def r_inversion_check(self) -> bool:
-        """r -> 1/r multiplies coordinate i by (-1)^(i+k) (the action of
-        diag(1,-1,1,-1): z2 and X2 change sign, det contributes (-1)^k)."""
-        for vec in self.cells.values():
-            for i, lp in enumerate(vec):
-                want = lp if (i + self.k) % 2 == 0 else lp.scale(-1)
-                if lp.invert_exponent() != want:
-                    return False
-        return True
-
     # -- serialization --------------------------------------------------------------
     def to_json(self) -> dict:
         coeffs = []
@@ -411,7 +380,7 @@ class FourierExpansion:
         }
         return cls(
             tuple(data["weight"]), data["character"], kN, cells,
-            data.get("start", 0), denom, validate=False,
+            data.get("start", 0), denom,
         )
 
     def to_text(self) -> str:
@@ -455,12 +424,20 @@ def proportionality(a: FourierExpansion, b: FourierExpansion):
     """
     if a.weight != b.weight or a.denom != b.denom:
         return None
-    top = min(a.kN, b.kN)
     return common_ratio(
-        pair
+        pair for x, y in _common_window(a, b) for pair in zip(x, y)
+    )
+
+
+def _common_window(a: FourierExpansion, b: FourierExpansion):
+    """The coefficient vector pairs (a at key, b at key) of every cell
+    either one stores on their common window.  A cell neither stores is
+    zero in both: cells are never stored all-zero or outside [start, kN]."""
+    top = min(a.kN, b.kN)
+    return (
+        (a.vec_at(key), b.vec_at(key))
         for key in a.cells.keys() | b.cells.keys()
         if max(key) <= top
-        for pair in zip(a.vec_at(key), b.vec_at(key))
     )
 
 

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 from . import covariants, linalg, numap, qexp, theta
 from .arith import LaurentPoly
-from .errors import OddWeight, UnknownName
+from .errors import OddWeight, SexticFormsError, UnknownName
 from .poly import Substitution
 from .qexp import FourierExpansion
 
@@ -124,7 +124,8 @@ def _recipe_hash(name: str, N: int) -> str:
 
 def _read_cached(path: str, digest: str):
     """The expansion cached at ``path``, or None if the entry is missing,
-    unreadable, corrupt or written under another key."""
+    unreadable, corrupt (support outside the cone included) or written
+    under another key."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -132,7 +133,7 @@ def _read_cached(path: str, digest: str):
             return None
         return FourierExpansion.from_json(data["expansion"])
     except (OSError, ValueError, LookupError, TypeError, AttributeError,
-            ArithmeticError):
+            ArithmeticError, SexticFormsError):
         return None
 
 

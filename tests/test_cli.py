@@ -1,10 +1,13 @@
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
 from sexticforms import cli
+from sexticforms.arith import LaurentPoly
 from sexticforms.errors import ParseError
+from sexticforms.qexp import FourierExpansion
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 BENCH_REF = os.path.join(
@@ -213,6 +216,8 @@ def test_verify_odd_weight_json(tmp_path, capsys):
         (["verify", "even-ring", "--kmax", "-4"], None, 2, "--kmax"),
         # "file": the cache path names a regular file
         (["expand", "chi10"], "file", 2, "cache directory"),
+        # an r-exponent outside the cone at (1,1), under the right key
+        (["expand", "chi10"], lambda good: _with_term(good, (1, 1), "9", "1"), 0, None),
     ],
 )
 def test_bad_input_exit_codes(tmp_path, capsys, argv, corrupt, code, message):
@@ -234,8 +239,81 @@ def test_bad_input_exit_codes(tmp_path, capsys, argv, corrupt, code, message):
         assert message in err
     if corrupt is not None:
         # a corrupt entry is a cache miss, and the rebuilt form replaces it
-        assert "(1,1): r^-1 - 2 + r" in out
+        assert "(1,1): r^-1 - 2 + r\n" in out
         assert entry.read_text() == good
+
+
+def _with_term(entry_text, key, exponent, coeff):
+    """A cache entry with one more term in coordinate 0 of cell ``key``."""
+    data = json.loads(entry_text)
+    for cell in data["expansion"]["coeffs"]:
+        if tuple(cell["n"]) == key:
+            cell["vec"][0][exponent] = coeff
+    return json.dumps(data)
+
+
+def test_cache_entry_under_another_key_is_rebuilt(tmp_path, capsys):
+    argv = ["expand", "chi10", "--order", "2", "--cache", str(tmp_path)]
+    run(capsys, *argv)
+    (entry,) = tmp_path.iterdir()
+    good = entry.read_text()
+    data = json.loads(good)
+    data["recipe_hash"] = "0" * 16
+    data["expansion"]["coeffs"] = []  # would print no cells if served
+    entry.write_text(json.dumps(data))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "(1,1): r^-1 - 2 + r\n" in out
+    assert entry.read_text() == good
+
+
+def test_nu_json_with_rational_coefficients(capsys):
+    code, out, _ = run(capsys, "nu", "C2,0", "--order", "1", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["chi10_power"], payload["degree"], payload["order"]) == (1, 2, 0)
+    e = FourierExpansion.from_json(payload["expansion"])
+    assert e.vec_at((1, 1)) == (
+        LaurentPoly({-1: Fraction(-1, 15), 0: Fraction(-2, 3), 1: Fraction(-1, 15)}),
+    )
+    assert e.to_json() == payload["expansion"]
+    code, text, _ = run(capsys, "nu", "C2,0", "--order", "1")
+    assert text == (
+        "chi_10^1 * nu(covariant), degree 2, order 0\n" + e.to_text() + "\n"
+    )
+
+
+def test_expand_half_integral_lattice(capsys):
+    # chi5 lives on the half-integral lattice: keys and labels in halves
+    code, text, _ = run(capsys, "expand", "chi5", "--order", "2")
+    assert code == 0
+    assert text.splitlines()[:2] == [
+        "weight (0,5) with character, truncation 2",
+        "(1/2,1/2): 64*r^-1 - 64*r",
+    ]
+    code, out, _ = run(capsys, "expand", "chi5", "--order", "2", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["denominator"] == 2 and data["truncation"] == "2"
+    e = FourierExpansion.from_json(data)
+    assert (e.denom, e.kN, e.character) == (2, 4, True)
+    assert e.to_json() == data
+    assert e.to_text() + "\n" == text
+
+
+def test_verify_s68_json(capsys):
+    code, out, _ = run(capsys, "verify", "s68", "--json", "--no-timestamp")
+    assert code == 0
+    assert json.loads(out) == {
+        "suite": "s68",
+        "status": "PASS",
+        "report": {
+            "constant": "4096",
+            "constructions": ["chi5 * chi6_3", "nu(D*f) / chi10^11"],
+            "proportional": True,
+            "status": "PASS",
+        },
+    }
 
 
 def test_verify_unknown_suite(capsys):

@@ -65,9 +65,12 @@ def test_transvectant_expansion_commutes(sextic, k):
 
 
 def test_measured_powers_at_most_certified():
+    # the certified power of A is holomorphic and one power less is not:
+    # the measured minimum equals the certified one
     a = cv.invariant("A")
-    certified, measured = numap.measured_chi10_powers(a, 2)
-    assert measured <= certified
+    e = numap.nu_normalized(a, numap.minimal_chi10_power(a), 2)
+    with pytest.raises(NotDivisible):
+        e.exact_div_chi10()
 
 
 def test_nu_raw_of_constant():

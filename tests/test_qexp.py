@@ -68,6 +68,24 @@ def test_pinned_fixes_one_coordinate(chi10_n3, chi68_n2):
         chi10_n3.pinned((1, 1), 0, LaurentPoly({1: 1, -1: 1}))
 
 
+def test_agrees_with_compares_the_common_window(chi10_n3):
+    assert not chi10_n3.agrees_with(chi10_n3.mul(chi10_n3))  # other weight
+    halves = FourierExpansion(
+        chi10_n3.weight, False, chi10_n3.kN, chi10_n3.cells, chi10_n3.start, 2
+    )
+    assert not chi10_n3.agrees_with(halves)  # other index lattice
+    bumped = chi10_n3.add(_scalar({(2, 3): {0: 1}}, k=10))
+    assert not chi10_n3.agrees_with(bumped) and not bumped.agrees_with(chi10_n3)
+    empty = FourierExpansion(chi10_n3.weight, False, 3, {}, 1)
+    assert not empty.agrees_with(chi10_n3) and not chi10_n3.agrees_with(empty)
+    # a cell past the common window does not count
+    short = FourierExpansion(
+        chi10_n3.weight, False, 2,
+        {key: vec for key, vec in chi10_n3.cells.items() if max(key) <= 2}, 1,
+    )
+    assert short.agrees_with(chi10_n3) and short.agrees_with(bumped)
+
+
 def test_exact_div_recovers_factor(chi10_n3):
     sq = chi10_n3.mul(chi10_n3)
     assert sq.exact_div(chi10_n3).agrees_with(chi10_n3)
@@ -428,7 +446,7 @@ def test_ring_axioms(forms):
     left = a.mul(b.add(c))
     right = a.mul(b).add(a.mul(c))
     assert left.agrees_with(right)
-    assert a.sub(a).is_zero_window
+    assert not a.sub(a).cells
 
 
 @settings(max_examples=200, deadline=None)
