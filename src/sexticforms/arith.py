@@ -1,8 +1,12 @@
-"""Exact arithmetic foundation: rationals, Laurent polynomials over Q and
-the one series product kernel.
+"""Exact arithmetic foundation: Laurent polynomials over Z and the one
+series product kernel.
 
-Coefficients are Python ``int`` or ``fractions.Fraction``; a Fraction with
-denominator 1 is always stored as an ``int``.  Everything here is immutable
+Every series coefficient is a Python ``int``: ``LaurentPoly`` refuses any
+other type, so the kernel, the Fourier expansions built on it and their
+exact divisions all run over Z.  A rational enters only at the edges: a
+covariant with rational coefficients is split into its content times an
+integer covariant before it is evaluated (``cli.cmd_nu``), and the content
+is applied when the expansion is printed.  Everything here is immutable
 after construction and free of floating point.  Mod-p arithmetic lives in
 :mod:`sexticforms.poly`.
 
@@ -16,17 +20,15 @@ an operand is packed into one Python int, coefficient e in the slot
 ``w * (e - lo)`` bits up (``lo`` the lowest exponent of its cell);
 ``accumulate``, the one multiply-add, sums products of packed ints as
 bigints, each shifted into place, and ``unpack`` reads each output
-coordinate once as signed digits.  Rationals take the same path: each
-operand is cleared by the lcm of its denominators, and the product is
-divided once by the product of the lcms.
+coordinate once as signed digits.
 
 Prepared operands.  An ``Operand`` holds what ``kronecker`` needs of one
-cell map: its integer rows and denominator, lowest exponent, coefficient
-bit size and term count, its swap sign, and its packing at the last slot
-width asked for (a new width repacks).  It is built from the cell map
-once; ``qexp.FourierExpansion`` keeps its own, which is safe because an
-expansion is immutable, so a form used in many products is cleared,
-measured and checked for symmetry once.
+cell map: its integer rows, lowest exponent, coefficient bit size and term
+count, and its swap sign.  It is built from the cell map once;
+``qexp.FourierExpansion`` keeps its own, which is safe because an
+expansion is immutable, so a form used in many products is measured and
+checked for symmetry once.  The rows are packed anew for each product, at
+the slot width that product needs.
 
 Swap signs.  The swap sign of a scalar cell map is the s in {1, -1} with
 cell (n2, n1) = s * cell (n1, n2) for every cell (``swap_sign``).  For a
@@ -121,31 +123,16 @@ def frac_from_str(s: str):
 # -- the Kronecker kernel ----------------------------------------------------
 
 
-def denominator(c: dict) -> int:
-    """The lcm of the denominators of the coefficients {e: c[e]}."""
-    if Fraction in set(map(type, c.values())):
-        return math.lcm(*(v.denominator for v in c.values()))
-    return 1
-
-
-def clear(c: dict, den: int) -> dict:
-    """{e: c[e] * den}, as ints when den clears c."""
-    return c if den == 1 else {e: int(v * den) for e, v in c.items()}
-
-
-def integral(cells):
-    """A cell map {key: (LaurentPoly, ...)} over Z: ``(rows, den)`` with
-    ``rows`` the list [(key, [(i, {e: int})])] of its nonzero coordinates
-    times ``den``, the lcm of its denominators."""
+def int_rows(cells):
+    """The integer rows [(key, [(i, {e: int})])] of the nonzero
+    coordinates of cell map items [(key, (LaurentPoly, ...))]; a cell
+    without a nonzero coordinate has no row."""
     rows = []
-    for key, vec in cells.items():
+    for key, vec in cells:
         row = [(i, x.c) for i, x in enumerate(vec) if x.c]
         if row:
             rows.append((key, row))
-    den = math.lcm(1, *(denominator(c) for _, row in rows for _, c in row))
-    if den != 1:
-        rows = [(key, [(i, clear(c, den)) for i, c in row]) for key, row in rows]
-    return rows, den
+    return rows
 
 
 def measure(rows):
@@ -251,25 +238,16 @@ def swap_sign(cells):
 
 class Operand:
     """A cell map {(n1, n2): (LaurentPoly, ...)} prepared for ``kronecker``:
-    its integer ``rows`` and denominator ``den`` (``integral``), lowest
-    exponent ``lo``, largest coefficient ``bits`` and term count ``terms``
-    (``measure``), its swap ``sign`` (``swap_sign``), and its packing at the
-    last slot width asked for."""
+    its integer ``rows`` (``int_rows``), lowest exponent ``lo``, largest
+    coefficient ``bits`` and term count ``terms`` (``measure``), and its
+    swap ``sign`` (``swap_sign``)."""
 
-    __slots__ = ("rows", "den", "lo", "bits", "terms", "sign", "_width", "_packed")
+    __slots__ = ("rows", "lo", "bits", "terms", "sign")
 
     def __init__(self, cells):
-        self.rows, self.den = integral(cells)
+        self.rows = int_rows(cells.items())
         self.lo, self.bits, self.terms = measure(self.rows)
         self.sign = swap_sign(cells)
-        self._width = self._packed = None
-
-    def packed(self, w: int):
-        """``pack_rows`` of the rows at slot width w, kept until another
-        width is asked for."""
-        if w != self._width:
-            self._packed, self._width = pack_rows(self.rows, w), w
-        return self._packed
 
 
 def kronecker(a, b, bound, width):
@@ -294,10 +272,10 @@ def kronecker(a, b, bound, width):
     lo = a.lo + b.lo
     half = a.sign is not None and b.sign is not None
     groups = {}  # b's rows by first index, ascending, each ascending in the second
-    for (b1, b2), lb, y in sorted(b.packed(w)):
+    for (b1, b2), lb, y in sorted(pack_rows(b.rows, w)):
         groups.setdefault(b1, []).append((b2, lb, y))
     out = {}
-    for (a1, a2), la, x in a.packed(w):
+    for (a1, a2), la, x in pack_rows(a.rows, w):
         for b1, group in groups.items():
             n1 = a1 + b1
             if n1 > bound:
@@ -311,9 +289,8 @@ def kronecker(a, b, bound, width):
                 if acc is None:
                     acc = out[n1, n2] = [0] * width
                 accumulate(acc, x, y, w * (la + lb - lo))
-    den = a.den * b.den
     cells = {
-        key: tuple(LaurentPoly.over(unpack(v, lo, w), den) for v in acc)
+        key: tuple(LaurentPoly.over(unpack(v, lo, w)) for v in acc)
         for key, acc in out.items()
     }
     if half:
@@ -330,30 +307,25 @@ def quotient(d, b, corner, keys, width):
     b[t] * q[m + corner - t] over t != corner) / b[corner], solved in the
     order of ``keys``, which must reach a cell before every cell needing it.
 
-    Over Z: with D and B the operands cleared of denominators, it computes
-    Q = scale * D / B, ``scale`` growing by the denominators of any
-    non-integral quotient cell so that every stored cell stays integral,
-    and returns Q rescaled by one rational at the end.  The negated
-    off-corner divisor cells are packed once and each quotient cell once,
-    in slots bounding the scaled dividend coefficient plus the at most
+    Over Z: each quotient cell is an exact Laurent division by the corner
+    cell, so a quotient that is not integral raises NotDivisible.  The
+    negated off-corner divisor cells are packed once and each quotient cell
+    once, in slots bounding the dividend coefficient plus the at most
     (terms of b) products that reach one output coefficient; when the
     quotient outgrows them, the width grows by a quarter and the stored
     cells are repacked.
     """
-    rows, d_den = integral(d)
-    dividend = dict(rows)
-    div, b_den = integral(b)
-    div = dict(div)
+    dividend = dict(int_rows(d.items()))
+    div = dict(int_rows(b.items()))
     pivot = LaurentPoly.over(div.pop(corner)[0][1])
     neg = [(t, [(0, {e: -v for e, v in c.items()})]) for t, ((_, c),) in div.items()]
-    _, d_bits, _ = measure(rows)
+    _, d_bits, _ = measure(dividend.items())
     _, b_bits, b_terms = measure(neg)
-    q_bits, scale, w = d_bits, 1, 0
+    q_bits, w = d_bits, 0
     q = {}
 
     def packed(cells):
-        cell_rows = [(key, [(i, x.c) for i, x in enumerate(v) if x.c]) for key, v in cells]
-        return {key: (low, x) for key, low, x in pack_rows(cell_rows, w)}
+        return {key: (low, x) for key, low, x in pack_rows(int_rows(cells), w)}
 
     c1, c2 = corner
     for m1, m2 in keys:
@@ -375,28 +347,16 @@ def quotient(d, b, corner, keys, width):
         lo = min(lows)
         rhs = [0] * width
         for i, c in drow:
-            rhs[i] = pack(c, lo, w) * scale
+            rhs[i] = pack(c, lo, w)
         for low, qx, nb in products:
             accumulate(rhs, qx, nb, w * (low - lo))
         vec = tuple(LaurentPoly.over(unpack(x, lo, w)).exact_div(pivot) for x in rhs)
         if all(x.is_zero for x in vec):
             continue
-        den = math.lcm(*(denominator(x.c) for x in vec))
-        if den != 1:  # keep every stored cell integral; all are repacked
-            scale *= den
-            d_bits += den.bit_length()
-            q_bits += den.bit_length()
-            q = {key: tuple(x.scale(den) for x in v) for key, v in q.items()}
-            vec = tuple(x.scale(den) for x in vec)
-            w = 0
         q[m1, m2] = vec
         top = max(max(map(abs, x.c.values())) for x in vec if x.c)
         q_bits = max(q_bits, top.bit_length())
-        if w:
-            packed_q.update(packed([((m1, m2), vec)]))
-    if b_den != d_den * scale:
-        ratio = Fraction(b_den, d_den * scale)
-        q = {key: tuple(x.scale(ratio) for x in v) for key, v in q.items()}
+        packed_q.update(packed([((m1, m2), vec)]))
     return q
 
 
@@ -421,10 +381,11 @@ def common_ratio(pairs):
 
 
 class LaurentPoly:
-    """Sparse exact Laurent polynomial in one variable ``r`` over Q.
+    """Sparse exact Laurent polynomial in one variable ``r`` over Z.
 
-    Coefficients are keyed by integer exponent; zero coefficients are never
-    stored.  Instances are immutable by convention.
+    Coefficients are ints keyed by integer exponent (TypeError for any
+    other coefficient type); zero coefficients are never stored.
+    Instances are immutable by convention.
     """
 
     __slots__ = ("c",)
@@ -433,19 +394,19 @@ class LaurentPoly:
         out = {}
         if coeffs:
             for e, v in coeffs.items():
+                if type(v) is not int:
+                    raise TypeError(
+                        f"Laurent coefficients are ints, not {type(v).__name__}"
+                    )
                 if v:
-                    if type(v) is Fraction and v.denominator == 1:
-                        v = v.numerator
                     out[int(e)] = v
         self.c = out
 
     # -- constructors -------------------------------------------------
     @classmethod
-    def over(cls, coeffs: dict, den: int = 1) -> "LaurentPoly":
-        """coeffs / den for nonzero int coefficients; with den 1 the dict
-        is kept as given, unchecked."""
-        if den != 1:
-            return cls({e: Fraction(v, den) for e, v in coeffs.items()})
+    def over(cls, coeffs: dict) -> "LaurentPoly":
+        """The polynomial of a dict of nonzero int coefficients, kept as
+        given, unchecked."""
         p = cls.__new__(cls)
         p.c = coeffs
         return p
@@ -462,12 +423,6 @@ class LaurentPoly:
     @property
     def is_zero(self) -> bool:
         return not self.c
-
-    def min_exp(self) -> int:
-        return min(self.c)
-
-    def max_exp(self) -> int:
-        return max(self.c)
 
     # -- ring operations ----------------------------------------------
     def __add__(self, other):
@@ -486,7 +441,7 @@ class LaurentPoly:
         return LaurentPoly({e: -v for e, v in self.c.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.scale(other)
         key = (0, 0)
         prod = kronecker({key: (self,)}, {key: (other,)}, 0, 1)
@@ -516,34 +471,24 @@ class LaurentPoly:
         return hash(tuple(sorted(self.c.items())))
 
     # -- specialized operations -----------------------------------------
-    def invert_exponent(self) -> "LaurentPoly":
-        """Substitution r -> 1/r; an involution."""
-        return LaurentPoly({-e: v for e, v in self.c.items()})
-
-    def eval_at_one(self):
-        total = sum(self.c.values())
-        if isinstance(total, Fraction) and total.denominator == 1:
-            return total.numerator
-        return total
+    def eval_at_one(self) -> int:
+        return sum(self.c.values())
 
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Exact quotient; raises NotDivisible if the remainder is nonzero.
+        """Exact quotient over Z; raises NotDivisible unless it is a Laurent
+        polynomial with integer coefficients.
 
-        Divides over Z: the dividend is cleared of denominators and the
-        divisor made primitive, so by Gauss's lemma an exact quotient has
-        integer coefficients (each step a ``divmod`` that must leave no
-        remainder); one rational scalar restores the quotient at the end.
+        Long division from the lowest exponent up: each step is a
+        ``divmod`` by the divisor's lowest coefficient that must leave no
+        remainder, as it does whenever the quotient is integral.
         """
         if other.is_zero:
             raise ZeroDivisionError("division by the zero Laurent polynomial")
         if self.is_zero:
             return LaurentPoly()
-        den, div_den = denominator(self.c), denominator(other.c)
-        rem, div = clear(self.c, den), clear(other.c, div_den)
-        content = math.gcd(*div.values())
-        sa, sb = min(rem), min(div)
-        rem = {e - sa: v for e, v in rem.items()}
-        div = {e - sb: v // content for e, v in div.items()}
+        sa, sb = min(self.c), min(other.c)
+        rem = {e - sa: v for e, v in self.c.items()}
+        div = {e - sb: v for e, v in other.c.items()}
         lead = div[0]
         bound = max(rem) - max(div)
         q = {}
@@ -562,10 +507,7 @@ class LaurentPoly:
                     rem[k] = nv
                 else:
                     del rem[k]
-        quotient = LaurentPoly.over(q)
-        if div_den == den * content:
-            return quotient
-        return quotient.scale(Fraction(div_den, den * content))
+        return LaurentPoly.over(q)
 
     def vanishing_order_at_one(self):
         """Largest m with (r-1)^m dividing self (up to a power of r): the
@@ -582,20 +524,23 @@ class LaurentPoly:
             order += 1
 
     # -- serialization --------------------------------------------------
-    def to_json(self) -> dict:
-        return {str(e): frac_to_str(v) for e, v in sorted(self.c.items())}
+    # to_json and to_text print each coefficient times a rational
+    # ``factor``: the content split off a rational covariant before its
+    # integer part was evaluated.
+    def to_json(self, factor=1) -> dict:
+        return {str(e): frac_to_str(v * factor) for e, v in sorted(self.c.items())}
 
     @classmethod
     def from_json(cls, data: dict) -> "LaurentPoly":
         return cls({int(e): frac_from_str(v) for e, v in data.items()})
 
-    def __str__(self):
+    def to_text(self, factor=1) -> str:
         return render_sum(
-            (self.c[e], "" if e == 0 else "r" if e == 1 else f"r^{e}")
+            (self.c[e] * factor, "" if e == 0 else "r" if e == 1 else f"r^{e}")
             for e in sorted(self.c)
         )
 
-    __repr__ = __str__
+    __str__ = __repr__ = to_text
 
 
 _R_MINUS_ONE = LaurentPoly({1: 1, 0: -1})

@@ -228,18 +228,20 @@ def cmd_nu(args) -> int:
         if args.power is not None
         else numap.minimal_chi10_power(cov)
     )
-    expansion = numap.nu_normalized(cov, power, args.order)
+    # nu is linear: evaluate the integer primitive part, print times content
+    content = cov.poly.content()
+    expansion = numap.nu_normalized(cov.scale(1 / content), power, args.order)
     _emit(
         args,
         lambda: (
             f"chi_10^{power} * nu(covariant), degree {cov.degree}, "
-            f"order {cov.order}\n{expansion.to_text()}"
+            f"order {cov.order}\n{expansion.to_text(content)}"
         ),
         lambda: {
             "chi10_power": power,
             "degree": cov.degree,
             "order": cov.order,
-            "expansion": expansion.to_json(),
+            "expansion": expansion.to_json(content),
         },
     )
     return 0

@@ -41,11 +41,14 @@ def nu_raw(c: Covariant, N: int) -> FourierExpansion:
     x1^(j-i) x2^i giving coordinate i.
 
     The window rules of the products give [d, N + d - 1]; the result is
-    weighted (j, 11d - j/2).
+    weighted (j, 11d - j/2).  The coefficients of c must be integers: a
+    rational covariant is its content times an integer one.
     """
     weight_of_covariant(c.degree, c.order)  # validates even order
     if c.is_zero:
         raise ValueError("cannot substitute into the zero covariant")
+    if any(type(v) is not int for v in c.poly.terms.values()):
+        raise ValueError("nu_raw takes integer coefficients; split off the content")
     d, j = c.degree, c.order
     if N < 1:
         raise ValueError("truncation must be at least 1")

@@ -154,7 +154,8 @@ class FourierExpansion:
 
     __add__ = add
 
-    def scale(self, c) -> "FourierExpansion":
+    def scale(self, c: int) -> "FourierExpansion":
+        """Every coefficient times the int c."""
         cells = {
             key: tuple(x.scale(c) for x in vec)
             for key, vec in self.cells.items()
@@ -192,7 +193,8 @@ class FourierExpansion:
         ``value``: the one scale of every normalized form.
 
         Raises NormalizationFailure unless that coordinate is a nonzero
-        multiple of ``value``.
+        multiple c of ``value`` and every coefficient divided by c is an
+        integer.
         """
         ratio = common_ratio([(self.vec_at(key)[i], value)])
         if not ratio:
@@ -200,7 +202,21 @@ class FourierExpansion:
                 f"weight {self.weight}: coordinate {i} at {tuple(key)} is not "
                 f"a nonzero multiple of {value}"
             )
-        return self.scale(1 / ratio)
+        num = LaurentPoly.const(ratio.numerator)
+        try:
+            cells = {
+                k: tuple(x.scale(ratio.denominator).exact_div(num) for x in vec)
+                for k, vec in self.cells.items()
+            }
+        except NotDivisible:
+            raise NormalizationFailure(
+                f"weight {self.weight}: pinning {value} at {tuple(key)} "
+                f"leaves non-integer coefficients"
+            ) from None
+        return FourierExpansion(
+            self.weight, self.character, self.kN, cells, self.start,
+            self.denom, validate=False,
+        )
 
     # -- multiplication --------------------------------------------------------
     def operand(self) -> arith.Operand:
@@ -259,7 +275,12 @@ class FourierExpansion:
     # -- division -----------------------------------------------------------------
     def exact_div(self, other: "FourierExpansion") -> "FourierExpansion":
         """Exact quotient by a scalar (j=0) expansion with a nonzero corner
-        cell (s, s); graded two-variable series division.
+        cell (s, s); graded two-variable series division over Z.
+
+        Raises NotDivisible unless the quotient has integer coefficients.
+        A division by a form whose corner cell is primitive, such as chi_10
+        with its r - 2 + r^-1, loses nothing by this: when the quotient
+        exists over Q, Gauss's lemma makes it integral.
 
         The quotient's start offset other.start lower is certified whenever
         the division is globally exact, which is the only case the result
@@ -348,12 +369,14 @@ class FourierExpansion:
         return per, overall
 
     # -- serialization --------------------------------------------------------------
-    def to_json(self) -> dict:
+    # to_json and to_text print every coefficient times a rational
+    # ``factor``, as ``LaurentPoly`` does; from_json reads integer cells.
+    def to_json(self, factor=1) -> dict:
         coeffs = []
         for key in _graded(self.cells):
             vec = self.cells[key]
             coeffs.append(
-                {"n": list(key), "vec": [lp.to_json() for lp in vec]}
+                {"n": list(key), "vec": [lp.to_json(factor) for lp in vec]}
             )
         data = {
             "weight": [self.j, self.k],
@@ -383,7 +406,7 @@ class FourierExpansion:
             data.get("start", 0), denom,
         )
 
-    def to_text(self) -> str:
+    def to_text(self, factor=1) -> str:
         """Display style of the printed expansions: one line per index pair,
         coordinates as Laurent polynomials in r."""
         lines = [
@@ -397,7 +420,7 @@ class FourierExpansion:
                 label = f"({key[0]},{key[1]})"
             else:
                 label = f"({Fraction(key[0], self.denom)},{Fraction(key[1], self.denom)})"
-            body = ", ".join(str(lp) for lp in vec)
+            body = ", ".join(lp.to_text(factor) for lp in vec)
             if self.j:
                 body = "(" + body + ")"
             lines.append(f"{label}: {body}")

@@ -204,9 +204,9 @@ def chi_10(N: int) -> FourierExpansion:
 _CHI68_PIN = (
     LaurentPoly(),
     LaurentPoly(),
-    LaurentPoly({-1: 1, 0: -2, 1: 1}),
+    _CHI10_PIN,
     LaurentPoly({1: 2, -1: -2}),
-    LaurentPoly({-1: 1, 0: -2, 1: 1}),
+    _CHI10_PIN,
     LaurentPoly(),
     LaurentPoly(),
 )
@@ -216,7 +216,7 @@ _CHI68_PIN = (
 def chi_6_8(N: int) -> FourierExpansion:
     """chi_5 * chi_6_3, rescaled so the (1,1) coefficient vector equals
     (0, 0, r^-1 - 2 + r, 2(r - r^-1), r^-1 - 2 + r, 0, 0)."""
-    scaled = chi_5(N).mul(chi_6_3(N)).pinned((1, 1), 2, _CHI68_PIN[2])
+    scaled = chi_5(N).mul(chi_6_3(N)).pinned((1, 1), 2, _CHI10_PIN)
     if scaled.vec_at((1, 1)) != _CHI68_PIN:
         raise NormalizationFailure(
             "chi_6_8 corner vector does not match the pinned normalization"

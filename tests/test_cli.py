@@ -1,11 +1,9 @@
 import json
 import os
-from fractions import Fraction
 
 import pytest
 
 from sexticforms import cli
-from sexticforms.arith import LaurentPoly
 from sexticforms.errors import ParseError
 from sexticforms.qexp import FourierExpansion
 
@@ -218,6 +216,8 @@ def test_verify_odd_weight_json(tmp_path, capsys):
         (["expand", "chi10"], "file", 2, "cache directory"),
         # an r-exponent outside the cone at (1,1), under the right key
         (["expand", "chi10"], lambda good: _with_term(good, (1, 1), "9", "1"), 0, None),
+        # a rational coefficient at (1,1), under the right key
+        (["expand", "chi10"], lambda good: _with_term(good, (1, 1), "1", "1/2"), 0, None),
     ],
 )
 def test_bad_input_exit_codes(tmp_path, capsys, argv, corrupt, code, message):
@@ -267,20 +267,64 @@ def test_cache_entry_under_another_key_is_rebuilt(tmp_path, capsys):
     assert entry.read_text() == good
 
 
-def test_nu_json_with_rational_coefficients(capsys):
-    code, out, _ = run(capsys, "nu", "C2,0", "--order", "1", "--json")
-    assert code == 0
-    payload = json.loads(out)
-    assert (payload["chi10_power"], payload["degree"], payload["order"]) == (1, 2, 0)
-    e = FourierExpansion.from_json(payload["expansion"])
-    assert e.vec_at((1, 1)) == (
-        LaurentPoly({-1: Fraction(-1, 15), 0: Fraction(-2, 3), 1: Fraction(-1, 15)}),
-    )
-    assert e.to_json() == payload["expansion"]
-    code, text, _ = run(capsys, "nu", "C2,0", "--order", "1")
-    assert text == (
-        "chi_10^1 * nu(covariant), degree 2, order 0\n" + e.to_text() + "\n"
-    )
+def _nu_payload(power, degree, order, weight, n, vec):
+    """The ``nu --json`` payload of a one-cell expansion at cell (n, n)."""
+    return {
+        "chi10_power": power, "degree": degree, "order": order,
+        "expansion": {
+            "character": False, "coeffs": [{"n": [n, n], "vec": vec}],
+            "start": n, "truncation": n, "weight": weight,
+        },
+    }
+
+
+@pytest.mark.parametrize(
+    "name, text, payload",
+    [
+        (
+            "C2,0",
+            "chi_10^1 * nu(covariant), degree 2, order 0\n"
+            "weight (0,12), truncation 1\n"
+            "(1,1): -1/15*r^-1 - 2/3 - 1/15*r\n",
+            _nu_payload(1, 2, 0, [0, 12], 1, [{"-1": "-1/15", "0": "-2/3", "1": "-1/15"}]),
+        ),
+        (
+            "C2,4",
+            "chi_10^1 * nu(covariant), degree 2, order 4\n"
+            "weight (4,10), truncation 1\n"
+            "(1,1): (2/75*r^-1 - 4/75 + 2/75*r, -4/75*r^-1 + 4/75*r, "
+            "2/25*r^-1 + 12/25 + 2/25*r, -4/75*r^-1 + 4/75*r, "
+            "2/75*r^-1 - 4/75 + 2/75*r)\n",
+            _nu_payload(1, 2, 4, [4, 10], 1, [
+                {"-1": "2/75", "0": "-4/75", "1": "2/75"},
+                {"-1": "-4/75", "1": "4/75"},
+                {"-1": "2/25", "0": "12/25", "1": "2/25"},
+                {"-1": "-4/75", "1": "4/75"},
+                {"-1": "2/75", "0": "-4/75", "1": "2/75"},
+            ]),
+        ),
+        (
+            "C3,2",
+            "chi_10^2 * nu(covariant), degree 3, order 2\n"
+            "weight (2,22), truncation 2\n"
+            "(2,2): (2/1125*r^-2 + 16/1125*r^-1 - 4/125 + 16/1125*r + 2/1125*r^2, "
+            "-2/1125*r^-2 - 28/225*r^-1 + 28/225*r + 2/1125*r^2, "
+            "2/1125*r^-2 + 16/1125*r^-1 - 4/125 + 16/1125*r + 2/1125*r^2)\n",
+            _nu_payload(2, 3, 2, [2, 22], 2, [
+                {"-2": "2/1125", "-1": "16/1125", "0": "-4/125", "1": "16/1125", "2": "2/1125"},
+                {"-2": "-2/1125", "-1": "-28/225", "1": "28/225", "2": "2/1125"},
+                {"-2": "2/1125", "-1": "16/1125", "0": "-4/125", "1": "16/1125", "2": "2/1125"},
+            ]),
+        ),
+    ],
+    ids=["C2,0", "C2,4", "C3,2"],
+)
+def test_nu_json_with_rational_coefficients(capsys, name, text, payload):
+    # the series are integral; the covariant's rational content is applied
+    # as they are printed
+    assert run(capsys, "nu", name, "--order", "1") == (0, text, "")
+    code, out, _ = run(capsys, "nu", name, "--order", "1", "--json")
+    assert code == 0 and json.loads(out) == payload
 
 
 def test_expand_half_integral_lattice(capsys):

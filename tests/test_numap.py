@@ -1,11 +1,9 @@
-import math
-
 import pytest
 
 from sexticforms import covariants as cv
 from sexticforms import numap, qexp, theta
 from sexticforms.errors import NotDivisible, OddOrder
-from sexticforms.poly import SEXTIC_VARS, MultiPoly
+from sexticforms.poly import SEXTIC_VARS, MultiPoly, transvect
 from sexticforms.qexp import FourierExpansion
 
 
@@ -56,12 +54,11 @@ def test_minimal_chi10_powers():
 @pytest.mark.parametrize("k", [2, 4, 6])
 def test_transvectant_expansion_commutes(sextic, k):
     # q-side transvection of nu(f) with itself against the symbolic route;
-    # the q-side applies no norm, so it carries 6! 6! / ((6-k)! (6-k)!)
+    # both apply the norm-free poly.transvect, so they agree exactly
     nf = numap.nu_raw(sextic, 2)
     lhs = numap.transvectant_expansion(nf, nf, k)
-    rhs = numap.nu_raw(cv.transvectant(sextic, sextic, k), 2)
-    ratio = (math.factorial(6) // math.factorial(6 - k)) ** 2
-    assert qexp.proportionality(lhs, rhs) == ratio
+    rhs = numap.nu_raw(transvect(sextic, sextic, k), 2)
+    assert qexp.proportionality(lhs, rhs) == 1
 
 
 def test_measured_powers_at_most_certified():
@@ -71,6 +68,12 @@ def test_measured_powers_at_most_certified():
     e = numap.nu_normalized(a, numap.minimal_chi10_power(a), 2)
     with pytest.raises(NotDivisible):
         e.exact_div_chi10()
+
+
+def test_nu_raw_refuses_rational_coefficients():
+    # the normed transvectant C2,0 = (f, f)_6 has the content 1/60
+    with pytest.raises(ValueError, match="integer coefficients"):
+        numap.nu_raw(cv.grace_young("C2,0"), 1)
 
 
 def test_nu_raw_of_constant():

@@ -59,7 +59,7 @@ def _r_inversion_holds(form):
     # r -> 1/r multiplies coordinate i by (-1)^(i+k): the action of
     # diag(1,-1,1,-1), where z2 and X2 change sign and det gives (-1)^k
     return all(
-        lp.invert_exponent() == lp.scale((-1) ** (i + form.k))
+        LaurentPoly({-e: v for e, v in lp.c.items()}) == lp.scale((-1) ** (i + form.k))
         for vec in form.cells.values()
         for i, lp in enumerate(vec)
     )
