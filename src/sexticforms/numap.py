@@ -10,8 +10,22 @@ Sym^j coordinate at a time (the terms x1^(j-i) x2^i give coordinate i), so
 
     nu_raw(c) = chi_10^d * nu(c),   weight (j, 11d - j/2),
 
-and then divide by chi_10 as many times as requested.  A failing division
-(NotDivisible) is the detection mechanism for genuine non-holomorphy.
+and then divide once by chi_10^(d - m) to keep chi_10^m * nu(c)
+(``FourierExpansion.exact_div_chi10``: one division by the power equals
+d - m divisions by chi_10).  A failing division (NotDivisible) is the
+detection mechanism for genuine non-holomorphy.
+
+The mirror rule halves the evaluation.  Exchanging x1 and x2 reverses the
+sextic (a_i <-> a_(6-i)) and the seeds: beta_(6-i)(n1, n2) = beta_i(n2, n1)
+on every cell, which nu_raw checks.  A covariant has a mirror sign
+s = (-1)^((6d - j)/2), read off its terms: the coefficient at
+(sigma a; x2, x1) is s times the one at (a; x1, x2).  So coordinate j - i
+of nu_raw(c) is s times coordinate i with n1 and n2 exchanged, and only
+the coordinates i <= j/2 are evaluated.  The middle coordinate (the whole
+of an invariant) pairs each monomial with its mirror: one Horner pass
+evaluates T, each pair's representative twice plus the self-mirror
+monomials, and the coordinate is (T + s * T mirrored) / 2, a halving
+that must leave integers.
 
 transvectant_expansion is the transvectant on the q-side: the norm-free
 ``poly.transvect`` that covariants also use, run on the Sym^j symbol
@@ -24,7 +38,7 @@ from __future__ import annotations
 
 from .arith import LaurentPoly
 from .covariants import Covariant, a11_order_bound
-from .errors import OddOrder, OrderTooSmall
+from .errors import NormalizationFailure, OddOrder, OrderTooSmall
 from .poly import Substitution, transvect
 from .qexp import FourierExpansion, constant_one
 from .theta import chi_6_8
@@ -36,13 +50,42 @@ def weight_of_covariant(d: int, j: int):
     return (j, d - j // 2)
 
 
+def _mirror(e):
+    """The exponents of the mirror monomial: a_i <-> a_(6-i), x1 <-> x2."""
+    return e[6::-1] + e[:6:-1]
+
+
+def _mirror_sign(c: Covariant) -> int:
+    """The s in {1, -1} with coefficient at (sigma a; x2, x1) = s times the
+    coefficient at (a; x1, x2) for every term of c, sigma a_i = a_(6-i).
+
+    Every covariant has one, s = (-1)^((6d - j)/2): the swap x1 <-> x2 has
+    determinant -1 and reverses the sextic.  Raises ValueError for a
+    polynomial without one.
+    """
+    terms = c.poly.terms
+    e, v = next(iter(terms.items()))
+    s = terms.get(_mirror(e), 0) // v
+    if s not in (1, -1) or any(
+        terms.get(_mirror(e), 0) != s * v for e, v in terms.items()
+    ):
+        raise ValueError("nu_raw takes a covariant: no mirror sign")
+    return s
+
+
 def nu_raw(c: Covariant, N: int) -> FourierExpansion:
     """Evaluate c at a_i = coordinate i of chi_6_8, the part of c in
     x1^(j-i) x2^i giving coordinate i.
 
-    The window rules of the products give [d, N + d - 1]; the result is
-    weighted (j, 11d - j/2).  The coefficients of c must be integers: a
-    rational covariant is its content times an integer one.
+    The window rules of the products give [d, N + d - 1] (a constant
+    reaches N); the result is weighted (j, 11d - j/2).  The coefficients of
+    c must be integers: a rational covariant is its content times an
+    integer one.
+
+    Only the coordinates i <= j/2 are evaluated (the mirror rule of the
+    module docstring).  Raises NormalizationFailure when the seeds are not
+    mirrored and NotDivisible when the middle coordinate's halving meets
+    an odd coefficient.
     """
     weight_of_covariant(c.degree, c.order)  # validates even order
     if c.is_zero:
@@ -52,7 +95,13 @@ def nu_raw(c: Covariant, N: int) -> FourierExpansion:
     d, j = c.degree, c.order
     if N < 1:
         raise ValueError("truncation must be at least 1")
+    s = _mirror_sign(c)
     seed = chi_6_8(N)
+    for (n1, n2), vec in seed.cells.items():
+        if seed.vec_at((n2, n1)) != vec[::-1]:
+            raise NormalizationFailure(
+                f"chi_6_8 at ({n1},{n2}) is not the mirror of ({n2},{n1})"
+            )
     beta = [
         FourierExpansion(
             (0, 0), False, seed.kN,
@@ -65,31 +114,43 @@ def nu_raw(c: Covariant, N: int) -> FourierExpansion:
     # Sym^j is an index, not a product; one power cache serves them all
     parts = {}
     for e, v in c.poly.terms.items():
-        parts.setdefault(e[8], {})[e[:7]] = v
-    sub = Substitution(beta, constant_one(N - 1))
+        i, a = e[8], e[:7]
+        if 2 * i < j:
+            parts.setdefault(i, {})[a] = v
+        elif 2 * i == j and a <= a[::-1]:
+            parts.setdefault(i, {})[a] = v if a == a[::-1] else 2 * v
+    sub = Substitution(beta, constant_one(N))
     coords = {i: sub(terms) for i, terms in parts.items()}
     kN = min(x.kN for x in coords.values())
     start = min(x.start for x in coords.values())
     zero = LaurentPoly()
+    two = LaurentPoly.const(2)
     cells = {}
+
+    def place(key, i, lp):
+        if max(key) <= kN:
+            cells.setdefault(key, [zero] * (j + 1))[i] = lp
+
     for i, x in coords.items():
-        for key, (lp,) in x.cells.items():
-            if max(key) <= kN:
-                cells.setdefault(key, [zero] * (j + 1))[i] = lp
+        if 2 * i < j:
+            for (n1, n2), (lp,) in x.cells.items():
+                place((n1, n2), i, lp)
+                place((n2, n1), j - i, lp.scale(s))
+        else:  # the middle coordinate: (T + s * T mirrored) / 2
+            for n1, n2 in x.cells.keys() | {key[::-1] for key in x.cells}:
+                t = x.vec_at((n1, n2))[0] + x.vec_at((n2, n1))[0].scale(s)
+                place((n1, n2), i, t.exact_div(two))
     return FourierExpansion((j, 11 * d - j // 2), False, kN, cells, start)
 
 
 def nu_normalized(c: Covariant, m: int, N: int) -> FourierExpansion:
-    """chi_10^m * nu(c): nu_raw divided (d - m) times by chi_10.
+    """chi_10^m * nu(c): nu_raw divided once by chi_10^(d - m).
 
     Raises NotDivisible when chi_10^m * nu(c) is not holomorphic.
     """
     if not 0 <= m <= c.degree:
         raise ValueError("chi_10 power must satisfy 0 <= m <= degree")
-    e = nu_raw(c, N)
-    for _ in range(c.degree - m):
-        e = e.exact_div_chi10()
-    return e
+    return nu_raw(c, N).exact_div_chi10(c.degree - m)
 
 
 def minimal_chi10_power(c: Covariant) -> int:

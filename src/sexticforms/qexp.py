@@ -265,12 +265,18 @@ class FourierExpansion:
     __mul__ = mul
 
     def pow(self, n: int) -> "FourierExpansion":
+        """The n-th power by repeated squaring; the window rule of ``mul``
+        gives every way of forming it the same window."""
         if n < 1:
             raise ValueError("positive powers only")
-        result = self
-        for _ in range(n - 1):
-            result = result.mul(self)
-        return result
+        result, base = None, self
+        while True:
+            if n & 1:
+                result = base if result is None else result.mul(base)
+            n >>= 1
+            if not n:
+                return result
+            base = base.mul(base)
 
     # -- division -----------------------------------------------------------------
     def exact_div(self, other: "FourierExpansion") -> "FourierExpansion":
@@ -307,11 +313,23 @@ class FourierExpansion:
             (self.j, self.k - other.k), False, q_kN, q_cells, q_start, 1
         )
 
-    def exact_div_chi10(self) -> "FourierExpansion":
-        """Exact quotient by chi_10, built just deep enough for this window."""
+    def exact_div_chi10(self, k: int = 1) -> "FourierExpansion":
+        """Exact quotient by chi_10^k in one division; k = 0 returns self.
+
+        chi_10 is built just deep enough for this window, on [1, kN - start
+        + 1], and its k-th power reaches kN - start + k, so the quotient's
+        window is [start - k, kN - k], as after k divisions by chi_10.  The
+        corner cell of chi_10^k, (r - 2 + r^-1)^k, is primitive, so the
+        quotient exists over Z exactly when the k successive quotients do,
+        and raises NotDivisible otherwise.
+        """
         from . import theta
 
-        return self.exact_div(theta.chi_10(self.kN - self.start + 1))
+        if k < 0:
+            raise ValueError("chi_10 power must be non-negative")
+        if not k:
+            return self
+        return self.exact_div(theta.chi_10(self.kN - self.start + 1).pow(k))
 
     # -- boundary operators ---------------------------------------------------------
     def siegel_phi(self) -> "EllipticExpansion":

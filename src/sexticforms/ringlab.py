@@ -61,14 +61,13 @@ def _build_psi6(N: int) -> FourierExpansion:
 
 def _build_chi35(N: int) -> FourierExpansion:
     """chi35 on the window [2, N].  The chain from chi6_8 at max(2, N - 1)
-    runs over Z and gives chi10^15 * nu(E) up to scale; 13 divisions leave
-    [2, max(3, N)], where the (2,3) pin fixes the scale, cut down to N."""
+    runs over Z and gives chi10^15 * nu(E) up to scale; one division by
+    chi10^13 leaves [2, max(3, N)], where the (2,3) pin fixes the scale,
+    cut down to N."""
     built = {"f": theta.chi_6_8(max(2, N - 1))}
     for out, left, right, k in covariants.skew_chain_transvectants():
         built[out] = numap.transvectant_expansion(built[left], built[right], k)
-    x = built["e0"]
-    for _ in range(13):
-        x = x.exact_div_chi10()
+    x = built["e0"].exact_div_chi10(13)
     x = x.pinned((2, 3), 0, LaurentPoly({1: 8192, -1: -8192}))
     cells = {key: vec for key, vec in x.cells.items() if max(key) <= N}
     return FourierExpansion(

@@ -138,12 +138,15 @@ def test_nu_command(capsys):
 def test_nu_of_constant(capsys):
     code, out, _ = run(capsys, "nu", "3", "--order", "2")
     assert code == 0
-    assert "weight (0,0)" in out and "(0,0): 3" in out
+    assert "weight (0,0), truncation 2" in out and "(0,0): 3" in out
 
 
 def test_nu_not_divisible(capsys):
-    code, _, err = run(capsys, "nu", "A", "--order", "2", "--power", "0")
-    assert code == 1
+    for name in ("A", "Hessian", "V8,4"):
+        code, out, err = run(capsys, "nu", name, "--order", "2", "--power", "0")
+        assert code == 1
+        assert out == ""
+        assert err == "error: Laurent division leaves a remainder\n"
 
 
 def test_verify_chi68_block(capsys):

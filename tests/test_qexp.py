@@ -106,6 +106,17 @@ def test_exact_div_recovers_factor(chi10_n3):
     assert sq.exact_div_chi10().agrees_with(chi10_n3)
 
 
+def test_pow_equals_repeated_products(chi10_n3):
+    # squaring gives the window of the successive products: start n, kN 3 + n - 1
+    acc = chi10_n3
+    for n in range(1, 7):
+        assert chi10_n3.pow(n) == acc
+        assert (acc.start, acc.kN) == (n, 2 + n)
+        acc = acc.mul(chi10_n3)
+    with pytest.raises(ValueError):
+        chi10_n3.pow(0)
+
+
 def test_exact_div_window_limited_by_divisor(chi10_n3):
     # the divisor's window bounds the quotient's: chi10 at truncation 1
     # only determines chi10^2 / chi10 on [1, 1]
