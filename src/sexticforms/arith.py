@@ -10,25 +10,38 @@ is applied when the expansion is printed.  Everything here is immutable
 after construction and free of floating point.  Mod-p arithmetic lives in
 :mod:`sexticforms.poly`.
 
-``kronecker`` is the one product kernel of every series in the package
-(Kronecker substitution; Schoenhage 1982, Harvey 2009): Laurent polynomials,
-elliptic expansions (as Laurent polynomials in q), Fourier expansions and
-theta products all multiply through it, and ``quotient``, the cell-map
-division behind ``qexp.FourierExpansion.exact_div``, is built from its
-parts; no other module knows the packed format.  Each Laurent coordinate of
-an operand is packed into one Python int, coefficient e in the slot
-``w * (e - lo)`` bits up (``lo`` the lowest exponent of its cell);
-``accumulate``, the one multiply-add, sums products of packed ints as
-bigints, each shifted into place, and ``unpack`` reads each output
-coordinate once as signed digits.
+``Packed.product`` is the one product kernel of every series in the
+package (Kronecker substitution; Schoenhage 1982, Harvey 2009).  Laurent
+polynomials, elliptic expansions (as Laurent polynomials in q), Fourier
+expansions and theta products reach it one product at a time through
+``kronecker``, polynomials in forms a whole Horner scheme at a time
+through ``qexp.evaluate``; ``quotient``, the cell-map division behind
+``qexp.FourierExpansion.exact_div``, is built from its parts.  No other
+module knows the packed format, and ``accumulate`` is the one multiply-add.
 
-Prepared operands.  An ``Operand`` holds what ``kronecker`` needs of one
-cell map: its integer rows, lowest exponent, coefficient bit size and term
-count, and its swap sign.  It is built from the cell map once;
+The packed image.  A ``Packed`` map is a cell map evaluated at r = 2^w:
+per cell, its own lowest exponent lo and one int per Sym^j coordinate,
+coefficient e in the slot ``w * (e - lo)`` bits up.  r -> 2^w is a ring
+homomorphism, so the product (each output cell summed at its own lowest
+exponent), sum and integer multiple of images are the images of the
+product, sum and multiple of the maps, whatever the ints hold in between.
+Only the final coefficients must fit their slots: ``unpack`` reads each
+coordinate once as signed w-bit digits, which is exact when every
+coefficient lies in (-2^(w-1), 2^(w-1)).  ``kronecker`` packs both
+operands at the width that bounds every sum of products of one product
+(``slot_width``), multiplies and unpacks.  ``qexp.evaluate`` packs its
+forms once, at a width read off a majorant: each coordinate replaced by
+the sum of its |c|, one int at w = 0 (``Operand.majorant``), evaluated
+through the same products.  That bounds each result coordinate's sum of
+|c|, so one bit more than its largest bit length is a width every final
+coefficient fits.
+
+Prepared operands.  An ``Operand`` holds what the packing needs of one
+cell map: its integer rows, coefficient bit size and term count, its
+Sym^j width and its swap sign.  It is built from the cell map once;
 ``qexp.FourierExpansion`` keeps its own, which is safe because an
 expansion is immutable, so a form used in many products is measured and
-checked for symmetry once.  The rows are packed anew for each product, at
-the slot width that product needs.
+checked for symmetry once.  The rows are packed anew at each width.
 
 Swap signs.  The swap sign of a scalar cell map is the s in {1, -1} with
 cell (n2, n1) = s * cell (n1, n2) for every cell (``swap_sign``).  For a
@@ -38,8 +51,9 @@ matrix swaps n1 and n2 and multiplies by det(U)^k.  The sign is read off
 the cells, never assumed from a weight, and a vector-valued map (whose
 swap also reverses its coordinates), an asymmetric map, or a map with
 sign -1 and a nonzero diagonal cell has none.  The product of two maps
-with swap signs s and t has swap sign s * t, so ``kronecker`` then
-computes only the output cells with n2 <= n1 and mirrors the rest.
+with swap signs s and t has swap sign s * t, so ``Packed.product`` then
+computes only the output cells with n2 <= n1 and mirrors the rest; a sum
+of maps with one sign keeps it.
 """
 
 from __future__ import annotations
@@ -47,7 +61,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import NotDivisible
+from .errors import NotDivisible, OrderTooSmall
 
 
 # the least strong pseudoprime to every prime base up to 37 (Sorenson and
@@ -136,17 +150,13 @@ def int_rows(cells):
 
 
 def measure(rows):
-    """(lowest exponent, largest coefficient bit length, term count) of
-    integer rows; the lowest exponent is None when there are no terms."""
-    lo, hi, terms = None, 0, 0
+    """(largest coefficient bit length, term count) of integer rows."""
+    hi, terms = 0, 0
     for _, row in rows:
         for _, c in row:
-            m = min(c)
-            if lo is None or m < lo:
-                lo = m
             hi = max(hi, max(c.values()), -min(c.values()))
             terms += len(c)
-    return lo, hi.bit_length(), terms
+    return hi.bit_length(), terms
 
 
 def slot_width(bits_a: int, bits_b: int, terms: int) -> int:
@@ -164,10 +174,10 @@ def pack(c: dict, lo: int, w: int) -> int:
     return x
 
 
-def unpack(x: int, lo: int, w: int, out=None) -> dict:
+def unpack(x: int, lo: int, w: int) -> dict:
     """The nonzero signed w-bit digits of x as {lo + slot: digit}; each
     digit of a packed sum is its coefficient when the sums fit the slots."""
-    out = {} if out is None else out
+    out = {}
     if not x:
         return out
     skip = ((x & -x).bit_length() - 1) // w  # empty low slots
@@ -237,68 +247,181 @@ def swap_sign(cells):
 
 
 class Operand:
-    """A cell map {(n1, n2): (LaurentPoly, ...)} prepared for ``kronecker``:
-    its integer ``rows`` (``int_rows``), lowest exponent ``lo``, largest
-    coefficient ``bits`` and term count ``terms`` (``measure``), and its
-    swap ``sign`` (``swap_sign``)."""
+    """A cell map {(n1, n2): (LaurentPoly, ...)} prepared for the packed
+    product: its integer ``rows`` (``int_rows``), largest coefficient
+    ``bits`` and term count ``terms`` (``measure``), its Sym^j ``width``
+    and its swap ``sign`` (``swap_sign``)."""
 
-    __slots__ = ("rows", "lo", "bits", "terms", "sign")
+    __slots__ = ("rows", "bits", "terms", "width", "sign")
 
     def __init__(self, cells):
         self.rows = int_rows(cells.items())
-        self.lo, self.bits, self.terms = measure(self.rows)
+        self.bits, self.terms = measure(self.rows)
+        self.width = len(next(iter(cells.values()), ()))
         self.sign = swap_sign(cells)
+
+    def packed(self, w: int, start: int, kN: int) -> "Packed":
+        """The image at r = 2^w on the window [start, kN], each cell packed
+        at its own lowest exponent."""
+        cells = {key: (low, row) for key, low, row in pack_rows(self.rows, w)}
+        return Packed(cells, w, self.width, self.sign, start, kN)
+
+    def majorant(self, start: int, kN: int) -> "Packed":
+        """The image at w = 0 (r = 1) of the map with each coefficient
+        replaced by its absolute value: per coordinate, one int, the sum of
+        its |c|.  Where the map has a swap sign its majorant has sign 1."""
+        cells = {
+            key: (0, [(i, sum(map(abs, c.values()))) for i, c in row])
+            for key, row in self.rows
+        }
+        sign = None if self.sign is None else 1
+        return Packed(cells, 0, self.width, sign, start, kN)
+
+
+class Packed:
+    """A cell map evaluated at r = 2^w.
+
+    ``cells`` is {(n1, n2): (lo, [(i, x)])}: per cell its own lowest
+    exponent lo and, for each nonzero Sym^j coordinate i < ``width``, the
+    int x = (coordinate at r = 2^w) * 2^(-w * lo).  ``start`` and ``kN``
+    bound its window as in ``qexp.FourierExpansion``, and ``sign`` is the
+    swap sign of the map it is the image of, or None.  The image is a ring
+    homomorphism, so ``*``, ``+`` and ``scale`` act on images as on maps,
+    whatever the ints hold; ``unpacked`` reads back a map whose
+    coefficients all lie in (-2^(w-1), 2^(w-1)).
+    """
+
+    __slots__ = ("cells", "w", "width", "sign", "start", "kN")
+
+    def __init__(self, cells, w, width, sign, start, kN):
+        self.cells = cells
+        self.w = w
+        self.width = width
+        self.sign = sign
+        self.start = start
+        self.kN = kN
+
+    def product(self, other, bound: int, width: int, start: int = 0) -> "Packed":
+        """The image of the product: keys add and a cell with an index past
+        ``bound`` is dropped; coordinate i times coordinate l lands in
+        coordinate i + l of ``width``.  Each output cell accumulates at its
+        own lowest exponent, the least sum of its operand cells' lowest.
+        When both maps have a swap sign, only the cells with n2 <= n1 are
+        computed, and cell (n2, n1) is cell (n1, n2) times the product of
+        the signs."""
+        half = self.sign is not None and other.sign is not None
+        groups = {}  # other's cells by first index, each group ascending in the second
+        for (b1, b2), (lb, y) in sorted(other.cells.items()):
+            groups.setdefault(b1, []).append((b2, lb, y))
+        w, out = self.w, {}  # key: [lowest exponent so far, accumulator]
+        for (a1, a2), (la, x) in self.cells.items():
+            for b1, group in groups.items():
+                n1 = a1 + b1
+                if n1 > bound:
+                    break
+                cap = n1 if half else bound  # the half holds the cells n2 <= n1
+                for b2, lb, y in group:
+                    n2 = a2 + b2
+                    if n2 > cap:
+                        break
+                    low = la + lb
+                    cell = out.get((n1, n2))
+                    if cell is None:
+                        cell = out[n1, n2] = [low, [0] * width]
+                    elif low < cell[0]:  # rebase the sum at the lower exponent
+                        up = w * (cell[0] - low)
+                        cell[0], cell[1] = low, [v << up for v in cell[1]]
+                    accumulate(cell[1], x, y, w * (low - cell[0]))
+        cells = {}
+        for key, (lo, acc) in out.items():
+            row = [(i, v) for i, v in enumerate(acc) if v]
+            if row:
+                cells[key] = (lo, row)
+        sign = None
+        if half:
+            sign = self.sign * other.sign
+            for (n1, n2), (lo, row) in list(cells.items()):
+                if n2 < n1:
+                    mirror = row if sign == 1 else [(i, -v) for i, v in row]
+                    cells[n2, n1] = (lo, mirror)
+        return Packed(cells, w, width, sign, start, bound)
+
+    def __mul__(self, other):
+        """``product`` under the window rule of ``qexp.FourierExpansion.mul``."""
+        start = self.start + other.start
+        kN = min(self.kN + other.start, other.kN + self.start)
+        if kN < start:
+            raise OrderTooSmall("truncation too small: product window is empty")
+        return self.product(other, kN, self.width + other.width - 1, start)
+
+    def __add__(self, other):
+        """The image of the sum, on the window of ``qexp.FourierExpansion.add``."""
+        kN, w, width = min(self.kN, other.kN), self.w, max(self.width, other.width)
+        cells = {key: cell for key, cell in self.cells.items() if max(key) <= kN}
+        for key, (lb, ys) in other.cells.items():
+            if max(key) > kN:
+                continue
+            if key not in cells:
+                cells[key] = (lb, ys)
+                continue
+            la, xs = cells[key]
+            lo = min(la, lb)
+            acc = [0] * width
+            for i, x in xs:
+                acc[i] += x << w * (la - lo)
+            for i, y in ys:
+                acc[i] += y << w * (lb - lo)
+            row = [(i, v) for i, v in enumerate(acc) if v]
+            if row:
+                cells[key] = (lo, row)
+            else:
+                del cells[key]
+        sign = self.sign if self.sign == other.sign else None
+        return Packed(cells, w, width, sign, min(self.start, other.start), kN)
+
+    def scale(self, c: int) -> "Packed":
+        cells = {
+            key: (lo, [(i, x * c) for i, x in row])
+            for key, (lo, row) in self.cells.items()
+        } if c else {}
+        return Packed(cells, self.w, self.width, self.sign, self.start, self.kN)
+
+    def unpacked(self):
+        """The cell map {(n1, n2): (LaurentPoly, ...)} of this image, read
+        as signed w-bit digits: exact when every coefficient fits.  With a
+        swap sign only the cells n2 <= n1 are read, and mirrored."""
+        zero, sign = LaurentPoly(), self.sign
+        out = {}
+        for (n1, n2), (lo, row) in self.cells.items():
+            if sign is not None and n2 > n1:
+                continue
+            vec = [zero] * self.width
+            for i, x in row:
+                vec[i] = LaurentPoly.over(unpack(x, lo, self.w))
+            out[n1, n2] = vec = tuple(vec)
+            if sign is not None and n2 < n1:
+                out[n2, n1] = vec if sign == 1 else tuple(-x for x in vec)
+        return out
 
 
 def kronecker(a, b, bound, width):
     """Product of two cell maps {(n1, n2): (LaurentPoly, ...)}, each given
-    as the map or as its ``Operand``.
+    as the map or as its ``Operand``: both packed at the slot width of
+    their product, multiplied by ``Packed.product`` and unpacked.
 
     Keys add, and cells with an index past ``bound`` are dropped;
     coordinate i of ``a`` times coordinate l of ``b`` lands in coordinate
     i + l of a ``width``-long output vector (the Sym product).  An output
     coefficient is a sum of at most min(terms of a, terms of b) products,
-    which fixes the slot width.  Each cell is packed at its own lowest
-    exponent, and a product shifted into place at the operands' lowest.
-    When both operands have a swap sign, only the cells with n2 <= n1 are
-    computed, and cell (n2, n1) is cell (n1, n2) times the product of the
-    signs.
+    which fixes the slot width.
     """
     a = a if isinstance(a, Operand) else Operand(a)
     b = b if isinstance(b, Operand) else Operand(b)
     if not (a.terms and b.terms):
         return {}
     w = slot_width(a.bits, b.bits, min(a.terms, b.terms))
-    lo = a.lo + b.lo
-    half = a.sign is not None and b.sign is not None
-    groups = {}  # b's rows by first index, ascending, each ascending in the second
-    for (b1, b2), lb, y in sorted(pack_rows(b.rows, w)):
-        groups.setdefault(b1, []).append((b2, lb, y))
-    out = {}
-    for (a1, a2), la, x in pack_rows(a.rows, w):
-        for b1, group in groups.items():
-            n1 = a1 + b1
-            if n1 > bound:
-                break
-            cap = n1 if half else bound  # the half holds the cells n2 <= n1
-            for b2, lb, y in group:
-                n2 = a2 + b2
-                if n2 > cap:
-                    break
-                acc = out.get((n1, n2))
-                if acc is None:
-                    acc = out[n1, n2] = [0] * width
-                accumulate(acc, x, y, w * (la + lb - lo))
-    cells = {
-        key: tuple(LaurentPoly.over(unpack(v, lo, w)) for v in acc)
-        for key, acc in out.items()
-    }
-    if half:
-        sign = a.sign * b.sign
-        for (n1, n2), vec in list(cells.items()):
-            if n2 < n1:
-                cells[n2, n1] = vec if sign == 1 else tuple(-x for x in vec)
-    return cells
+    product = a.packed(w, 0, bound).product(b.packed(w, 0, bound), bound, width)
+    return product.unpacked()
 
 
 def quotient(d, b, corner, keys, width):
@@ -319,8 +442,8 @@ def quotient(d, b, corner, keys, width):
     div = dict(int_rows(b.items()))
     pivot = LaurentPoly.over(div.pop(corner)[0][1])
     neg = [(t, [(0, {e: -v for e, v in c.items()})]) for t, ((_, c),) in div.items()]
-    _, d_bits, _ = measure(dividend.items())
-    _, b_bits, b_terms = measure(neg)
+    d_bits, _ = measure(dividend.items())
+    b_bits, b_terms = measure(neg)
     q_bits, w = d_bits, 0
     q = {}
 
@@ -455,6 +578,8 @@ class LaurentPoly:
         return LaurentPoly({e: v * s for e, v in self.c.items()})
 
     def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("non-negative powers only")
         result = LaurentPoly.const(1)
         base = self
         while n:

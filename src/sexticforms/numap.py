@@ -4,9 +4,9 @@ modular forms.
 A covariant of degree d and order j maps to a meromorphic form of weight
 (j, d - j/2); poles along the product locus are cleared by powers of
 chi_10.  The meromorphic coordinates are never materialized: nu_raw
-evaluates the covariant through ``poly.Substitution`` at the holomorphic
-coordinates beta_i of chi_6_8 (beta_i = chi_10 * alpha_i) for a_i, one
-Sym^j coordinate at a time (the terms x1^(j-i) x2^i give coordinate i), so
+evaluates the covariant at the holomorphic coordinates beta_i of chi_6_8
+(beta_i = chi_10 * alpha_i) for a_i, one Sym^j coordinate at a time (the
+terms x1^(j-i) x2^i give coordinate i), so
 
     nu_raw(c) = chi_10^d * nu(c),   weight (j, 11d - j/2),
 
@@ -14,6 +14,12 @@ and then divide once by chi_10^(d - m) to keep chi_10^m * nu(c)
 (``FourierExpansion.exact_div_chi10``: one division by the power equals
 d - m divisions by chi_10).  A failing division (NotDivisible) is the
 detection mechanism for genuine non-holomorphy.
+
+All coordinates come from one ``qexp.evaluate``: the seven beta_i are
+packed once, at r = 2^w for a w that a majorant pass fixes, the Horner
+scheme of ``poly.Substitution`` runs on the packed ints with each power of
+a beta_i built once, and each coordinate is unpacked once.  No series
+product of the evaluation goes through ``FourierExpansion.mul``.
 
 The mirror rule halves the evaluation.  Exchanging x1 and x2 reverses the
 sextic (a_i <-> a_(6-i)) and the seeds: beta_(6-i)(n1, n2) = beta_i(n2, n1)
@@ -25,7 +31,8 @@ the coordinates i <= j/2 are evaluated.  The middle coordinate (the whole
 of an invariant) pairs each monomial with its mirror: one Horner pass
 evaluates T, each pair's representative twice plus the self-mirror
 monomials, and the coordinate is (T + s * T mirrored) / 2, a halving
-that must leave integers.
+that must leave integers; the mirroring and the halving act on the
+unpacked coordinates.
 
 transvectant_expansion is the transvectant on the q-side: the norm-free
 ``poly.transvect`` that covariants also use, run on the Sym^j symbol
@@ -39,8 +46,8 @@ from __future__ import annotations
 from .arith import LaurentPoly
 from .covariants import Covariant, a11_order_bound
 from .errors import NormalizationFailure, OddOrder, OrderTooSmall
-from .poly import Substitution, transvect
-from .qexp import FourierExpansion, constant_one
+from .poly import transvect
+from .qexp import FourierExpansion, evaluate
 from .theta import chi_6_8
 
 
@@ -111,7 +118,7 @@ def nu_raw(c: Covariant, N: int) -> FourierExpansion:
         for i in range(7)
     ]
     # coordinate i collects the terms x1^(j-i) x2^i: placing a scalar into
-    # Sym^j is an index, not a product; one power cache serves them all
+    # Sym^j is an index, not a product; one packed evaluation serves them all
     parts = {}
     for e, v in c.poly.terms.items():
         i, a = e[8], e[:7]
@@ -119,8 +126,7 @@ def nu_raw(c: Covariant, N: int) -> FourierExpansion:
             parts.setdefault(i, {})[a] = v
         elif 2 * i == j and a <= a[::-1]:
             parts.setdefault(i, {})[a] = v if a == a[::-1] else 2 * v
-    sub = Substitution(beta, constant_one(N))
-    coords = {i: sub(terms) for i, terms in parts.items()}
+    coords = dict(zip(parts, evaluate(beta, list(parts.values()))))
     kN = min(x.kN for x in coords.values())
     start = min(x.start for x in coords.values())
     zero = LaurentPoly()

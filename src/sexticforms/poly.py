@@ -237,6 +237,8 @@ class MultiPoly:
         )
 
     def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("non-negative powers only")
         result = MultiPoly.const(self.vars, 1, self.modulus)
         base = self
         while n:

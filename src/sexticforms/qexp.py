@@ -19,15 +19,21 @@ Reliability contract: a stored window [start..kN]^2 is exact; operations
 shrink kN so that the contract is preserved (mul: kN_out =
 min(kN_a + start_b, kN_b + start_a); exact_div by a form of start s:
 kN_out = min(kN_a - s, kN_b - s + start_out)).
+
+A polynomial in forms is evaluated by ``evaluate`` in the packed image of
+``arith.Packed``, under the same window rules, with the forms packed once
+and each result unpacked once.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from . import arith, linalg
 from .arith import LaurentPoly, common_ratio, frac_to_str
+from .poly import Substitution
 from .errors import (
     BoundarySliceError,
     CharacterForm,
@@ -458,6 +464,66 @@ def constant_one(N: int) -> FourierExpansion:
     )
 
 
+def _images(forms, image):
+    """``poly.Substitution`` at ``image(operand, start, kN)`` of each form,
+    with the unit on their common window."""
+    one = constant_one(min(f.kN for f in forms))
+    *images, unit = (image(f.operand(), f.start, f.kN) for f in (*forms, one))
+    return Substitution(images, unit)
+
+
+def majorant_width(forms, polys) -> int:
+    """The slot width at which ``evaluate`` packs ``forms`` for ``polys``.
+
+    Each poly is evaluated once more, with every coefficient replaced by
+    its absolute value, at the majorants of the forms
+    (``arith.Operand.majorant``: per coordinate the sum of its |c|) by the
+    same Horner scheme and the same packed products.  The result bounds
+    the sum of |c| over each coordinate of each cell of the true value, so
+    one bit more than its largest bit length puts every coefficient of
+    every result in (-2^(w-1), 2^(w-1)).
+    """
+    bound = _images(forms, arith.Operand.majorant)
+    top = 0
+    for p in polys:
+        for _, row in bound({e: abs(c) for e, c in p.items()}).cells.values():
+            top = max(top, max(x for _, x in row))
+    return top.bit_length() + 1
+
+
+def evaluate(forms, polys):
+    """Each of ``polys`` ({exponents: int}, one exponent per form) evaluated
+    at the trivial-character ``forms``, as an iterator of expansions.
+
+    The forms are packed once, at the width of ``majorant_width``, and the
+    whole Horner scheme of ``poly.Substitution`` runs on the packed images
+    (``arith.Packed``): r -> 2^w is a ring homomorphism, so only the final
+    coefficients must fit their slots, and each result is unpacked once.
+    A power of a form is built once and shared by every poly.  Windows,
+    swap-sign half products and the weight of each result are those of
+    the same evaluation by ``mul`` and ``add``; a poly whose terms differ
+    in weight raises WeightMismatch.
+    """
+    if any(f.character or f.denom != 1 for f in forms):
+        raise WeightMismatch("evaluation takes trivial-character forms")
+    js, ks = [f.j for f in forms], [f.k for f in forms]
+    weights = []
+    for p in polys:
+        ws = {
+            (sum(map(operator.mul, e, js)), sum(map(operator.mul, e, ks)))
+            for e in p
+        }
+        if len(ws) != 1:
+            raise WeightMismatch("a poly to evaluate needs terms of one weight")
+        weights.append(ws.pop())
+    w = majorant_width(forms, polys)
+    sub = _images(forms, lambda op, start, kN: op.packed(w, start, kN))
+    return (
+        FourierExpansion(weight, False, x.kN, x.unpacked(), x.start, validate=False)
+        for weight, x in zip(weights, map(sub, polys))
+    )
+
+
 def proportionality(a: FourierExpansion, b: FourierExpansion):
     """The constant c with a = c*b on the common window, or None.
 
@@ -575,6 +641,8 @@ class EllipticExpansion:
         return EllipticExpansion(self.k + other.k, N, out.c)
 
     def pow(self, e):
+        if e < 1:
+            raise ValueError("positive powers only")
         result = self
         for _ in range(e - 1):
             result = result.mul(self)

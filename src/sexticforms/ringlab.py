@@ -10,7 +10,10 @@ chi_35 transvectant chain runs over Z up to its pin.
 The module also runs the desk-scale generation checks: ranks of weight-k
 monomials in {psi_4, psi_6, chi_10, chi_12} against the generating
 function 1/((1-t^4)(1-t^6)(1-t^10)(1-t^12)), and the odd-weight probe that
-chi_35 squared falls back into the even subring.
+chi_35 squared falls back into the even subring.  The monomials of all
+weights at one truncation come from one ``qexp.evaluate``: the four
+generators are packed once, each generator power is built once, and each
+monomial is unpacked once.
 
 Rank verdicts are evidence at a truncation, not proofs: a full-rank
 result is reported as "consistent with" the expected dimension, and a
@@ -24,11 +27,11 @@ import json
 import os
 import tempfile
 from functools import lru_cache
+from itertools import islice
 
 from . import covariants, linalg, numap, qexp, theta
 from .arith import LaurentPoly
 from .errors import OddWeight, SexticFormsError, UnknownName
-from .poly import Substitution
 from .qexp import FourierExpansion
 
 
@@ -160,6 +163,7 @@ def named_form(name: str, N: int, cache_dir=None) -> NamedForm:
 
 # -- dimensions ---------------------------------------------------------------
 
+GENERATORS = ("psi4", "psi6", "chi10", "chi12")
 GENERATOR_WEIGHTS = (4, 6, 10, 12)
 
 
@@ -188,31 +192,35 @@ def weight_monomials(k: int):
     return out
 
 
-def _generators(N: int, cache_dir=None) -> Substitution:
-    """Evaluates monomials {exps: 1} in psi4, psi6, chi10, chi12."""
-    gens = [
-        named_form(n, N, cache_dir).expansion
-        for n in ("psi4", "psi6", "chi10", "chi12")
-    ]
-    return Substitution(gens, qexp.constant_one(gens[0].kN))
+def _monomials(weights, N: int, cache_dir=None):
+    """For each k of ``weights`` in turn, the list of weight-k monomials
+    (``weight_monomials``) in psi4, psi6, chi10, chi12 at truncation N,
+    all from one packed evaluation (``qexp.evaluate``): each generator
+    power is built once for every weight."""
+    gens = [named_form(n, N, cache_dir).expansion for n in GENERATORS]
+    exps = [weight_monomials(k) for k in weights]
+    forms = qexp.evaluate(gens, [{e: 1} for es in exps for e in es])
+    for es in exps:
+        yield list(islice(forms, len(es)))
 
 
 def verify_even_generation(k_max: int, N: int, cache_dir=None):
     """Per even weight k <= k_max: rank of the weight-k monomials in the
-    four even generators vs. the generating-function dimension."""
+    four even generators vs. the generating-function dimension.  A weight
+    whose rank falls short at truncation N is retried once, at N + 1."""
+    weights = range(0, k_max + 1, 2)
+    found = {}  # weight: (rank, truncation)
+    for k, forms in zip(weights, _monomials(weights, N, cache_dir)):
+        found[k] = (qexp.rank_of_span(forms) if forms else 0, N)
+    # rank can only under-count; one retry deeper
+    retry = [k for k in weights if found[k][0] != even_dimension(k)]
+    if retry:
+        for k, forms in zip(retry, _monomials(retry, N + 1, cache_dir)):
+            found[k] = (qexp.rank_of_span(forms), N + 1)
     report = []
-    generators = {}  # per truncation, so powers are shared across weights
-    for k in range(0, k_max + 1, 2):
+    for k in weights:
         expected = even_dimension(k)
-        trunc = N
-        while True:
-            if trunc not in generators:
-                generators[trunc] = _generators(trunc, cache_dir)
-            forms = [generators[trunc]({e: 1}) for e in weight_monomials(k)]
-            rank = qexp.rank_of_span(forms) if forms else 0
-            if rank == expected or trunc > N:
-                break
-            trunc += 1  # rank can only under-count; one retry deeper
+        rank, trunc = found[k]
         report.append(
             {
                 "weight": k,
@@ -235,8 +243,7 @@ def odd_weight_divisibility_check(N: int = 5, chi35_N: int = 3, cache_dir=None):
     x35 = named_form("chi35", chi35_N, cache_dir).expansion
     per, overall = x35.a11_order()
     phi_zero = x35.siegel_phi().is_zero
-    gens = _generators(N, cache_dir)
-    monomials = [gens({e: 1}) for e in weight_monomials(70)]
+    (monomials,) = _monomials([70], N, cache_dir)
     square = x35.mul(x35)
     *rows, square_row = qexp.span_matrix(monomials + [square])
     echelon = linalg.echelon(rows)

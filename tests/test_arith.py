@@ -106,6 +106,14 @@ def test_laurent_exact_div_over_z():
         LaurentPoly({0: 3, 1: 3}).exact_div(LaurentPoly({0: 3, 1: 2}))
 
 
+def test_laurent_pow_refuses_negative_powers():
+    p = LaurentPoly({1: 2})
+    assert p ** 0 == LaurentPoly.const(1) and p ** 3 == LaurentPoly({3: 8})
+    for n in (-1, -2):
+        with pytest.raises(ValueError, match="non-negative"):
+            p ** n
+
+
 def test_laurent_json_round_trip():
     p = LaurentPoly({-2: 3, 5: -4})
     assert LaurentPoly.from_json(p.to_json()) == p

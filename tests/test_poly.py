@@ -65,6 +65,13 @@ def test_exact_div_and_failure():
         (p + MultiPoly.const(SEXTIC_VARS, 1)).exact_div(a0 + a1)
 
 
+def test_pow_refuses_negative_powers():
+    x = MultiPoly.variable(SEXTIC_VARS, "a0")
+    assert x ** 0 == MultiPoly.const(SEXTIC_VARS, 1) and x ** 2 == x * x
+    with pytest.raises(ValueError, match="non-negative"):
+        x ** -1
+
+
 def test_exact_div_mod2():
     a = MultiPoly.variable(CHAR2_VARS, "a0", 2) + MultiPoly.variable(
         CHAR2_VARS, "a1", 2

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sexticforms import arith, linalg, qexp, theta
 from sexticforms.arith import LaurentPoly
+from sexticforms.poly import Substitution
 from sexticforms.errors import (
     NormalizationFailure,
     NotDivisible,
@@ -403,6 +404,108 @@ def test_rank_with_dropped_columns_is_the_full_rank(drawn, same_sign):
     assert all(len(row) == len(columns) for row in qexp.span_matrix(forms))
 
 
+# -- packed evaluation against products of expansions -------------------------
+
+
+_packed_laurent = st.dictionaries(
+    st.integers(min_value=-3, max_value=3),
+    st.one_of(st.integers(-9, 9), st.integers(-(2**60), 2**60)),
+    max_size=3,
+).map(LaurentPoly)
+
+
+@st.composite
+def _window_forms(draw):
+    """A scalar weight-0 expansion on a window [start, kN], start 0 or 1,
+    its cells drawn freely or under a swap sign."""
+    start = draw(st.integers(min_value=0, max_value=1))
+    kN = start + draw(st.integers(min_value=0, max_value=2))
+    window = range(start, kN + 1)
+    sign = draw(st.sampled_from((None, 1, -1)))
+    drawn = {
+        (n1, n2): draw(_packed_laurent)
+        for n1 in window for n2 in window if sign is None or n1 <= n2
+    }
+    if sign is None:
+        cells = {key: (lp,) for key, lp in drawn.items()}
+    else:
+        cells = _swap_map(drawn, sign)
+    return FourierExpansion((0, 0), False, kN, cells, start, validate=False)
+
+
+@st.composite
+def _forms_and_polys(draw):
+    forms = draw(st.lists(_window_forms(), min_size=2, max_size=3))
+    exps = st.tuples(*[st.integers(min_value=0, max_value=3)] * len(forms))
+    coeffs = st.integers(min_value=-5, max_value=5).filter(bool)
+    polys = st.dictionaries(exps, coeffs, min_size=1, max_size=5)
+    return forms, draw(st.lists(polys, min_size=1, max_size=3))
+
+
+_f = _scalar({(0, 0): {0: 3}, (1, 1): {-1: 2, 1: -(2**40)}, (1, 2): {0: 1}})
+_A = 2**30 + 1  # 2 * _A**2 needs one bit more than _A**2
+
+
+@settings(max_examples=200, deadline=None)
+@given(_forms_and_polys())
+@example((  # cancellation to zero, and a constant alone (degree 0)
+    [_f, _f.scale(-1)],
+    [{(1, 0): 1, (0, 1): 1}, {(2, 1): 2, (1, 2): 2}, {(0, 0): 7}],
+))
+@example(([_f, _f], [{(0, 0): -4, (1, 1): 1, (3, 0): 2}]))  # a constant term
+@example((  # f * (k * f), f of swap sign -1: the majorant of k * f has sign 1
+    [_scalar({(0, 1): {0: _A}, (1, 0): {0: -_A}}), _scalar({(0, 0): {0: 1}})] * 2,
+    [{(1, 1, 1, 0): 1}],
+))
+def test_packed_evaluation_equals_products_of_expansions(drawn):
+    forms, polys = drawn
+    sub = Substitution(forms, qexp.constant_one(min(f.kN for f in forms)))
+    assert list(qexp.evaluate(forms, polys)) == [sub(p) for p in polys]
+
+
+def test_packed_evaluation_cancels_to_zero():
+    x, y, c = qexp.evaluate(
+        [_f, _f.scale(-1)],
+        [{(1, 0): 1, (0, 1): 1}, {(2, 1): 2, (1, 2): 2}, {(0, 0): 7}],
+    )
+    assert not x.cells and not y.cells
+    assert c == qexp.constant_one(N).scale(7)
+
+
+def test_majorant_width_is_tight_for_positive_coefficients():
+    # one exponent per cell and positive coefficients: a cell's sum of |c|
+    # is its one coefficient, so the majorant is the true maximum, and one
+    # bit less than the chosen width misreads it
+    f = _scalar({(0, 0): {0: 3}, (0, 1): {0: 5}, (1, 0): {0: 5}, (1, 1): {0: 7}})
+    g = _scalar({(0, 0): {0: 1}, (1, 1): {0: 2**20}, (0, 2): {0: 9}})
+    forms, polys = [f, g], [{(2, 1): 1, (1, 2): 3}, {(0, 0): 2, (1, 0): 1}]
+    got = list(qexp.evaluate(forms, polys))
+    values = [v for e in got for (lp,) in e.cells.values() for v in lp.c.values()]
+    assert all(len(lp.c) == 1 for e in got for (lp,) in e.cells.values())
+    assert min(values) > 0
+    w = qexp.majorant_width(forms, polys)
+    assert w == max(values).bit_length() + 1
+
+    def unpacked_at(width):
+        sub = Substitution(
+            [f.operand().packed(width, f.start, f.kN) for f in forms],
+            qexp.constant_one(N).operand().packed(width, 0, N),
+        )
+        return [sub(p).unpacked() for p in polys]
+
+    assert unpacked_at(w) == [e.cells for e in got]
+    assert unpacked_at(w - 1) != [e.cells for e in got]
+
+
+def test_evaluate_takes_polys_of_one_weight():
+    a = _scalar({(0, 0): {0: 1}, (1, 1): {0: 2}}, k=4)
+    b = _scalar({(0, 0): {0: 1}}, k=6)
+    with pytest.raises(WeightMismatch):
+        qexp.evaluate([a, b], [{(1, 0): 1, (0, 1): 1}])
+    (x,) = qexp.evaluate([a, b], [{(3, 0): 1, (0, 2): -1}])
+    assert x.weight == (0, 12) and x == a.pow(3).sub(b.pow(2))
+
+
 # -- elliptic expansions -------------------------------------------------------
 
 
@@ -422,6 +525,14 @@ def test_elliptic_relation_small():
     delta = qexp.elliptic_form("Delta", n)
     lhs = e4.pow(3).sub(e6.pow(2))
     assert lhs == delta.scale(1728)
+
+
+def test_elliptic_pow_refuses_non_positive_powers():
+    e4 = qexp.elliptic_form("E4", 3)
+    assert e4.pow(1) == e4 and e4.pow(2) == e4.mul(e4)
+    for e in (0, -1):
+        with pytest.raises(ValueError, match="positive powers only"):
+            e4.pow(e)
 
 
 # -- randomized algebra laws (acceptance: >=200 cases each) --------------------

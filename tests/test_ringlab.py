@@ -127,10 +127,23 @@ def test_odd_weight_report_states_its_evidence():
 
 def test_one_elimination_gives_both_weight70_ranks():
     # the report reads both ranks off one elimination; two rank_of_span
-    # calls over the same forms must agree with it
+    # calls over the same forms must agree with it.  The monomials are
+    # built here by FourierExpansion.mul, one product at a time, and must
+    # equal the packed evaluation cell for cell
     rep = ringlab.odd_weight_divisibility_check(N=5, chi35_N=3)
-    gens = ringlab._generators(5)
-    monomials = [gens({e: 1}) for e in ringlab.weight_monomials(70)]
+    gens = [ringlab.named_form(n, 5).expansion for n in ringlab.GENERATORS]
+    exps = ringlab.weight_monomials(70)
+    monomials = []
+    for e in exps:
+        factors = [g for g, n in zip(gens, e) for _ in range(n)]
+        m = factors[0]
+        for g in factors[1:]:
+            m = m.mul(g)
+        monomials.append(m)
+    packed = list(qexp.evaluate(gens, [{e: 1} for e in exps]))
+    assert len(monomials) == 73
+    assert [m.cells for m in monomials] == [m.cells for m in packed]
+    assert all(m == p for m, p in zip(monomials, packed))
     x35 = ringlab.named_form("chi35", 3).expansion
     square = x35.mul(x35)
     assert rep["weight70_rank"] == qexp.rank_of_span(monomials) == 56
