@@ -260,22 +260,34 @@ class Operand:
         self.width = len(next(iter(cells.values()), ()))
         self.sign = swap_sign(cells)
 
-    def packed(self, w: int, start: int, kN: int) -> "Packed":
-        """The image at r = 2^w on the window [start, kN], each cell packed
-        at its own lowest exponent."""
-        cells = {key: (low, row) for key, low, row in pack_rows(self.rows, w)}
-        return Packed(cells, w, self.width, self.sign, start, kN)
+    def _rows(self, kN: int, top):
+        """The rows of the window [start, kN] under the cut ``top``: the
+        window's top and the rows of the cells with max index <= it."""
+        if top is None:
+            return kN, self.rows
+        kN = min(kN, top)
+        return kN, [(key, row) for key, row in self.rows if max(key) <= kN]
 
-    def majorant(self, start: int, kN: int) -> "Packed":
+    def packed(self, w: int, start: int, kN: int, top=None) -> "Packed":
+        """The image at r = 2^w on the window [start, kN], each cell packed
+        at its own lowest exponent; under a cut ``top``, on [start,
+        min(kN, top)]."""
+        kN, rows = self._rows(kN, top)
+        cells = {key: (low, row) for key, low, row in pack_rows(rows, w)}
+        return Packed(cells, w, self.width, self.sign, start, kN, top)
+
+    def majorant(self, start: int, kN: int, top=None) -> "Packed":
         """The image at w = 0 (r = 1) of the map with each coefficient
         replaced by its absolute value: per coordinate, one int, the sum of
-        its |c|.  Where the map has a swap sign its majorant has sign 1."""
+        its |c|.  Where the map has a swap sign its majorant has sign 1.
+        The window and the cut are those of ``packed``."""
+        kN, rows = self._rows(kN, top)
         cells = {
             key: (0, [(i, sum(map(abs, c.values()))) for i, c in row])
-            for key, row in self.rows
+            for key, row in rows
         }
         sign = None if self.sign is None else 1
-        return Packed(cells, 0, self.width, sign, start, kN)
+        return Packed(cells, 0, self.width, sign, start, kN, top)
 
 
 class Packed:
@@ -289,17 +301,27 @@ class Packed:
     homomorphism, so ``*``, ``+`` and ``scale`` act on images as on maps,
     whatever the ints hold; ``unpacked`` reads back a map whose
     coefficients all lie in (-2^(w-1), 2^(w-1)).
+
+    ``top`` is the cut of an evaluation that reads only the cells with max
+    index <= top, or None.  Under a cut every window stops at top: ``*``
+    takes kN = min(window rule, top), ``+`` and ``scale`` carry the cut
+    through, and a product whose cut window is empty because top < start
+    is the zero image, no cells on [start, top], since every coefficient
+    with min(n1, n2) < start vanishes.  Every window stays exact: an
+    output cell depends only on operand cells of smaller or equal
+    indices, so the cells a cut drops are never read.
     """
 
-    __slots__ = ("cells", "w", "width", "sign", "start", "kN")
+    __slots__ = ("cells", "w", "width", "sign", "start", "kN", "top")
 
-    def __init__(self, cells, w, width, sign, start, kN):
+    def __init__(self, cells, w, width, sign, start, kN, top=None):
         self.cells = cells
         self.w = w
         self.width = width
         self.sign = sign
         self.start = start
         self.kN = kN
+        self.top = top
 
     def product(self, other, bound: int, width: int, start: int = 0) -> "Packed":
         """The image of the product: keys add and a cell with an index past
@@ -344,13 +366,17 @@ class Packed:
                 if n2 < n1:
                     mirror = row if sign == 1 else [(i, -v) for i, v in row]
                     cells[n2, n1] = (lo, mirror)
-        return Packed(cells, w, width, sign, start, bound)
+        return Packed(cells, w, width, sign, start, bound, self.top)
 
     def __mul__(self, other):
-        """``product`` under the window rule of ``qexp.FourierExpansion.mul``."""
-        start = self.start + other.start
+        """``product`` under the window rule of ``qexp.FourierExpansion.mul``,
+        cut at ``top``: an empty window raises OrderTooSmall unless the cut
+        lies below the product's start, where the product is zero."""
+        start, top = self.start + other.start, self.top
         kN = min(self.kN + other.start, other.kN + self.start)
-        if kN < start:
+        if top is not None:
+            kN = min(kN, top)
+        if kN < start and (top is None or top >= start):
             raise OrderTooSmall("truncation too small: product window is empty")
         return self.product(other, kN, self.width + other.width - 1, start)
 
@@ -377,14 +403,17 @@ class Packed:
             else:
                 del cells[key]
         sign = self.sign if self.sign == other.sign else None
-        return Packed(cells, w, width, sign, min(self.start, other.start), kN)
+        start = min(self.start, other.start)
+        return Packed(cells, w, width, sign, start, kN, self.top)
 
     def scale(self, c: int) -> "Packed":
         cells = {
             key: (lo, [(i, x * c) for i, x in row])
             for key, (lo, row) in self.cells.items()
         } if c else {}
-        return Packed(cells, self.w, self.width, self.sign, self.start, self.kN)
+        return Packed(
+            cells, self.w, self.width, self.sign, self.start, self.kN, self.top
+        )
 
     def unpacked(self):
         """The cell map {(n1, n2): (LaurentPoly, ...)} of this image, read

@@ -303,7 +303,10 @@ def _suite_modp(args):
 
 
 def _suite_odd_weight(args):
-    rep = ringlab.odd_weight_divisibility_check(cache_dir=_cache_dir(args))
+    # chi35 on [2, M] squares to [4, M + 2]: M = N - 2 reaches the rank window
+    rep = ringlab.odd_weight_divisibility_check(
+        max(args.order, 5), max(args.order - 2, 3), _cache_dir(args)
+    )
     return _reported("odd-weight", rep)
 
 

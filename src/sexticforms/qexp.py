@@ -18,7 +18,11 @@ triple (n1, n2, r-exponent rho) encodes the half-integral matrix
 Reliability contract: a stored window [start..kN]^2 is exact; operations
 shrink kN so that the contract is preserved (mul: kN_out =
 min(kN_a + start_b, kN_b + start_a); exact_div by a form of start s:
-kN_out = min(kN_a - s, kN_b - s + start_out)).
+kN_out = min(kN_a - s, kN_b - s + start_out)).  An evaluation cut at
+``top`` (see ``evaluate``) also takes kN_out = min(kN_out, top), and a
+product with start_out > top is zero on its window, no cells: every
+coefficient with min(n1, n2) < start_out vanishes.  A cut window is still
+exact, because a cell never depends on a cell of larger index.
 
 A polynomial in forms is evaluated by ``evaluate`` in the packed image of
 ``arith.Packed``, under the same window rules, with the forms packed once
@@ -464,34 +468,37 @@ def constant_one(N: int) -> FourierExpansion:
     )
 
 
-def _images(forms, image):
-    """``poly.Substitution`` at ``image(operand, start, kN)`` of each form,
-    with the unit on their common window."""
+def _images(forms, image, top=None):
+    """``poly.Substitution`` at ``image(operand, start, kN, top)`` of each
+    form, with the unit on their common window."""
     one = constant_one(min(f.kN for f in forms))
-    *images, unit = (image(f.operand(), f.start, f.kN) for f in (*forms, one))
+    *images, unit = (
+        image(f.operand(), f.start, f.kN, top) for f in (*forms, one)
+    )
     return Substitution(images, unit)
 
 
-def majorant_width(forms, polys) -> int:
-    """The slot width at which ``evaluate`` packs ``forms`` for ``polys``.
+def majorant_width(forms, polys, top=None) -> int:
+    """The slot width at which ``evaluate`` packs ``forms`` for ``polys``,
+    cut at ``top``.
 
     Each poly is evaluated once more, with every coefficient replaced by
     its absolute value, at the majorants of the forms
     (``arith.Operand.majorant``: per coordinate the sum of its |c|) by the
-    same Horner scheme and the same packed products.  The result bounds
-    the sum of |c| over each coordinate of each cell of the true value, so
-    one bit more than its largest bit length puts every coefficient of
-    every result in (-2^(w-1), 2^(w-1)).
+    same Horner scheme and the same packed products, under the same cut.
+    The result bounds the sum of |c| over each coordinate of each cell of
+    the true value, so one bit more than its largest bit length puts every
+    coefficient of every result in (-2^(w-1), 2^(w-1)).
     """
-    bound = _images(forms, arith.Operand.majorant)
-    top = 0
+    bound = _images(forms, arith.Operand.majorant, top)
+    most = 0
     for p in polys:
         for _, row in bound({e: abs(c) for e, c in p.items()}).cells.values():
-            top = max(top, max(x for _, x in row))
-    return top.bit_length() + 1
+            most = max(most, max(x for _, x in row))
+    return most.bit_length() + 1
 
 
-def evaluate(forms, polys):
+def evaluate(forms, polys, top=None):
     """Each of ``polys`` ({exponents: int}, one exponent per form) evaluated
     at the trivial-character ``forms``, as an iterator of expansions.
 
@@ -503,6 +510,12 @@ def evaluate(forms, polys):
     swap-sign half products and the weight of each result are those of
     the same evaluation by ``mul`` and ``add``; a poly whose terms differ
     in weight raises WeightMismatch.
+
+    With a cut ``top``, each result is that expansion restricted to the
+    cells with max index <= top, on the window [start, min(kN, top)]: no
+    cell past top is formed, and a product whose start lies past top is
+    formed as zero instead of raising OrderTooSmall.  Without one, an
+    empty window raises OrderTooSmall as in ``mul``.
     """
     if any(f.character or f.denom != 1 for f in forms):
         raise WeightMismatch("evaluation takes trivial-character forms")
@@ -516,8 +529,8 @@ def evaluate(forms, polys):
         if len(ws) != 1:
             raise WeightMismatch("a poly to evaluate needs terms of one weight")
         weights.append(ws.pop())
-    w = majorant_width(forms, polys)
-    sub = _images(forms, lambda op, start, kN: op.packed(w, start, kN))
+    w = majorant_width(forms, polys, top)
+    sub = _images(forms, lambda op, *window: op.packed(w, *window), top)
     return (
         FourierExpansion(weight, False, x.kN, x.unpacked(), x.start, validate=False)
         for weight, x in zip(weights, map(sub, polys))

@@ -13,7 +13,10 @@ function 1/((1-t^4)(1-t^6)(1-t^10)(1-t^12)), and the odd-weight probe that
 chi_35 squared falls back into the even subring.  The monomials of all
 weights at one truncation come from one ``qexp.evaluate``: the four
 generators are packed once, each generator power is built once, and each
-monomial is unpacked once.
+monomial is unpacked once.  The evaluation is cut at the truncation N,
+the window every rank reads: a cusp factor raises a monomial's natural
+window (chi_10^7 lies on [7, 11] at N = 5), and the cells past N are
+never formed.
 
 Rank verdicts are evidence at a truncation, not proofs: a full-rank
 result is reported as "consistent with" the expected dimension, and a
@@ -196,10 +199,12 @@ def _monomials(weights, N: int, cache_dir=None):
     """For each k of ``weights`` in turn, the list of weight-k monomials
     (``weight_monomials``) in psi4, psi6, chi10, chi12 at truncation N,
     all from one packed evaluation (``qexp.evaluate``): each generator
-    power is built once for every weight."""
+    power is built once for every weight.  The evaluation is cut at N, so
+    every monomial lies on [start, N], and one whose start exceeds N is
+    zero there, with no cells."""
     gens = [named_form(n, N, cache_dir).expansion for n in GENERATORS]
     exps = [weight_monomials(k) for k in weights]
-    forms = qexp.evaluate(gens, [{e: 1} for es in exps for e in es])
+    forms = qexp.evaluate(gens, [{e: 1} for es in exps for e in es], N)
     for es in exps:
         yield list(islice(forms, len(es)))
 

@@ -199,6 +199,19 @@ def test_verify_odd_weight_json(tmp_path, capsys):
     assert rep["truncation"] == 5
 
 
+def test_verify_odd_weight_reads_the_order(tmp_path, capsys):
+    # generators at order 6 and chi35 at 4, whose square reaches the window
+    code, out, _ = run(
+        capsys, "verify", "odd-weight", "--order", "6", "--json",
+        "--no-timestamp", "--cache", str(tmp_path),
+    )
+    rep = json.loads(out)["report"]
+    assert rep["truncation"] == 6
+    assert rep["weight70_rank"] == 72
+    assert rep["expected_dim"] == 73
+    assert rep["square_visible_in_window"]
+
+
 @pytest.mark.parametrize(
     "argv, corrupt, code, message",
     [

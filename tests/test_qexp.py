@@ -12,6 +12,7 @@ from sexticforms.poly import Substitution
 from sexticforms.errors import (
     NormalizationFailure,
     NotDivisible,
+    OrderTooSmall,
     SupportViolation,
     WeightMismatch,
 )
@@ -446,21 +447,63 @@ _f = _scalar({(0, 0): {0: 3}, (1, 1): {-1: 2, 1: -(2**40)}, (1, 2): {0: 1}})
 _A = 2**30 + 1  # 2 * _A**2 needs one bit more than _A**2
 
 
+def _cut(e, top):
+    """The expansion e restricted to the cells with max index <= top, on
+    the window [start, min(kN, top)]; e itself when top is None."""
+    if top is None:
+        return e
+    kN = min(e.kN, top)
+    cells = {key: vec for key, vec in e.cells.items() if max(key) <= kN}
+    return FourierExpansion(e.weight, False, kN, cells, e.start, validate=False)
+
+
+_g = _scalar({(1, 1): {0: 5}, (1, 2): {1: -3}}, start=1)
+
+
 @settings(max_examples=200, deadline=None)
-@given(_forms_and_polys())
+@given(_forms_and_polys(), st.one_of(st.none(), st.integers(0, 6)))
 @example((  # cancellation to zero, and a constant alone (degree 0)
     [_f, _f.scale(-1)],
     [{(1, 0): 1, (0, 1): 1}, {(2, 1): 2, (1, 2): 2}, {(0, 0): 7}],
-))
-@example(([_f, _f], [{(0, 0): -4, (1, 1): 1, (3, 0): 2}]))  # a constant term
+), None)
+@example(([_f, _f], [{(0, 0): -4, (1, 1): 1, (3, 0): 2}]), None)  # a constant term
 @example((  # f * (k * f), f of swap sign -1: the majorant of k * f has sign 1
     [_scalar({(0, 1): {0: _A}, (1, 0): {0: -_A}}), _scalar({(0, 0): {0: 1}})] * 2,
     [{(1, 1, 1, 0): 1}],
-))
-def test_packed_evaluation_equals_products_of_expansions(drawn):
+), None)
+@example((  # tops below a result's start: g^3 (start 3) is zero on [0, 2]
+    [_g, _f], [{(3, 0): 1}, {(3, 1): 2, (0, 2): -1}, {(2, 0): 1}],
+), 2)
+@example(([_g, _f], [{(3, 0): 1, (0, 1): 1}, {(1, 0): 1}]), 0)
+def test_packed_evaluation_equals_products_of_expansions(drawn, top):
+    # cut at top, each result is the uncut one on the cells <= top
     forms, polys = drawn
     sub = Substitution(forms, qexp.constant_one(min(f.kN for f in forms)))
-    assert list(qexp.evaluate(forms, polys)) == [sub(p) for p in polys]
+    got = list(qexp.evaluate(forms, polys, top))
+    assert got == [_cut(sub(p), top) for p in polys]
+    if top is not None:
+        assert all(e.kN <= top for e in got)
+        assert qexp.majorant_width(forms, polys, top) <= qexp.majorant_width(
+            forms, polys
+        )
+
+
+def test_cut_is_zero_past_start_but_an_uncut_empty_window_raises():
+    (z,) = qexp.evaluate([_g], [{(3,): 1}], 2)  # g^3 starts at 3
+    assert not z.cells and (z.start, z.kN) == (3, 2)
+    # z * g has the empty window [4, 3]: uncut, or cut at or past its
+    # start, that is too small; cut below its start it is zero
+    for top in (None, 4, 6):
+        with pytest.raises(OrderTooSmall):
+            list(qexp.evaluate([z, _g], [{(1, 1): 1}], top))
+    (x,) = qexp.evaluate([z, _g], [{(1, 1): 1}], 3)
+    assert not x.cells and (x.start, x.kN) == (4, 3)
+    with pytest.raises(OrderTooSmall):
+        z.mul(_g)
+    # a sum and a multiple carry the cut into the products they head
+    g = _g.operand().packed(64, _g.start, _g.kN, 2)
+    for head in (g + g, g.scale(2)):
+        assert (head * g).kN == 2 and not (head * g * g).cells
 
 
 def test_packed_evaluation_cancels_to_zero():

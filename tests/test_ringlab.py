@@ -144,6 +144,15 @@ def test_one_elimination_gives_both_weight70_ranks():
     assert len(monomials) == 73
     assert [m.cells for m in monomials] == [m.cells for m in packed]
     assert all(m == p for m, p in zip(monomials, packed))
+    # the report's monomials are cut at N = 5: the uncut ones on cells <= 5
+    (cut,) = ringlab._monomials([70], 5)
+    assert [m.kN for m in cut] == [5] * 73
+    assert [m.start for m in cut] == [m.start for m in monomials]
+    assert [m.cells for m in cut] == [
+        {key: vec for key, vec in m.cells.items() if max(key) <= 5}
+        for m in monomials
+    ]
+    assert any(m.start > 5 and not m.cells for m in cut)
     x35 = ringlab.named_form("chi35", 3).expansion
     square = x35.mul(x35)
     assert rep["weight70_rank"] == qexp.rank_of_span(monomials) == 56
