@@ -27,21 +27,14 @@ exponent), sum and integer multiple of images are the images of the
 product, sum and multiple of the maps, whatever the ints hold in between.
 Only the final coefficients must fit their slots: ``unpack`` reads each
 coordinate once as signed w-bit digits, which is exact when every
-coefficient lies in (-2^(w-1), 2^(w-1)).  ``kronecker`` packs both
-operands at the width that bounds every sum of products of one product
-(``slot_width``), multiplies and unpacks.  ``qexp.evaluate`` packs its
-forms once, at a width read off a majorant: each coordinate replaced by
-the sum of its |c|, one int at w = 0 (``Operand.majorant``), evaluated
-through the same products.  That bounds each result coordinate's sum of
-|c|, so one bit more than its largest bit length is a width every final
-coefficient fits.
-
-Prepared operands.  An ``Operand`` holds what the packing needs of one
-cell map: its integer rows, coefficient bit size and term count, its
-Sym^j width and its swap sign.  It is built from the cell map once;
-``qexp.FourierExpansion`` keeps its own, which is safe because an
-expansion is immutable, so a form used in many products is measured and
-checked for symmetry once.  The rows are packed anew at each width.
+coefficient lies in (-2^(w-1), 2^(w-1)).  ``Packed.of`` packs a cell map.
+``kronecker`` packs both operands at the width that bounds every sum of
+products of one product (``slot_width``), multiplies and unpacks.
+``qexp.evaluate`` packs its forms once, at a width read off a majorant:
+each form's map with every coordinate replaced by the constant sum of
+its |c|, packed at w = 0 and evaluated through the same products.  That
+bounds each result coordinate's sum of |c|, so one bit more than its
+largest bit length is a width every final coefficient fits.
 
 Swap signs.  The swap sign of a scalar cell map is the s in {1, -1} with
 cell (n2, n1) = s * cell (n1, n2) for every cell (``swap_sign``).  For a
@@ -149,13 +142,15 @@ def int_rows(cells):
     return rows
 
 
-def measure(rows):
-    """(largest coefficient bit length, term count) of integer rows."""
+def measure(cells):
+    """(largest coefficient bit length, term count) of a cell map
+    {(n1, n2): (LaurentPoly, ...)}."""
     hi, terms = 0, 0
-    for _, row in rows:
-        for _, c in row:
-            hi = max(hi, max(c.values()), -min(c.values()))
-            terms += len(c)
+    for vec in cells.values():
+        for x in vec:
+            if x.c:
+                hi = max(hi, max(x.c.values()), -min(x.c.values()))
+                terms += len(x.c)
     return hi.bit_length(), terms
 
 
@@ -246,50 +241,6 @@ def swap_sign(cells):
     return 1 if sign is None else sign
 
 
-class Operand:
-    """A cell map {(n1, n2): (LaurentPoly, ...)} prepared for the packed
-    product: its integer ``rows`` (``int_rows``), largest coefficient
-    ``bits`` and term count ``terms`` (``measure``), its Sym^j ``width``
-    and its swap ``sign`` (``swap_sign``)."""
-
-    __slots__ = ("rows", "bits", "terms", "width", "sign")
-
-    def __init__(self, cells):
-        self.rows = int_rows(cells.items())
-        self.bits, self.terms = measure(self.rows)
-        self.width = len(next(iter(cells.values()), ()))
-        self.sign = swap_sign(cells)
-
-    def _rows(self, kN: int, top):
-        """The rows of the window [start, kN] under the cut ``top``: the
-        window's top and the rows of the cells with max index <= it."""
-        if top is None:
-            return kN, self.rows
-        kN = min(kN, top)
-        return kN, [(key, row) for key, row in self.rows if max(key) <= kN]
-
-    def packed(self, w: int, start: int, kN: int, top=None) -> "Packed":
-        """The image at r = 2^w on the window [start, kN], each cell packed
-        at its own lowest exponent; under a cut ``top``, on [start,
-        min(kN, top)]."""
-        kN, rows = self._rows(kN, top)
-        cells = {key: (low, row) for key, low, row in pack_rows(rows, w)}
-        return Packed(cells, w, self.width, self.sign, start, kN, top)
-
-    def majorant(self, start: int, kN: int, top=None) -> "Packed":
-        """The image at w = 0 (r = 1) of the map with each coefficient
-        replaced by its absolute value: per coordinate, one int, the sum of
-        its |c|.  Where the map has a swap sign its majorant has sign 1.
-        The window and the cut are those of ``packed``."""
-        kN, rows = self._rows(kN, top)
-        cells = {
-            key: (0, [(i, sum(map(abs, c.values()))) for i, c in row])
-            for key, row in rows
-        }
-        sign = None if self.sign is None else 1
-        return Packed(cells, 0, self.width, sign, start, kN, top)
-
-
 class Packed:
     """A cell map evaluated at r = 2^w.
 
@@ -322,6 +273,22 @@ class Packed:
         self.start = start
         self.kN = kN
         self.top = top
+
+    @classmethod
+    def of(cls, cells, w: int, start: int, kN: int, top=None) -> "Packed":
+        """The image at r = 2^w of a cell map {(n1, n2): (LaurentPoly, ...)}
+        on the window [start, kN], each cell packed at its own lowest
+        exponent, with the map's Sym^j width and swap sign; under a cut
+        ``top``, of its cells with max index <= top, on [start, min(kN,
+        top)].  At w = 0 each coordinate packs to the sum of its
+        coefficients."""
+        if top is not None:
+            kN = min(kN, top)
+            cells = {key: vec for key, vec in cells.items() if max(key) <= kN}
+        rows = pack_rows(int_rows(cells.items()), w)
+        packed = {key: (low, row) for key, low, row in rows}
+        width = len(next(iter(cells.values()), ()))
+        return cls(packed, w, width, swap_sign(cells), start, kN, top)
 
     def product(self, other, bound: int, width: int, start: int = 0) -> "Packed":
         """The image of the product: keys add and a cell with an index past
@@ -434,9 +401,9 @@ class Packed:
 
 
 def kronecker(a, b, bound, width):
-    """Product of two cell maps {(n1, n2): (LaurentPoly, ...)}, each given
-    as the map or as its ``Operand``: both packed at the slot width of
-    their product, multiplied by ``Packed.product`` and unpacked.
+    """Product of two cell maps {(n1, n2): (LaurentPoly, ...)}: both packed
+    at the slot width of their product (``Packed.of``), multiplied by
+    ``Packed.product`` and unpacked.
 
     Keys add, and cells with an index past ``bound`` are dropped;
     coordinate i of ``a`` times coordinate l of ``b`` lands in coordinate
@@ -444,13 +411,12 @@ def kronecker(a, b, bound, width):
     coefficient is a sum of at most min(terms of a, terms of b) products,
     which fixes the slot width.
     """
-    a = a if isinstance(a, Operand) else Operand(a)
-    b = b if isinstance(b, Operand) else Operand(b)
-    if not (a.terms and b.terms):
+    (a_bits, a_terms), (b_bits, b_terms) = measure(a), measure(b)
+    if not (a_terms and b_terms):
         return {}
-    w = slot_width(a.bits, b.bits, min(a.terms, b.terms))
-    product = a.packed(w, 0, bound).product(b.packed(w, 0, bound), bound, width)
-    return product.unpacked()
+    w = slot_width(a_bits, b_bits, min(a_terms, b_terms))
+    pa, pb = Packed.of(a, w, 0, bound), Packed.of(b, w, 0, bound)
+    return pa.product(pb, bound, width).unpacked()
 
 
 def quotient(d, b, corner, keys, width):
@@ -471,8 +437,8 @@ def quotient(d, b, corner, keys, width):
     div = dict(int_rows(b.items()))
     pivot = LaurentPoly.over(div.pop(corner)[0][1])
     neg = [(t, [(0, {e: -v for e, v in c.items()})]) for t, ((_, c),) in div.items()]
-    d_bits, _ = measure(dividend.items())
-    b_bits, b_terms = measure(neg)
+    d_bits, _ = measure(d)
+    b_bits, b_terms = measure({t: vec for t, vec in b.items() if t != corner})
     q_bits, w = d_bits, 0
     q = {}
 

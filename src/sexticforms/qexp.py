@@ -66,7 +66,7 @@ def _graded(keys):
 
 
 class FourierExpansion:
-    __slots__ = ("j", "k", "character", "denom", "kN", "start", "cells", "_operand")
+    __slots__ = ("j", "k", "character", "denom", "kN", "start", "cells")
 
     def __init__(self, weight, character, kN, cells, start=0, denom=1, validate=True):
         self.j, self.k = weight
@@ -88,7 +88,6 @@ class FourierExpansion:
                 raise ValueError(f"cell {key} outside window [{start},{kN}]")
             store[key] = vec
         self.cells = store
-        self._operand = None
         if validate and not self.character and self.denom == 1:
             self._validate_support()
 
@@ -229,13 +228,6 @@ class FourierExpansion:
         )
 
     # -- multiplication --------------------------------------------------------
-    def operand(self) -> arith.Operand:
-        """The cells prepared for ``arith.kronecker``, built on first use
-        and kept: an expansion is immutable."""
-        if self._operand is None:
-            self._operand = arith.Operand(self.cells)
-        return self._operand
-
     def mul(self, other) -> "FourierExpansion":
         if self.denom != other.denom:
             raise WeightMismatch("index-lattice mismatch in product")
@@ -248,7 +240,7 @@ class FourierExpansion:
             raise OrderTooSmall(
                 "truncation too small: product window is empty"
             )
-        cells = arith.kronecker(self.operand(), other.operand(), kN, j + 1)
+        cells = arith.kronecker(self.cells, other.cells, kN, j + 1)
         denom = self.denom
         if denom == 2 and not character:
             # product landed back on the integral lattice; validate and halve
@@ -468,14 +460,27 @@ def constant_one(N: int) -> FourierExpansion:
     )
 
 
-def _images(forms, image, top=None):
-    """``poly.Substitution`` at ``image(operand, start, kN, top)`` of each
-    form, with the unit on their common window."""
+def _images(forms, maps, w, top):
+    """``poly.Substitution`` at the images at r = 2^w (``arith.Packed.of``)
+    of ``maps``, one cell map per form on that form's window, cut at
+    ``top``, with the unit on their common window."""
     one = constant_one(min(f.kN for f in forms))
-    *images, unit = (
-        image(f.operand(), f.start, f.kN, top) for f in (*forms, one)
-    )
-    return Substitution(images, unit)
+    images = [
+        arith.Packed.of(cells, w, f.start, f.kN, top) for cells, f in zip(maps, forms)
+    ]
+    return Substitution(images, arith.Packed.of(one.cells, w, 0, one.kN, top))
+
+
+def _magnitudes(cells):
+    """The cell map with every coordinate replaced by the constant sum of
+    its |c|."""
+    return {
+        key: tuple(
+            LaurentPoly.over({0: sum(map(abs, x.c.values()))} if x.c else {})
+            for x in vec
+        )
+        for key, vec in cells.items()
+    }
 
 
 def majorant_width(forms, polys, top=None) -> int:
@@ -483,14 +488,14 @@ def majorant_width(forms, polys, top=None) -> int:
     cut at ``top``.
 
     Each poly is evaluated once more, with every coefficient replaced by
-    its absolute value, at the majorants of the forms
-    (``arith.Operand.majorant``: per coordinate the sum of its |c|) by the
-    same Horner scheme and the same packed products, under the same cut.
-    The result bounds the sum of |c| over each coordinate of each cell of
-    the true value, so one bit more than its largest bit length puts every
+    its absolute value, at the majorants of the forms, each form's map of
+    coordinate sums of |c| (``_magnitudes``) packed at w = 0, by the same
+    Horner scheme and the same packed products, under the same cut.  The
+    result bounds the sum of |c| over each coordinate of each cell of the
+    true value, so one bit more than its largest bit length puts every
     coefficient of every result in (-2^(w-1), 2^(w-1)).
     """
-    bound = _images(forms, arith.Operand.majorant, top)
+    bound = _images(forms, [_magnitudes(f.cells) for f in forms], 0, top)
     most = 0
     for p in polys:
         for _, row in bound({e: abs(c) for e, c in p.items()}).cells.values():
@@ -502,10 +507,11 @@ def evaluate(forms, polys, top=None):
     """Each of ``polys`` ({exponents: int}, one exponent per form) evaluated
     at the trivial-character ``forms``, as an iterator of expansions.
 
-    The forms are packed once, at the width of ``majorant_width``, and the
-    whole Horner scheme of ``poly.Substitution`` runs on the packed images
-    (``arith.Packed``): r -> 2^w is a ring homomorphism, so only the final
-    coefficients must fit their slots, and each result is unpacked once.
+    The forms are packed once (``arith.Packed.of``), at the width of
+    ``majorant_width``, and the whole Horner scheme of
+    ``poly.Substitution`` runs on the packed images: r -> 2^w is a ring
+    homomorphism, so only the final coefficients must fit their slots, and
+    each result is unpacked once.
     A power of a form is built once and shared by every poly.  Windows,
     swap-sign half products and the weight of each result are those of
     the same evaluation by ``mul`` and ``add``; a poly whose terms differ
@@ -530,7 +536,7 @@ def evaluate(forms, polys, top=None):
             raise WeightMismatch("a poly to evaluate needs terms of one weight")
         weights.append(ws.pop())
     w = majorant_width(forms, polys, top)
-    sub = _images(forms, lambda op, *window: op.packed(w, *window), top)
+    sub = _images(forms, [f.cells for f in forms], w, top)
     return (
         FourierExpansion(weight, False, x.kN, x.unpacked(), x.start, validate=False)
         for weight, x in zip(weights, map(sub, polys))

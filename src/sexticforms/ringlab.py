@@ -20,7 +20,8 @@ never formed.
 
 Rank verdicts are evidence at a truncation, not proofs: a full-rank
 result is reported as "consistent with" the expected dimension, and a
-deficit triggers one automatic retry at a larger truncation.
+weight whose rank falls short is retried at N + 1, N + 2, ... up to a
+cap read off its weight, max(N + 1, k // 10 + 1).
 """
 
 from __future__ import annotations
@@ -127,16 +128,24 @@ def _recipe_hash(name: str, N: int) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _read_cached(path: str, digest: str):
     """The expansion cached at ``path``, or None if the entry is missing,
-    unreadable, corrupt (support outside the cone included) or written
-    under another key."""
+    unreadable, corrupt (support outside the cone included), written under
+    another key, or edited since: its expansion no longer matches the
+    ``expansion_sha256`` stored with it."""
     try:
         with open(path) as fh:
             data = json.load(fh)
         if data["recipe_hash"] != digest:
             return None
-        return FourierExpansion.from_json(data["expansion"])
+        expansion = data["expansion"]
+        if data["expansion_sha256"] != _sha256(json.dumps(expansion)):
+            return None
+        return FourierExpansion.from_json(expansion)
     except (OSError, ValueError, LookupError, TypeError, AttributeError,
             ArithmeticError, SexticFormsError):
         return None
@@ -156,10 +165,14 @@ def named_form(name: str, N: int, cache_dir=None) -> NamedForm:
     expansion = _build(key, N)
     if path:
         os.makedirs(cache_dir, exist_ok=True)
-        payload = {"recipe_hash": digest, "expansion": expansion.to_json()}
+        text = json.dumps(expansion.to_json())  # the C encoder; json.dump is pure Python
+        head = {"recipe_hash": digest, "expansion_sha256": _sha256(text)}
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
-            fh.write(json.dumps(payload))  # the C encoder; json.dump is pure Python
+            # one JSON object whose expansion is the text just hashed
+            fh.write(json.dumps(head)[:-1] + ', "expansion": ')
+            fh.write(text)
+            fh.write("}")
         os.replace(tmp, path)
     return NamedForm(key, expansion)
 
@@ -212,16 +225,25 @@ def _monomials(weights, N: int, cache_dir=None):
 def verify_even_generation(k_max: int, N: int, cache_dir=None):
     """Per even weight k <= k_max: rank of the weight-k monomials in the
     four even generators vs. the generating-function dimension.  A weight
-    whose rank falls short at truncation N is retried once, at N + 1."""
+    whose rank falls short at truncation N is retried at N + 1, N + 2, ...
+    until its rank is full or it reaches the cap max(N + 1, k // 10 + 1):
+    one past max(4, k // 10), the truncation at which the weight-k
+    monomials were measured to reach full rank for every even k <= 100.
+    A row's ``truncation`` is the last one tried."""
     weights = range(0, k_max + 1, 2)
     found = {}  # weight: (rank, truncation)
     for k, forms in zip(weights, _monomials(weights, N, cache_dir)):
         found[k] = (qexp.rank_of_span(forms) if forms else 0, N)
-    # rank can only under-count; one retry deeper
-    retry = [k for k in weights if found[k][0] != even_dimension(k)]
-    if retry:
-        for k, forms in zip(retry, _monomials(retry, N + 1, cache_dir)):
-            found[k] = (qexp.rank_of_span(forms), N + 1)
+    # rank can only under-count; the short weights are retried deeper
+    cap = {k: max(N + 1, k // 10 + 1) for k in weights}
+    for n in range(N + 1, max(cap.values(), default=N) + 1):
+        retry = [
+            k for k in weights if found[k][0] != even_dimension(k) and cap[k] >= n
+        ]
+        if not retry:
+            break
+        for k, forms in zip(retry, _monomials(retry, n, cache_dir)):
+            found[k] = (qexp.rank_of_span(forms), n)
     report = []
     for k in weights:
         expected = even_dimension(k)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -234,6 +235,8 @@ def test_verify_odd_weight_reads_the_order(tmp_path, capsys):
         (["expand", "chi10"], lambda good: _with_term(good, (1, 1), "9", "1"), 0, None),
         # a rational coefficient at (1,1), under the right key
         (["expand", "chi10"], lambda good: _with_term(good, (1, 1), "1", "1/2"), 0, None),
+        # a truncation raised past the cells the entry holds, under the right key
+        (["expand", "chi10"], lambda good: _with_truncation(good, 3), 0, None),
     ],
 )
 def test_bad_input_exit_codes(tmp_path, capsys, argv, corrupt, code, message):
@@ -259,12 +262,30 @@ def test_bad_input_exit_codes(tmp_path, capsys, argv, corrupt, code, message):
         assert entry.read_text() == good
 
 
+def _signed(data):
+    """The entry text of ``data`` with the digest of its expansion
+    recomputed, so that only the checks of the expansion itself can
+    reject it."""
+    text = json.dumps(data["expansion"])
+    data["expansion_sha256"] = hashlib.sha256(text.encode()).hexdigest()
+    return json.dumps(data)
+
+
 def _with_term(entry_text, key, exponent, coeff):
-    """A cache entry with one more term in coordinate 0 of cell ``key``."""
+    """A cache entry with one more term in coordinate 0 of cell ``key``,
+    its digest recomputed."""
     data = json.loads(entry_text)
     for cell in data["expansion"]["coeffs"]:
         if tuple(cell["n"]) == key:
             cell["vec"][0][exponent] = coeff
+    return _signed(data)
+
+
+def _with_truncation(entry_text, kN):
+    """A cache entry whose expansion claims the truncation kN, its digest
+    left as written."""
+    data = json.loads(entry_text)
+    data["expansion"]["truncation"] = kN
     return json.dumps(data)
 
 

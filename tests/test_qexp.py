@@ -351,17 +351,8 @@ def test_swap_sign_detection():
     assert arith.swap_sign({**anti, (2, 2): (y,)}) is None
     # vector-valued, even when each coordinate is symmetric
     assert arith.swap_sign({(0, 1): (x, x), (1, 0): (x, x)}) is None
-    assert arith.kronecker(arith.Operand(anti), sym, 3, 1) == arith.kronecker(
-        anti, arith.Operand(sym), 3, 1
-    )
-
-
-def test_expansion_keeps_its_prepared_operand(chi10_n3):
-    op = chi10_n3.operand()
-    assert op is chi10_n3.operand() and op.sign == 1
-    chi10_n3.mul(chi10_n3)
-    assert chi10_n3.operand() is op
-    assert theta.chi_6_8(2).operand().sign is None  # vector-valued
+    # a product of maps of opposite signs, in either order
+    assert arith.kronecker(anti, sym, 3, 1) == arith.kronecker(sym, anti, 3, 1)
 
 
 def _full_rank(forms):
@@ -501,7 +492,7 @@ def test_cut_is_zero_past_start_but_an_uncut_empty_window_raises():
     with pytest.raises(OrderTooSmall):
         z.mul(_g)
     # a sum and a multiple carry the cut into the products they head
-    g = _g.operand().packed(64, _g.start, _g.kN, 2)
+    g = arith.Packed.of(_g.cells, 64, _g.start, _g.kN, 2)
     for head in (g + g, g.scale(2)):
         assert (head * g).kN == 2 and not (head * g * g).cells
 
@@ -531,8 +522,8 @@ def test_majorant_width_is_tight_for_positive_coefficients():
 
     def unpacked_at(width):
         sub = Substitution(
-            [f.operand().packed(width, f.start, f.kN) for f in forms],
-            qexp.constant_one(N).operand().packed(width, 0, N),
+            [arith.Packed.of(f.cells, width, f.start, f.kN) for f in forms],
+            arith.Packed.of(qexp.constant_one(N).cells, width, 0, N),
         )
         return [sub(p).unpacked() for p in polys]
 

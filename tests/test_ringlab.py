@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -88,10 +89,15 @@ def test_chi35_is_chi10_squared_times_nu_of_E():
     assert x35.agrees_with(e)
 
 
-def test_disk_cache_round_trip(tmp_path):
+def test_disk_cache_round_trip(tmp_path, monkeypatch):
     first = ringlab.named_form("chi10", 2, str(tmp_path))
     files = list(tmp_path.iterdir())
     assert len(files) == 1
+
+    def rebuild(name, N):
+        raise AssertionError("a fresh entry must be served, not rebuilt")
+
+    monkeypatch.setattr(ringlab, "_build", rebuild)
     second = ringlab.named_form("chi10", 2, str(tmp_path))
     assert second.expansion == first.expansion
 
@@ -103,6 +109,8 @@ def test_disk_cache_keyed_by_source(tmp_path, monkeypatch):
     (entry,) = tmp_path.iterdir()
     data = json.loads(entry.read_text())
     data["expansion"] = real.scale(2).to_json()
+    text = json.dumps(data["expansion"])  # the edit keeps its entry's digest
+    data["expansion_sha256"] = hashlib.sha256(text.encode()).hexdigest()
     entry.write_text(json.dumps(data))
     # the sources that wrote the entry are served it ...
     assert ringlab.named_form("chi10", 2, str(tmp_path)).expansion == real.scale(2)
@@ -115,6 +123,15 @@ def test_disk_cache_keyed_by_source(tmp_path, monkeypatch):
 def test_even_generation_small():
     rows = ringlab.verify_even_generation(12, 3)
     assert all(r["status"] == "PASS" for r in rows)
+
+
+def test_even_generation_escalates_past_one_retry():
+    # the weight-50 monomials reach full rank only at N = 5, two past the start
+    row = ringlab.verify_even_generation(50, 3)[-1]
+    assert row == {
+        "weight": 50, "expected_dim": 31, "rank": 31, "truncation": 5,
+        "status": "PASS",
+    }
 
 
 def test_odd_weight_report_states_its_evidence():
