@@ -31,9 +31,11 @@ coefficient lies in (-2^(w-1), 2^(w-1)).  ``Packed.of`` packs a cell map.
 ``kronecker`` packs both operands at the width that bounds every sum of
 products of one product (``slot_width``), multiplies and unpacks.
 ``qexp.evaluate`` packs its forms once, at a width read off a majorant:
-each form's map with every coordinate replaced by the constant sum of
-its |c|, packed at w = 0 and evaluated through the same products.  That
-bounds each result coordinate's sum of |c|, so one bit more than its
+each form's map reduced to one scalar per antidiagonal n1 + n2 = t, the
+sum of |c| over its cells and coordinates, keyed (t, 0), packed at w = 0
+on the doubled window and evaluated through the same products.  These
+sums are subadditive and submultiplicative, so the result bounds the sum
+of |c| over each antidiagonal of each result, and one bit more than its
 largest bit length is a width every final coefficient fits.
 
 Swap signs.  The swap sign of a scalar cell map is the s in {1, -1} with

@@ -16,7 +16,8 @@ d - m divisions by chi_10).  A failing division (NotDivisible) is the
 detection mechanism for genuine non-holomorphy.
 
 All coordinates come from one ``qexp.evaluate``: the seven beta_i are
-packed once, at r = 2^w for a w that a majorant pass fixes, the Horner
+packed once, at r = 2^w for a w that a majorant pass fixes on one sum of
+|c| per antidiagonal n1 + n2 of each beta_i, the Horner
 scheme of ``poly.Substitution`` runs on the packed ints with each power of
 a beta_i built once, and each coordinate is unpacked once.  No series
 product of the evaluation goes through ``FourierExpansion.mul``.

@@ -460,27 +460,28 @@ def constant_one(N: int) -> FourierExpansion:
     )
 
 
-def _images(forms, maps, w, top):
+def _images(maps, windows, w, top):
     """``poly.Substitution`` at the images at r = 2^w (``arith.Packed.of``)
-    of ``maps``, one cell map per form on that form's window, cut at
+    of the cell maps ``maps`` on their ``windows`` [(start, kN)], cut at
     ``top``, with the unit on their common window."""
-    one = constant_one(min(f.kN for f in forms))
+    kN = min(k for _, k in windows)
     images = [
-        arith.Packed.of(cells, w, f.start, f.kN, top) for cells, f in zip(maps, forms)
+        arith.Packed.of(cells, w, start, k, top)
+        for cells, (start, k) in zip(maps, windows)
     ]
-    return Substitution(images, arith.Packed.of(one.cells, w, 0, one.kN, top))
+    one = arith.Packed.of(constant_one(kN).cells, w, 0, kN, top)
+    return Substitution(images, one)
 
 
 def _magnitudes(cells):
-    """The cell map with every coordinate replaced by the constant sum of
-    its |c|."""
-    return {
-        key: tuple(
-            LaurentPoly.over({0: sum(map(abs, x.c.values()))} if x.c else {})
-            for x in vec
-        )
-        for key, vec in cells.items()
-    }
+    """The antidiagonal majorant of a cell map: {(t, 0): (M(t),)} with
+    M(t) the constant sum of |c| over every r-coefficient of every
+    coordinate of every cell (n1, n2) with n1 + n2 = t."""
+    sums = {}
+    for (n1, n2), vec in cells.items():
+        t = n1 + n2
+        sums[t] = sums.get(t, 0) + sum(abs(v) for x in vec for v in x.c.values())
+    return {(t, 0): (LaurentPoly.over({0: m}),) for t, m in sums.items()}
 
 
 def majorant_width(forms, polys, top=None) -> int:
@@ -488,14 +489,23 @@ def majorant_width(forms, polys, top=None) -> int:
     cut at ``top``.
 
     Each poly is evaluated once more, with every coefficient replaced by
-    its absolute value, at the majorants of the forms, each form's map of
-    coordinate sums of |c| (``_magnitudes``) packed at w = 0, by the same
-    Horner scheme and the same packed products, under the same cut.  The
-    result bounds the sum of |c| over each coordinate of each cell of the
-    true value, so one bit more than its largest bit length puts every
-    coefficient of every result in (-2^(w-1), 2^(w-1)).
+    its absolute value, at the antidiagonal majorants of the forms
+    (``_magnitudes``: one scalar per total index t = n1 + n2), packed at
+    w = 0 on the doubled windows [2 * start, 2 * kN] and cut at 2 * top, by
+    the same Horner scheme and the same packed products.  Antidiagonal
+    sums of |c| are subadditive and submultiplicative, M_fg(t) <= sum over
+    t1 + t2 = t of M_f(t1) * M_g(t2), and every cell with max index <= kN
+    has t <= 2 * kN, so the value at t bounds the sum of |c| over every
+    coordinate of every cell of the true value on that antidiagonal, and
+    one bit more than its largest bit length puts every coefficient of
+    every result in (-2^(w-1), 2^(w-1)).
     """
-    bound = _images(forms, [_magnitudes(f.cells) for f in forms], 0, top)
+    bound = _images(
+        [_magnitudes(f.cells) for f in forms],
+        [(2 * f.start, 2 * f.kN) for f in forms],
+        0,
+        None if top is None else 2 * top,
+    )
     most = 0
     for p in polys:
         for _, row in bound({e: abs(c) for e, c in p.items()}).cells.values():
@@ -508,7 +518,8 @@ def evaluate(forms, polys, top=None):
     at the trivial-character ``forms``, as an iterator of expansions.
 
     The forms are packed once (``arith.Packed.of``), at the width of
-    ``majorant_width``, and the whole Horner scheme of
+    ``majorant_width``, read off one scalar per antidiagonal n1 + n2 of
+    each form, and the whole Horner scheme of
     ``poly.Substitution`` runs on the packed images: r -> 2^w is a ring
     homomorphism, so only the final coefficients must fit their slots, and
     each result is unpacked once.
@@ -536,7 +547,7 @@ def evaluate(forms, polys, top=None):
             raise WeightMismatch("a poly to evaluate needs terms of one weight")
         weights.append(ws.pop())
     w = majorant_width(forms, polys, top)
-    sub = _images(forms, [f.cells for f in forms], w, top)
+    sub = _images([f.cells for f in forms], [(f.start, f.kN) for f in forms], w, top)
     return (
         FourierExpansion(weight, False, x.kN, x.unpacked(), x.start, validate=False)
         for weight, x in zip(weights, map(sub, polys))

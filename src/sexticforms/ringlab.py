@@ -19,9 +19,9 @@ window (chi_10^7 lies on [7, 11] at N = 5), and the cells past N are
 never formed.
 
 Rank verdicts are evidence at a truncation, not proofs: a full-rank
-result is reported as "consistent with" the expected dimension, and a
-weight whose rank falls short is retried at N + 1, N + 2, ... up to a
-cap read off its weight, max(N + 1, k // 10 + 1).
+result is reported as "consistent with" the expected dimension.  A
+weight k is first ranked at max(N, k // 10), read off its weight, and a
+weight whose rank falls short there is retried once, one deeper.
 """
 
 from __future__ import annotations
@@ -224,26 +224,26 @@ def _monomials(weights, N: int, cache_dir=None):
 
 def verify_even_generation(k_max: int, N: int, cache_dir=None):
     """Per even weight k <= k_max: rank of the weight-k monomials in the
-    four even generators vs. the generating-function dimension.  A weight
-    whose rank falls short at truncation N is retried at N + 1, N + 2, ...
-    until its rank is full or it reaches the cap max(N + 1, k // 10 + 1):
-    one past max(4, k // 10), the truncation at which the weight-k
-    monomials were measured to reach full rank for every even k <= 100.
-    A row's ``truncation`` is the last one tried."""
+    four even generators vs. the generating-function dimension.  Weight k
+    is first evaluated at truncation max(N, k // 10), as the weight-k
+    monomials were measured to reach full rank by max(4, k // 10) for
+    every even k <= 100, and a weight whose rank falls short there is
+    retried once, one deeper, at max(N + 1, k // 10 + 1).  Each truncation
+    takes one ``_monomials`` call, for the weights due there.  A row's
+    ``truncation`` is the last one tried."""
     weights = range(0, k_max + 1, 2)
+    first = {k: max(N, k // 10) for k in weights}
     found = {}  # weight: (rank, truncation)
-    for k, forms in zip(weights, _monomials(weights, N, cache_dir)):
-        found[k] = (qexp.rank_of_span(forms) if forms else 0, N)
-    # rank can only under-count; the short weights are retried deeper
-    cap = {k: max(N + 1, k // 10 + 1) for k in weights}
-    for n in range(N + 1, max(cap.values(), default=N) + 1):
-        retry = [
-            k for k in weights if found[k][0] != even_dimension(k) and cap[k] >= n
+    for n in range(N, max(first.values(), default=N) + 2):
+        # rank can only under-count; a short weight is retried one deeper
+        due = [
+            k for k in weights
+            if first[k] == n
+            or (first[k] == n - 1 and found[k][0] != even_dimension(k))
         ]
-        if not retry:
-            break
-        for k, forms in zip(retry, _monomials(retry, n, cache_dir)):
-            found[k] = (qexp.rank_of_span(forms), n)
+        if due:
+            for k, forms in zip(due, _monomials(due, n, cache_dir)):
+                found[k] = (qexp.rank_of_span(forms), n)
     report = []
     for k in weights:
         expected = even_dimension(k)

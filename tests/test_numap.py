@@ -94,7 +94,8 @@ def test_nu_raw_shares_products(monkeypatch):
     # evaluates one monomial of each mirror pair and the coordinates
     # i <= j/2: before it B took 29, AB-3C 93, D 444, Hessian 24, V8,4 15.
     # The products are those of the packed images (w > 0); the majorant
-    # pass (w = 0) repeats the same Horner scheme on one int per cell
+    # pass (w = 0) repeats the same Horner scheme on one int per
+    # antidiagonal n1 + n2
     theta.chi_6_8(2)
     calls = [0]
     mul = Packed.__mul__

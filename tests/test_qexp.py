@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sexticforms import arith, linalg, qexp, theta
+from sexticforms import arith, covariants, linalg, numap, qexp, ringlab, theta
 from sexticforms.arith import LaurentPoly
 from sexticforms.poly import Substitution
 from sexticforms.errors import (
@@ -458,7 +458,7 @@ _g = _scalar({(1, 1): {0: 5}, (1, 2): {1: -3}}, start=1)
     [{(1, 0): 1, (0, 1): 1}, {(2, 1): 2, (1, 2): 2}, {(0, 0): 7}],
 ), None)
 @example(([_f, _f], [{(0, 0): -4, (1, 1): 1, (3, 0): 2}]), None)  # a constant term
-@example((  # f * (k * f), f of swap sign -1: the majorant of k * f has sign 1
+@example((  # f * g * f, f of swap sign -1: cell (1, 1) of f^2 is -2 * _A**2
     [_scalar({(0, 1): {0: _A}, (1, 0): {0: -_A}}), _scalar({(0, 0): {0: 1}})] * 2,
     [{(1, 1, 1, 0): 1}],
 ), None)
@@ -507,9 +507,11 @@ def test_packed_evaluation_cancels_to_zero():
 
 
 def test_majorant_width_is_tight_for_positive_coefficients():
-    # one exponent per cell and positive coefficients: a cell's sum of |c|
-    # is its one coefficient, so the majorant is the true maximum, and one
-    # bit less than the chosen width misreads it
+    # one exponent per cell and positive coefficients, and the largest
+    # result coefficient outweighs the rest of its antidiagonal: the
+    # majorant there, the antidiagonal's sum of |c|, has that
+    # coefficient's bit length, and one bit less than the chosen width
+    # misreads it
     f = _scalar({(0, 0): {0: 3}, (0, 1): {0: 5}, (1, 0): {0: 5}, (1, 1): {0: 7}})
     g = _scalar({(0, 0): {0: 1}, (1, 1): {0: 2**20}, (0, 2): {0: 9}})
     forms, polys = [f, g], [{(2, 1): 1, (1, 2): 3}, {(0, 0): 2, (1, 0): 1}]
@@ -529,6 +531,61 @@ def test_majorant_width_is_tight_for_positive_coefficients():
 
     assert unpacked_at(w) == [e.cells for e in got]
     assert unpacked_at(w - 1) != [e.cells for e in got]
+
+
+def _vector(cells, j, kN=1):
+    """A weight-(j, 0) expansion on [0, kN] from {key: [{e: c}, ...]}."""
+    return FourierExpansion(
+        (j, 0), False, kN,
+        {key: tuple(LaurentPoly(c) for c in vec) for key, vec in cells.items()},
+    )
+
+
+_corner = _scalar({(0, 0): {0: 1}, (1, 1): {-1: -(2**40), 1: 3}}, kN=1)
+_v = _vector({(0, 0): [{0: 1}, {0: -(2**50)}, {0: 1}], (0, 1): [{}, {0: 2}, {}]}, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_forms_and_polys(), st.one_of(st.none(), st.integers(0, 6)))
+@example(([_corner, _corner], [{(2, 0): 1, (1, 1): 2}]), None)  # largest at (kN, kN)
+@example(([_corner, _corner], [{(3, 0): 1}, {(1, 2): 2}]), 1)  # the last antidiagonal
+@example(([_v, _corner], [{(2, 0): 1}, {(1, 1): 3}]), None)  # Sym^2, big coordinate 1
+def test_majorant_width_bounds_every_result_coefficient(drawn, top):
+    # every coefficient of every result lies in (-2^(w-1), 2^(w-1)): its
+    # bit length is below the width
+    forms, polys = drawn
+    w = qexp.majorant_width(forms, polys, top)
+    sub = Substitution(forms, qexp.constant_one(min(f.kN for f in forms)))
+    for p in polys:
+        for vec in _cut(sub(p), top).cells.values():
+            assert all(abs(v).bit_length() < w for x in vec for v in x.c.values())
+
+
+class _Width(Exception):
+    """Carries the width of a ``majorant_width`` call out of ``evaluate``."""
+
+
+def test_majorant_width_stays_within_three_bits_of_the_cell_bound(monkeypatch):
+    # the widths of the per-cell majorant, each cell's own sum of |c|
+    # (BENCH_16.json); each antidiagonal sum is at least the sum of those
+    # of its cells, so a width is never below them.  The evaluation stops
+    # at the width: one packed at a width too narrow is never unpacked
+    cell_widths = {
+        "A": 21, "B": 26, "AB-3C": 36, "Hessian": 22, "V8,4": 21, "D": 36,
+    }
+    gens = [ringlab.named_form(n, 5).expansion for n in ringlab.GENERATORS]
+    polys = [{e: 1} for e in ringlab.weight_monomials(70)]
+    assert 110 <= qexp.majorant_width(gens, polys, 5) <= 113
+    majorant_width = qexp.majorant_width
+
+    def stop(*args):
+        raise _Width(majorant_width(*args))
+
+    monkeypatch.setattr(qexp, "majorant_width", stop)
+    for name, cell in cell_widths.items():
+        with pytest.raises(_Width) as width:
+            numap.nu_raw(covariants.resolve(name), 2)
+        assert cell <= width.value.args[0] <= cell + 3
 
 
 def test_evaluate_takes_polys_of_one_weight():

@@ -126,12 +126,58 @@ def test_even_generation_small():
 
 
 def test_even_generation_escalates_past_one_retry():
-    # the weight-50 monomials reach full rank only at N = 5, two past the start
+    # the weight-50 monomials reach full rank only at N = 5, two past N = 3;
+    # weight 50 is first ranked there, at 50 // 10
     row = ringlab.verify_even_generation(50, 3)[-1]
     assert row == {
         "weight": 50, "expected_dim": 31, "rank": 31, "truncation": 5,
         "status": "PASS",
     }
+
+
+def _recorded_monomials(monkeypatch):
+    """The (truncation, weights) of every ``_monomials`` call, in order."""
+    calls = []
+    monomials = ringlab._monomials
+
+    def recorded(weights, N, cache_dir=None):
+        calls.append((N, list(weights)))
+        return monomials(weights, N, cache_dir)
+
+    monkeypatch.setattr(ringlab, "_monomials", recorded)
+    return calls
+
+
+def test_even_generation_evaluates_a_weight_where_it_is_due(monkeypatch):
+    # weight k is first ranked at max(N, k // 10), one _monomials call per
+    # truncation: at N = 3 weight 70 is evaluated at 7 only
+    calls = _recorded_monomials(monkeypatch)
+    rows = ringlab.verify_even_generation(70, 3)
+    assert calls == [
+        (3, list(range(0, 40, 2))),
+        (4, list(range(40, 50, 2))),
+        (5, list(range(50, 60, 2))),
+        (6, list(range(60, 70, 2))),
+        (7, [70]),
+    ]
+    assert rows[-1] == {
+        "weight": 70, "expected_dim": 73, "rank": 73, "truncation": 7,
+        "status": "PASS",
+    }
+
+
+def test_even_generation_retries_a_short_weight_once(monkeypatch):
+    # ranks taken at truncation 4 under-count by one: weights 40-48 are
+    # retried at 5, in the one call that also ranks weight 50
+    calls = _recorded_monomials(monkeypatch)
+    rank = qexp.rank_of_span
+    monkeypatch.setattr(
+        qexp, "rank_of_span",
+        lambda forms: rank(forms) - (bool(forms) and forms[0].kN == 4),
+    )
+    rows = ringlab.verify_even_generation(50, 3)
+    assert calls[1:] == [(4, list(range(40, 50, 2))), (5, list(range(40, 52, 2)))]
+    assert [(r["truncation"], r["status"]) for r in rows[20:]] == [(5, "PASS")] * 6
 
 
 def test_odd_weight_report_states_its_evidence():
