@@ -10,14 +10,14 @@ is applied when the expansion is printed.  Everything here is immutable
 after construction and free of floating point.  Mod-p arithmetic lives in
 :mod:`sexticforms.poly`.
 
-``Packed.product`` is the one product kernel of every series in the
-package (Kronecker substitution; Schoenhage 1982, Harvey 2009).  Laurent
-polynomials, elliptic expansions (as Laurent polynomials in q), Fourier
-expansions and theta products reach it one product at a time through
-``kronecker``, polynomials in forms a whole Horner scheme at a time
-through ``qexp.evaluate``; ``quotient``, the cell-map division behind
-``qexp.FourierExpansion.exact_div``, is built from its parts.  No other
-module knows the packed format, and ``accumulate`` is the one multiply-add.
+``evaluate`` is the one entry of every series product in the package
+(Kronecker substitution; Schoenhage 1982, Harvey 2009): it evaluates
+polynomials at cell maps in their packed images.  Laurent polynomials,
+elliptic expansions (as Laurent polynomials in q), Fourier expansions,
+theta products and polynomials in forms all go through it; ``quotient``,
+the cell-map division behind ``qexp.FourierExpansion.exact_div``, is built
+from its parts.  No other module knows the packed format, and
+``accumulate`` is the one multiply-add.
 
 The packed image.  A ``Packed`` map is a cell map evaluated at r = 2^w:
 per cell, its own lowest exponent lo and one int per Sym^j coordinate,
@@ -28,15 +28,16 @@ product, sum and multiple of the maps, whatever the ints hold in between.
 Only the final coefficients must fit their slots: ``unpack`` reads each
 coordinate once as signed w-bit digits, which is exact when every
 coefficient lies in (-2^(w-1), 2^(w-1)).  ``Packed.of`` packs a cell map.
-``kronecker`` packs both operands at the width that bounds every sum of
-products of one product (``slot_width``), multiplies and unpacks.
-``qexp.evaluate`` packs its forms once, at a width read off a majorant:
-each form's map reduced to one scalar per antidiagonal n1 + n2 = t, the
-sum of |c| over its cells and coordinates, keyed (t, 0), packed at w = 0
-on the doubled window and evaluated through the same products.  These
-sums are subadditive and submultiplicative, so the result bounds the sum
-of |c| over each antidiagonal of each result, and one bit more than its
-largest bit length is a width every final coefficient fits.
+``evaluate`` packs its maps once, at a width read off a majorant
+(``majorant_width``): each map reduced to one scalar per antidiagonal
+n1 + n2 = t, the sum of |c| over its cells and coordinates, keyed (t, 0),
+packed at w = 0 on the doubled window and evaluated through the same
+products.  These sums are subadditive and submultiplicative, so the
+result bounds the sum of |c| over each antidiagonal of each result, and
+one bit more than its largest bit length is a width every final
+coefficient fits.  Only ``quotient``, whose result is not known before it
+is solved, sizes its slots per coefficient (``measure``, ``slot_width``)
+and widens them as it goes.
 
 Swap signs.  The swap sign of a scalar cell map is the s in {1, -1} with
 cell (n2, n1) = s * cell (n1, n2) for every cell (``swap_sign``).  For a
@@ -46,7 +47,7 @@ matrix swaps n1 and n2 and multiplies by det(U)^k.  The sign is read off
 the cells, never assumed from a weight, and a vector-valued map (whose
 swap also reverses its coordinates), an asymmetric map, or a map with
 sign -1 and a nonzero diagonal cell has none.  The product of two maps
-with swap signs s and t has swap sign s * t, so ``Packed.product`` then
+with swap signs s and t has swap sign s * t, so ``Packed.__mul__`` then
 computes only the output cells with n2 <= n1 and mirrors the rest; a sum
 of maps with one sign keeps it.
 """
@@ -129,7 +130,7 @@ def frac_from_str(s: str):
     return int(s)
 
 
-# -- the Kronecker kernel ----------------------------------------------------
+# -- the packed-evaluation kernel ---------------------------------------------
 
 
 def int_rows(cells):
@@ -292,14 +293,25 @@ class Packed:
         width = len(next(iter(cells.values()), ()))
         return cls(packed, w, width, swap_sign(cells), start, kN, top)
 
-    def product(self, other, bound: int, width: int, start: int = 0) -> "Packed":
-        """The image of the product: keys add and a cell with an index past
-        ``bound`` is dropped; coordinate i times coordinate l lands in
-        coordinate i + l of ``width``.  Each output cell accumulates at its
-        own lowest exponent, the least sum of its operand cells' lowest.
-        When both maps have a swap sign, only the cells with n2 <= n1 are
-        computed, and cell (n2, n1) is cell (n1, n2) times the product of
-        the signs."""
+    def __mul__(self, other):
+        """The image of the product, on the window rule of
+        ``qexp.FourierExpansion.mul`` cut at ``top``: an empty window raises
+        OrderTooSmall unless the cut lies below the product's start, where
+        the product is zero.
+
+        Keys add and a cell past the window is dropped; coordinate i times
+        coordinate l lands in coordinate i + l.  Each output cell
+        accumulates at its own lowest exponent, the least sum of its operand
+        cells' lowest.  When both maps have a swap sign, only the cells with
+        n2 <= n1 are computed, and cell (n2, n1) is cell (n1, n2) times the
+        product of the signs."""
+        start, top = self.start + other.start, self.top
+        bound = min(self.kN + other.start, other.kN + self.start)
+        if top is not None:
+            bound = min(bound, top)
+        if bound < start and (top is None or top >= start):
+            raise OrderTooSmall("truncation too small: product window is empty")
+        width = self.width + other.width - 1
         half = self.sign is not None and other.sign is not None
         groups = {}  # other's cells by first index, each group ascending in the second
         for (b1, b2), (lb, y) in sorted(other.cells.items()):
@@ -335,19 +347,7 @@ class Packed:
                 if n2 < n1:
                     mirror = row if sign == 1 else [(i, -v) for i, v in row]
                     cells[n2, n1] = (lo, mirror)
-        return Packed(cells, w, width, sign, start, bound, self.top)
-
-    def __mul__(self, other):
-        """``product`` under the window rule of ``qexp.FourierExpansion.mul``,
-        cut at ``top``: an empty window raises OrderTooSmall unless the cut
-        lies below the product's start, where the product is zero."""
-        start, top = self.start + other.start, self.top
-        kN = min(self.kN + other.start, other.kN + self.start)
-        if top is not None:
-            kN = min(kN, top)
-        if kN < start and (top is None or top >= start):
-            raise OrderTooSmall("truncation too small: product window is empty")
-        return self.product(other, kN, self.width + other.width - 1, start)
+        return Packed(cells, w, width, sign, start, bound, top)
 
     def __add__(self, other):
         """The image of the sum, on the window of ``qexp.FourierExpansion.add``."""
@@ -402,23 +402,120 @@ class Packed:
         return out
 
 
-def kronecker(a, b, bound, width):
-    """Product of two cell maps {(n1, n2): (LaurentPoly, ...)}: both packed
-    at the slot width of their product (``Packed.of``), multiplied by
-    ``Packed.product`` and unpacked.
+class Substitution:
+    """Evaluates polynomials at ``images[i]`` for variable i, with ``one``
+    the unit of their ring; images need ``*``, ``+`` and ``scale``.
 
-    Keys add, and cells with an index past ``bound`` are dropped;
-    coordinate i of ``a`` times coordinate l of ``b`` lands in coordinate
-    i + l of a ``width``-long output vector (the Sym product).  An output
-    coefficient is a sum of at most min(terms of a, terms of b) products,
-    which fixes the slot width.
+    ``power(i, k)`` builds images[i]**k once and keeps it.  A call groups
+    the terms on one variable at a time, the last variable outermost (the
+    sparse multivariate Horner scheme; Pena and Sauer, 2000): a factor
+    several terms share is multiplied once, and a constant cofactor is a
+    ``scale``, never a product.
     """
-    (a_bits, a_terms), (b_bits, b_terms) = measure(a), measure(b)
-    if not (a_terms and b_terms):
-        return {}
-    w = slot_width(a_bits, b_bits, min(a_terms, b_terms))
-    pa, pb = Packed.of(a, w, 0, bound), Packed.of(b, w, 0, bound)
-    return pa.product(pb, bound, width).unpacked()
+
+    def __init__(self, images, one):
+        self.images = tuple(images)
+        self.one = one
+        self._powers = {}
+
+    def power(self, i, k):
+        if (i, k) not in self._powers:
+            x = self.images[i]
+            self._powers[i, k] = x if k == 1 else self.power(i, k - 1) * x
+        return self._powers[i, k]
+
+    def __call__(self, terms):
+        """Sum of c * prod images[i]**e[i] over ``{exponents: c}``."""
+        return self._horner(list(terms.items()), len(self.images))
+
+    def _horner(self, terms, n):
+        # every exponent vanishes from variable n on
+        i = n - 1
+        while i >= 0 and not any(e[i] for e, _ in terms):
+            i -= 1
+        if i < 0:  # the constant term, if any
+            return self.one.scale(sum(c for _, c in terms))
+        groups = {}
+        for e, c in terms:
+            groups.setdefault(e[i], []).append((e, c))
+        acc = None
+        for k, group in sorted(groups.items()):
+            if not k:
+                term = self._horner(group, i)
+            elif any(any(e[:i]) for e, _ in group):
+                term = self.power(i, k) * self._horner(group, i)
+            else:  # one term: c * images[i]**k
+                c = group[0][1]
+                term = self.power(i, k) if c == 1 else self.power(i, k).scale(c)
+            acc = term if acc is None else acc + term
+        return acc
+
+
+def _images(maps, windows, w, top):
+    """``Substitution`` at the images at r = 2^w (``Packed.of``) of the
+    cell maps ``maps`` on their ``windows`` [(start, kN)], cut at ``top``,
+    with the unit on their common window."""
+    kN = min(k for _, k in windows)
+    images = [
+        Packed.of(cells, w, start, k, top)
+        for cells, (start, k) in zip(maps, windows)
+    ]
+    one = Packed.of({(0, 0): (LaurentPoly.const(1),)}, w, 0, kN, top)
+    return Substitution(images, one)
+
+
+def _magnitudes(cells):
+    """The antidiagonal majorant of a cell map: {(t, 0): (M(t),)} with
+    M(t) the constant sum of |c| over every r-coefficient of every
+    coordinate of every cell (n1, n2) with n1 + n2 = t."""
+    sums = {}
+    for (n1, n2), vec in cells.items():
+        t = n1 + n2
+        sums[t] = sums.get(t, 0) + sum(abs(v) for x in vec for v in x.c.values())
+    return {(t, 0): (LaurentPoly.over({0: m}),) for t, m in sums.items()}
+
+
+def majorant_width(maps, windows, polys, top=None) -> int:
+    """The slot width at which ``evaluate`` packs ``maps`` on ``windows``
+    for ``polys``, cut at ``top``.
+
+    Each poly is evaluated once more, with every coefficient replaced by
+    its absolute value, at the antidiagonal majorants of the maps
+    (``_magnitudes``: one scalar per total index t = n1 + n2), packed at
+    w = 0 on the doubled windows [2 * start, 2 * kN] and cut at 2 * top, by
+    the same Horner scheme and the same packed products.  Antidiagonal
+    sums of |c| are subadditive and submultiplicative, M_fg(t) <= sum over
+    t1 + t2 = t of M_f(t1) * M_g(t2), and every cell with max index <= kN
+    has t <= 2 * kN, so the value at t bounds the sum of |c| over every
+    coordinate of every cell of the true value on that antidiagonal, and
+    one bit more than its largest bit length puts every coefficient of
+    every result in (-2^(w-1), 2^(w-1)).
+    """
+    bound = _images(
+        [_magnitudes(cells) for cells in maps],
+        [(2 * start, 2 * kN) for start, kN in windows],
+        0,
+        None if top is None else 2 * top,
+    )
+    most = 0
+    for p in polys:
+        for _, row in bound({e: abs(c) for e, c in p.items()}).cells.values():
+            most = max(most, max(x for _, x in row))
+    return most.bit_length() + 1
+
+
+def evaluate(maps, windows, polys, top=None):
+    """Each of ``polys`` ({exponents: int}, one exponent per map) evaluated
+    at the cell maps ``maps`` {(n1, n2): (LaurentPoly, ...)} on their
+    ``windows`` [(start, kN)], cut at ``top``, as an iterator of (cells,
+    start, kN): the one entry of every series product.
+
+    The maps are packed once, at the width of ``majorant_width``, the
+    Horner scheme of ``Substitution`` runs on the packed images under the
+    window rules of ``Packed``, and each result is unpacked once.
+    """
+    sub = _images(maps, windows, majorant_width(maps, windows, polys, top), top)
+    return ((x.unpacked(), x.start, x.kN) for x in map(sub, polys))
 
 
 def quotient(d, b, corner, keys, width):
@@ -563,9 +660,10 @@ class LaurentPoly:
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
-        key = (0, 0)
-        prod = kronecker({key: (self,)}, {key: (other,)}, 0, 1)
-        return prod[key][0] if prod else LaurentPoly()
+        ((cells, _, _),) = evaluate(
+            [{(0, 0): (self,)}, {(0, 0): (other,)}], [(0, 0)] * 2, [{(1, 1): 1}]
+        )
+        return cells[0, 0][0] if cells else LaurentPoly()
 
     __rmul__ = __mul__
 

@@ -76,7 +76,8 @@ class _Tokenizer:
 def parse_polynomial(text: str) -> MultiPoly:
     """Parse +, -, *, /, ^ and parentheses over a0..a6, x1, x2.
 
-    Raises ParseError with the character position on malformed input;
+    Raises ParseError with the character position on malformed input,
+    nesting deeper than the interpreter's recursion limit included;
     division is only allowed by nonzero constants.
     """
     tok = _Tokenizer(text)
@@ -144,7 +145,10 @@ def parse_polynomial(text: str) -> MultiPoly:
             else:
                 return acc
 
-    result = expr()
+    try:
+        result = expr()
+    except RecursionError:
+        raise ParseError("parentheses nested too deeply", tok.pos) from None
     if tok.peek() is not None:
         raise ParseError(f"trailing input {tok.peek()!r}", tok.pos)
     return result
@@ -303,9 +307,10 @@ def _suite_modp(args):
 
 
 def _suite_odd_weight(args):
-    # chi35 on [2, M] squares to [4, M + 2]: M = N - 2 reaches the rank window
+    # chi35 on [2, M] squares to [4, M + 2]: M = N - 2 reaches the rank
+    # window, and at N = 7 the weight-70 monomials reach full rank 73
     rep = ringlab.odd_weight_divisibility_check(
-        max(args.order, 5), max(args.order - 2, 3), _cache_dir(args)
+        max(args.order, 7), max(args.order - 2, 5), _cache_dir(args)
     )
     return _reported("odd-weight", rep)
 

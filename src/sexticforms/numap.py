@@ -17,10 +17,9 @@ detection mechanism for genuine non-holomorphy.
 
 All coordinates come from one ``qexp.evaluate``: the seven beta_i are
 packed once, at r = 2^w for a w that a majorant pass fixes on one sum of
-|c| per antidiagonal n1 + n2 of each beta_i, the Horner
-scheme of ``poly.Substitution`` runs on the packed ints with each power of
-a beta_i built once, and each coordinate is unpacked once.  No series
-product of the evaluation goes through ``FourierExpansion.mul``.
+|c| per antidiagonal n1 + n2 of each beta_i, the Horner scheme of
+``arith.Substitution`` runs on the packed ints with each power of a
+beta_i built once, and each coordinate is unpacked once.
 
 The mirror rule halves the evaluation.  Exchanging x1 and x2 reverses the
 sextic (a_i <-> a_(6-i)) and the seeds: beta_(6-i)(n1, n2) = beta_i(n2, n1)

@@ -7,8 +7,9 @@ tuple; the monomial order is graded lexicographic with earlier variables
 larger.
 
 Two routines are written once for every ring that supplies the operations
-they use: ``Substitution`` (evaluation) and ``transvect`` (the norm-free
-transvectant, shared by covariants and Fourier expansions).
+they use: ``arith.Substitution`` (evaluation, shared with the packed series
+evaluation) and ``transvect`` (the norm-free transvectant, shared by
+covariants and Fourier expansions).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .arith import frac_from_str, frac_to_str, render_sum
+from .arith import Substitution, frac_from_str, frac_to_str, render_sum
 from .errors import DomainMismatch, NotDivisible
 
 SEXTIC_VARS = ("a0", "a1", "a2", "a3", "a4", "a5", "a6", "x1", "x2")
@@ -49,55 +50,6 @@ def _packed_terms(terms, f: int):
             k = k << f | x
         out.append((k, c))
     return out
-
-
-class Substitution:
-    """Evaluates polynomials at ``images[i]`` for variable i, with ``one``
-    the unit of their ring; images need ``*``, ``+`` and ``scale``.
-
-    ``power(i, k)`` builds images[i]**k once and keeps it.  A call groups
-    the terms on one variable at a time, the last variable outermost (the
-    sparse multivariate Horner scheme; Pena and Sauer, 2000): a factor
-    several terms share is multiplied once, and a constant cofactor is a
-    ``scale``, never a product.
-    """
-
-    def __init__(self, images, one):
-        self.images = tuple(images)
-        self.one = one
-        self._powers = {}
-
-    def power(self, i, k):
-        if (i, k) not in self._powers:
-            x = self.images[i]
-            self._powers[i, k] = x if k == 1 else self.power(i, k - 1) * x
-        return self._powers[i, k]
-
-    def __call__(self, terms):
-        """Sum of c * prod images[i]**e[i] over ``{exponents: c}``."""
-        return self._horner(list(terms.items()), len(self.images))
-
-    def _horner(self, terms, n):
-        # every exponent vanishes from variable n on
-        i = n - 1
-        while i >= 0 and not any(e[i] for e, _ in terms):
-            i -= 1
-        if i < 0:  # the constant term, if any
-            return self.one.scale(sum(c for _, c in terms))
-        groups = {}
-        for e, c in terms:
-            groups.setdefault(e[i], []).append((e, c))
-        acc = None
-        for k, group in sorted(groups.items()):
-            if not k:
-                term = self._horner(group, i)
-            elif any(any(e[:i]) for e, _ in group):
-                term = self.power(i, k) * self._horner(group, i)
-            else:  # one term: c * images[i]**k
-                c = group[0][1]
-                term = self.power(i, k) if c == 1 else self.power(i, k).scale(c)
-            acc = term if acc is None else acc + term
-        return acc
 
 
 def transvect(g, h, k: int):

@@ -24,9 +24,8 @@ product with start_out > top is zero on its window, no cells: every
 coefficient with min(n1, n2) < start_out vanishes.  A cut window is still
 exact, because a cell never depends on a cell of larger index.
 
-A polynomial in forms is evaluated by ``evaluate`` in the packed image of
-``arith.Packed``, under the same window rules, with the forms packed once
-and each result unpacked once.
+Every product, ``mul`` and the polynomials in forms of ``evaluate``
+alike, is one ``arith.evaluate`` under these window rules.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from fractions import Fraction
 
 from . import arith, linalg
 from .arith import LaurentPoly, common_ratio, frac_to_str
-from .poly import Substitution
 from .errors import (
     BoundarySliceError,
     CharacterForm,
@@ -229,18 +227,18 @@ class FourierExpansion:
 
     # -- multiplication --------------------------------------------------------
     def mul(self, other) -> "FourierExpansion":
+        """The product, one ``arith.evaluate`` of x * y on the window of
+        the module docstring; an empty window raises OrderTooSmall."""
         if self.denom != other.denom:
             raise WeightMismatch("index-lattice mismatch in product")
         j = self.j + other.j
         k = self.k + other.k
         character = self.character != other.character
-        kN = min(self.kN + other.start, other.kN + self.start)
-        start = self.start + other.start
-        if kN < start:
-            raise OrderTooSmall(
-                "truncation too small: product window is empty"
-            )
-        cells = arith.kronecker(self.cells, other.cells, kN, j + 1)
+        ((cells, start, kN),) = arith.evaluate(
+            [self.cells, other.cells],
+            [(self.start, self.kN), (other.start, other.kN)],
+            [{(1, 1): 1}],
+        )
         denom = self.denom
         if denom == 2 and not character:
             # product landed back on the integral lattice; validate and halve
@@ -460,73 +458,16 @@ def constant_one(N: int) -> FourierExpansion:
     )
 
 
-def _images(maps, windows, w, top):
-    """``poly.Substitution`` at the images at r = 2^w (``arith.Packed.of``)
-    of the cell maps ``maps`` on their ``windows`` [(start, kN)], cut at
-    ``top``, with the unit on their common window."""
-    kN = min(k for _, k in windows)
-    images = [
-        arith.Packed.of(cells, w, start, k, top)
-        for cells, (start, k) in zip(maps, windows)
-    ]
-    one = arith.Packed.of(constant_one(kN).cells, w, 0, kN, top)
-    return Substitution(images, one)
-
-
-def _magnitudes(cells):
-    """The antidiagonal majorant of a cell map: {(t, 0): (M(t),)} with
-    M(t) the constant sum of |c| over every r-coefficient of every
-    coordinate of every cell (n1, n2) with n1 + n2 = t."""
-    sums = {}
-    for (n1, n2), vec in cells.items():
-        t = n1 + n2
-        sums[t] = sums.get(t, 0) + sum(abs(v) for x in vec for v in x.c.values())
-    return {(t, 0): (LaurentPoly.over({0: m}),) for t, m in sums.items()}
-
-
-def majorant_width(forms, polys, top=None) -> int:
-    """The slot width at which ``evaluate`` packs ``forms`` for ``polys``,
-    cut at ``top``.
-
-    Each poly is evaluated once more, with every coefficient replaced by
-    its absolute value, at the antidiagonal majorants of the forms
-    (``_magnitudes``: one scalar per total index t = n1 + n2), packed at
-    w = 0 on the doubled windows [2 * start, 2 * kN] and cut at 2 * top, by
-    the same Horner scheme and the same packed products.  Antidiagonal
-    sums of |c| are subadditive and submultiplicative, M_fg(t) <= sum over
-    t1 + t2 = t of M_f(t1) * M_g(t2), and every cell with max index <= kN
-    has t <= 2 * kN, so the value at t bounds the sum of |c| over every
-    coordinate of every cell of the true value on that antidiagonal, and
-    one bit more than its largest bit length puts every coefficient of
-    every result in (-2^(w-1), 2^(w-1)).
-    """
-    bound = _images(
-        [_magnitudes(f.cells) for f in forms],
-        [(2 * f.start, 2 * f.kN) for f in forms],
-        0,
-        None if top is None else 2 * top,
-    )
-    most = 0
-    for p in polys:
-        for _, row in bound({e: abs(c) for e, c in p.items()}).cells.values():
-            most = max(most, max(x for _, x in row))
-    return most.bit_length() + 1
-
-
 def evaluate(forms, polys, top=None):
     """Each of ``polys`` ({exponents: int}, one exponent per form) evaluated
     at the trivial-character ``forms``, as an iterator of expansions.
 
-    The forms are packed once (``arith.Packed.of``), at the width of
-    ``majorant_width``, read off one scalar per antidiagonal n1 + n2 of
-    each form, and the whole Horner scheme of
-    ``poly.Substitution`` runs on the packed images: r -> 2^w is a ring
-    homomorphism, so only the final coefficients must fit their slots, and
-    each result is unpacked once.
-    A power of a form is built once and shared by every poly.  Windows,
-    swap-sign half products and the weight of each result are those of
-    the same evaluation by ``mul`` and ``add``; a poly whose terms differ
-    in weight raises WeightMismatch.
+    One ``arith.evaluate`` runs the whole Horner scheme on the forms'
+    packed images, at a width read off one scalar per antidiagonal
+    n1 + n2 of each form; a power of a form is built once and shared by
+    every poly.  Windows, swap-sign half products and the weight of each
+    result are those of the same evaluation by ``mul`` and ``add``; a poly
+    whose terms differ in weight raises WeightMismatch.
 
     With a cut ``top``, each result is that expansion restricted to the
     cells with max index <= top, on the window [start, min(kN, top)]: no
@@ -546,11 +487,12 @@ def evaluate(forms, polys, top=None):
         if len(ws) != 1:
             raise WeightMismatch("a poly to evaluate needs terms of one weight")
         weights.append(ws.pop())
-    w = majorant_width(forms, polys, top)
-    sub = _images([f.cells for f in forms], [(f.start, f.kN) for f in forms], w, top)
+    results = arith.evaluate(
+        [f.cells for f in forms], [(f.start, f.kN) for f in forms], polys, top
+    )
     return (
-        FourierExpansion(weight, False, x.kN, x.unpacked(), x.start, validate=False)
-        for weight, x in zip(weights, map(sub, polys))
+        FourierExpansion(weight, False, kN, cells, start, validate=False)
+        for weight, (cells, start, kN) in zip(weights, results)
     )
 
 

@@ -226,8 +226,8 @@ def verify_even_generation(k_max: int, N: int, cache_dir=None):
     """Per even weight k <= k_max: rank of the weight-k monomials in the
     four even generators vs. the generating-function dimension.  Weight k
     is first evaluated at truncation max(N, k // 10), as the weight-k
-    monomials were measured to reach full rank by max(4, k // 10) for
-    every even k <= 100, and a weight whose rank falls short there is
+    monomials were measured to reach full rank first at max(1, k // 10)
+    for every even k <= 100, and a weight whose rank falls short there is
     retried once, one deeper, at max(N + 1, k // 10 + 1).  Each truncation
     takes one ``_monomials`` call, for the weights due there.  A row's
     ``truncation`` is the last one tried."""

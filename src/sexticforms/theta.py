@@ -17,11 +17,11 @@ odd gradient has two coordinates (the z1- and z2-partials), scaled by 2
 unity per characteristic) dropped — all exposed forms are pinned by an
 explicit normalization, so global phases are unobservable.
 
-Products go through ``arith.kronecker``, whose coordinate convolution is
-the Sym product: chi_6_3 is the plain product of the six gradient cell
-maps.  Seeds built here: chi_5 (product of the 10 even constants), chi_10
-(= chi_5^2, pinned at its (1,1) coefficient), chi_6_3 and
-chi_6_8 = chi_5 * chi_6_3 (pinned at (1,1)).
+A product of theta series is one ``arith.evaluate`` of x1 * ... * xn,
+whose coordinate convolution is the Sym product: chi_6_3 is the plain
+product of the six gradient cell maps.  Seeds built here: chi_5 (product
+of the 10 even constants), chi_10 (= chi_5^2, pinned at its (1,1)
+coefficient), chi_6_3 and chi_6_8 = chi_5 * chi_6_3 (pinned at (1,1)).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .arith import LaurentPoly, kronecker
+from .arith import LaurentPoly, evaluate
 from .errors import (
     EvenCharacteristic,
     NormalizationFailure,
@@ -137,13 +137,13 @@ def odd_theta_gradient(ch: ThetaCharacteristic, N: int):
     return _theta_series(ch, N, gradient)
 
 
-def _theta_product(series, width: int, N: int):
-    """Sym product of theta cell maps of ``width`` coordinates each,
-    complete through q-exponent N."""
-    prod = series[0]
-    for k, other in enumerate(series[1:], 2):
-        prod = kronecker(prod, other, 8 * N, k * (width - 1) + 1)
-    return prod
+def _theta_product(series, N: int):
+    """Sym product of theta cell maps, complete through q-exponent N: one
+    evaluation of x1 * ... * xn on the window [0, 8N]."""
+    ((cells, _, _),) = evaluate(
+        series, [(0, 8 * N)] * len(series), [{(1,) * len(series): 1}]
+    )
+    return cells
 
 
 def _to_fourier(cells, weight, N, label):
@@ -177,7 +177,7 @@ def chi_5(N: int) -> FourierExpansion:
     if N < 1:
         raise ValueError("truncation must be at least 1")
     series = [even_theta_constant(ch, N) for ch in even_characteristics()]
-    return _to_fourier(_theta_product(series, 1, N), (0, 5), N, "chi_5")
+    return _to_fourier(_theta_product(series, N), (0, 5), N, "chi_5")
 
 
 @lru_cache(maxsize=None)
@@ -188,7 +188,7 @@ def chi_6_3(N: int) -> FourierExpansion:
     if N < 1:
         raise ValueError("truncation must be at least 1")
     series = [odd_theta_gradient(ch, N) for ch in odd_characteristics()]
-    return _to_fourier(_theta_product(series, 2, N), (6, 3), N, "chi_6_3")
+    return _to_fourier(_theta_product(series, N), (6, 3), N, "chi_6_3")
 
 
 _CHI10_PIN = LaurentPoly({1: 1, 0: -2, -1: 1})  # r - 2 + r^-1

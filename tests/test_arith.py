@@ -1,3 +1,5 @@
+import ast
+import pathlib
 from fractions import Fraction
 
 import math
@@ -14,6 +16,7 @@ from sexticforms.arith import (
     frac_to_str,
     is_prime,
 )
+from sexticforms import arith
 from sexticforms.errors import NotDivisible
 
 coeffs = st.dictionaries(
@@ -156,3 +159,23 @@ def test_common_ratio():
     assert common_ratio([(x, x + LaurentPoly({0: 1}))]) is None
     assert common_ratio([(LaurentPoly(), x), (0, 0)]) == 0
     assert common_ratio([(1, 0)]) is None
+
+
+_PACKED_FORMAT = {"Packed", "pack", "unpack", "pack_rows", "accumulate"}
+
+
+def test_only_arith_knows_the_packed_format():
+    # every other module reaches the kernel through arith.evaluate or
+    # arith.quotient, never through the packed images themselves
+    for path in pathlib.Path(arith.__file__).parent.glob("*.py"):
+        if path.name == "arith.py":
+            continue
+        named = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+        assert not named & _PACKED_FORMAT, path.name

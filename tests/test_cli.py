@@ -195,20 +195,20 @@ def test_verify_odd_weight_json(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["status"] == "PASS"
     rep = payload["report"]
-    assert rep["weight70_rank"] == rep["rank_with_square"] == 56
+    assert rep["weight70_rank"] == rep["rank_with_square"] == 73
     assert rep["expected_dim"] == 73
-    assert rep["truncation"] == 5
+    assert rep["truncation"] == 7
 
 
 def test_verify_odd_weight_reads_the_order(tmp_path, capsys):
-    # generators at order 6 and chi35 at 4, whose square reaches the window
+    # generators at order 8 and chi35 at 6, whose square reaches the window
     code, out, _ = run(
-        capsys, "verify", "odd-weight", "--order", "6", "--json",
+        capsys, "verify", "odd-weight", "--order", "8", "--json",
         "--no-timestamp", "--cache", str(tmp_path),
     )
     rep = json.loads(out)["report"]
-    assert rep["truncation"] == 6
-    assert rep["weight70_rank"] == 72
+    assert rep["truncation"] == 8
+    assert rep["weight70_rank"] == 73
     assert rep["expected_dim"] == 73
     assert rep["square_visible_in_window"]
 
@@ -237,6 +237,8 @@ def test_verify_odd_weight_reads_the_order(tmp_path, capsys):
         (["expand", "chi10"], lambda good: _with_term(good, (1, 1), "1", "1/2"), 0, None),
         # a truncation raised past the cells the entry holds, under the right key
         (["expand", "chi10"], lambda good: _with_truncation(good, 3), 0, None),
+        # nesting past the recursion limit is a parse error, not a traceback
+        (["nu", "(" * 300 + "a0" + ")" * 300], None, 2, "nested too deeply"),
     ],
 )
 def test_bad_input_exit_codes(tmp_path, capsys, argv, corrupt, code, message):

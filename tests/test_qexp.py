@@ -7,8 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sexticforms import arith, covariants, linalg, numap, qexp, ringlab, theta
-from sexticforms.arith import LaurentPoly
-from sexticforms.poly import Substitution
+from sexticforms.arith import LaurentPoly, Substitution
 from sexticforms.errors import (
     NormalizationFailure,
     NotDivisible,
@@ -263,26 +262,54 @@ def _cells_of(vectors):
     return {key: tuple(LaurentPoly(c) for c in vec) for key, vec in vectors.items()}
 
 
+def _product(a, b, windows):
+    """(cells, start, kN) of the product of two cell maps on their
+    ``windows``, by the one entry of the kernel."""
+    (got,) = arith.evaluate([a, b], windows, [{(1, 1): 1}])
+    return got
+
+
+_starts = st.tuples(*[st.integers(min_value=0, max_value=1)] * 2)
+
+
+def _check_product(a, b, bound, starts, width):
+    # windows whose product window, by the rule of mul, is [sa + sb, bound];
+    # each map keeps its cells on its window, as an expansion stores them
+    sa, sb = starts
+    windows = [(sa, bound - sb), (sb, bound - sa)]
+    a, b = (
+        {key: vec for key, vec in x.items() if lo <= min(key) and max(key) <= hi}
+        for x, (lo, hi) in zip((a, b), windows)
+    )
+    if bound < sa + sb:
+        with pytest.raises(OrderTooSmall):
+            _product(a, b, windows)
+        return
+    got, start, kN = _product(a, b, windows)
+    assert (start, kN) == (sa + sb, bound)
+    assert all(max(key) <= bound and len(v) == width for key, v in got.items())
+    assert all(_canonical(x) for v in got.values() for x in v)
+    assert _nonzero_cells(got) == _nonzero_cells(_schoolbook(a, b, bound, width))
+
+
 @settings(max_examples=200, deadline=None)
-@given(_cell_maps(), _cell_maps(), st.integers(min_value=0, max_value=6))
+@given(_cell_maps(), _cell_maps(), st.integers(min_value=0, max_value=6), _starts)
 @example(
     _cells_of({(0, 0): ({0: _M},), (1, 0): ({0: _M},), (2, 0): ({0: _M},)}),
     _cells_of({(2, 0): ({0: _M},), (1, 0): ({0: _M},), (0, 0): ({0: _M},)}),
     2,
+    (0, 0),
 )
 @example(
     _cells_of({(0, 0): ({0: -_M, 7: _M}, {}, {-9: _M})}),
     _cells_of({(1, 1): ({}, {9: _M}), (3, 0): ({0: _M // 3}, {})}),
     2,
+    (0, 0),
 )
-def test_kronecker_matches_schoolbook(a, b, bound):
+def test_kronecker_matches_schoolbook(a, b, bound, starts):
     wa = len(next(iter(a.values()), (None,)))
     wb = len(next(iter(b.values()), (None,)))
-    width = wa + wb - 1
-    got = arith.kronecker(a, b, bound, width)
-    assert all(max(key) <= bound and len(v) == width for key, v in got.items())
-    assert all(_canonical(x) for v in got.values() for x in v)
-    assert _nonzero_cells(got) == _nonzero_cells(_schoolbook(a, b, bound, width))
+    _check_product(a, b, bound, starts, wa + wb - 1)
 
 
 # -- swap signs: the symmetric half of the kernel -------------------------------
@@ -318,17 +345,17 @@ _signs = st.sampled_from((1, -1))
     _signs.flatmap(_swap_maps),
     _signs.flatmap(_swap_maps),
     st.integers(min_value=0, max_value=6),
+    _starts,
 )
 @example(
     _swap_map({(0, 1): LaurentPoly({0: _M, 2: -_M}), (1, 1): LaurentPoly({1: _M})}, 1),
     _swap_map({(0, 2): LaurentPoly({-3: _M // 7}), (2, 3): LaurentPoly({0: 1})}, -1),
     4,
+    (0, 0),
 )
-def test_kronecker_on_swap_symmetric_maps(a, b, bound):
+def test_kronecker_on_swap_symmetric_maps(a, b, bound, starts):
     assert arith.swap_sign(a) is not None and arith.swap_sign(b) is not None
-    got = arith.kronecker(a, b, bound, 1)
-    assert all(_canonical(x) for v in got.values() for x in v)
-    assert _nonzero_cells(got) == _nonzero_cells(_schoolbook(a, b, bound, 1))
+    _check_product(a, b, bound, starts, 1)
 
 
 def test_swap_sign_detection():
@@ -352,7 +379,12 @@ def test_swap_sign_detection():
     # vector-valued, even when each coordinate is symmetric
     assert arith.swap_sign({(0, 1): (x, x), (1, 0): (x, x)}) is None
     # a product of maps of opposite signs, in either order
-    assert arith.kronecker(anti, sym, 3, 1) == arith.kronecker(sym, anti, 3, 1)
+    windows = [(0, 3)] * 2
+    assert (
+        _product(anti, sym, windows)[0]
+        == _product(sym, anti, windows)[0]
+        == _nonzero_cells(_schoolbook(anti, sym, 3, 1))
+    )
 
 
 def _full_rank(forms):
@@ -434,6 +466,12 @@ def _forms_and_polys(draw):
     return forms, draw(st.lists(polys, min_size=1, max_size=3))
 
 
+def _width(forms, polys, top=None):
+    """The slot width ``qexp.evaluate`` packs ``forms`` at for ``polys``."""
+    maps, windows = [f.cells for f in forms], [(f.start, f.kN) for f in forms]
+    return arith.majorant_width(maps, windows, polys, top)
+
+
 _f = _scalar({(0, 0): {0: 3}, (1, 1): {-1: 2, 1: -(2**40)}, (1, 2): {0: 1}})
 _A = 2**30 + 1  # 2 * _A**2 needs one bit more than _A**2
 
@@ -474,9 +512,7 @@ def test_packed_evaluation_equals_products_of_expansions(drawn, top):
     assert got == [_cut(sub(p), top) for p in polys]
     if top is not None:
         assert all(e.kN <= top for e in got)
-        assert qexp.majorant_width(forms, polys, top) <= qexp.majorant_width(
-            forms, polys
-        )
+        assert _width(forms, polys, top) <= _width(forms, polys)
 
 
 def test_cut_is_zero_past_start_but_an_uncut_empty_window_raises():
@@ -519,7 +555,7 @@ def test_majorant_width_is_tight_for_positive_coefficients():
     values = [v for e in got for (lp,) in e.cells.values() for v in lp.c.values()]
     assert all(len(lp.c) == 1 for e in got for (lp,) in e.cells.values())
     assert min(values) > 0
-    w = qexp.majorant_width(forms, polys)
+    w = _width(forms, polys)
     assert w == max(values).bit_length() + 1
 
     def unpacked_at(width):
@@ -545,8 +581,26 @@ _corner = _scalar({(0, 0): {0: 1}, (1, 1): {-1: -(2**40), 1: 3}}, kN=1)
 _v = _vector({(0, 0): [{0: 1}, {0: -(2**50)}, {0: 1}], (0, 1): [{}, {0: 2}, {}]}, 2)
 
 
+@st.composite
+def _chains(draw):
+    """3 or 4 raw cell maps of one Sym width on [0, bound] and their
+    product x1 * ... * xn: the theta case."""
+    bound = draw(st.integers(min_value=0, max_value=3))
+    width = draw(st.integers(min_value=1, max_value=2))
+    keys = st.tuples(*[st.integers(min_value=0, max_value=bound)] * 2)
+    maps = st.dictionaries(keys, st.tuples(*[_packed_laurent] * width), max_size=5)
+    forms = [
+        FourierExpansion((width - 1, 0), False, bound, cells, validate=False)
+        for cells in draw(st.lists(maps, min_size=3, max_size=4))
+    ]
+    return forms, [{(1,) * len(forms): 1}]
+
+
 @settings(max_examples=200, deadline=None)
-@given(_forms_and_polys(), st.one_of(st.none(), st.integers(0, 6)))
+@given(
+    st.one_of(_forms_and_polys(), _chains()),
+    st.one_of(st.none(), st.integers(0, 6)),
+)
 @example(([_corner, _corner], [{(2, 0): 1, (1, 1): 2}]), None)  # largest at (kN, kN)
 @example(([_corner, _corner], [{(3, 0): 1}, {(1, 2): 2}]), 1)  # the last antidiagonal
 @example(([_v, _corner], [{(2, 0): 1}, {(1, 1): 3}]), None)  # Sym^2, big coordinate 1
@@ -554,7 +608,7 @@ def test_majorant_width_bounds_every_result_coefficient(drawn, top):
     # every coefficient of every result lies in (-2^(w-1), 2^(w-1)): its
     # bit length is below the width
     forms, polys = drawn
-    w = qexp.majorant_width(forms, polys, top)
+    w = _width(forms, polys, top)
     sub = Substitution(forms, qexp.constant_one(min(f.kN for f in forms)))
     for p in polys:
         for vec in _cut(sub(p), top).cells.values():
@@ -575,13 +629,14 @@ def test_majorant_width_stays_within_three_bits_of_the_cell_bound(monkeypatch):
     }
     gens = [ringlab.named_form(n, 5).expansion for n in ringlab.GENERATORS]
     polys = [{e: 1} for e in ringlab.weight_monomials(70)]
-    assert 110 <= qexp.majorant_width(gens, polys, 5) <= 113
-    majorant_width = qexp.majorant_width
+    assert 110 <= _width(gens, polys, 5) <= 113
+    majorant_width = arith.majorant_width
 
     def stop(*args):
         raise _Width(majorant_width(*args))
 
-    monkeypatch.setattr(qexp, "majorant_width", stop)
+    theta.chi_6_8(2)  # built before the patch: its products are evaluations too
+    monkeypatch.setattr(arith, "majorant_width", stop)
     for name, cell in cell_widths.items():
         with pytest.raises(_Width) as width:
             numap.nu_raw(covariants.resolve(name), 2)

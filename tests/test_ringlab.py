@@ -164,6 +164,18 @@ def test_even_generation_evaluates_a_weight_where_it_is_due(monkeypatch):
         "weight": 70, "expected_dim": 73, "rank": 73, "truncation": 7,
         "status": "PASS",
     }
+    # from N = 1 every weight is at full rank where it is first due,
+    # max(1, k // 10): weights 0-18 at 1, 20-28 at 2 and 30-38 at 3
+    calls.clear()
+    rows = ringlab.verify_even_generation(38, 1)
+    assert calls == [
+        (1, list(range(0, 20, 2))),
+        (2, list(range(20, 30, 2))),
+        (3, list(range(30, 40, 2))),
+    ]
+    assert [(r["truncation"], r["status"]) for r in rows] == [
+        (max(1, k // 10), "PASS") for k in range(0, 40, 2)
+    ]
 
 
 def test_even_generation_retries_a_short_weight_once(monkeypatch):
