@@ -39,6 +39,16 @@ coefficient fits.  Only ``quotient``, whose result is not known before it
 is solved, sizes its slots per coefficient (``measure``, ``slot_width``)
 and widens them as it goes.
 
+The order rule.  ``evaluate`` takes its maps by decreasing window start,
+in both passes, before it runs the Horner scheme of ``Substitution``,
+which forms the first variables innermost.  The factors that vanish to
+the highest order are then multiplied first, while their windows, cut at
+``top``, are smallest: the generator monomials of ``ringlab`` form
+chi_10^c * chi_12^d on [c + d, N] before psi_4 and psi_6, dense on
+[0, N], join them.  Values, windows and widths do not depend on the
+order, because the unit enters only a poly's constant term
+(``Substitution``): the window rules of products and sums distribute.
+
 Swap signs.  The swap sign of a scalar cell map is the s in {1, -1} with
 cell (n2, n1) = s * cell (n1, n2) for every cell (``swap_sign``).  For a
 scalar Siegel modular form of degree 2 and weight k it is (-1)^k: the
@@ -174,10 +184,13 @@ def pack(c: dict, lo: int, w: int) -> int:
 
 def unpack(x: int, lo: int, w: int) -> dict:
     """The nonzero signed w-bit digits of x as {lo + slot: digit}; each
-    digit of a packed sum is its coefficient when the sums fit the slots."""
+    digit of a packed sum is its coefficient when the sums fit the slots.
+    A slot of w < 2 bits holds only 0: ValueError for any other x."""
     out = {}
     if not x:
         return out
+    if w < 2:
+        raise ValueError(f"a {w}-bit signed slot holds only 0")
     skip = ((x & -x).bit_length() - 1) // w  # empty low slots
     x >>= skip * w
     lo += skip
@@ -410,7 +423,10 @@ class Substitution:
     the terms on one variable at a time, the last variable outermost (the
     sparse multivariate Horner scheme; Pena and Sauer, 2000): a factor
     several terms share is multiplied once, and a constant cofactor is a
-    ``scale``, never a product.
+    ``scale``, never a product.  So ``one`` enters only the constant term
+    of a call: a product with it would cut a windowed image to the unit's
+    window, and the windows of the result would depend on the order of
+    the variables.
     """
 
     def __init__(self, images, one):
@@ -442,11 +458,14 @@ class Substitution:
         for k, group in sorted(groups.items()):
             if not k:
                 term = self._horner(group, i)
-            elif any(any(e[:i]) for e, _ in group):
-                term = self.power(i, k) * self._horner(group, i)
-            else:  # one term: c * images[i]**k
-                c = group[0][1]
-                term = self.power(i, k) if c == 1 else self.power(i, k).scale(c)
+            else:
+                rest = [(e, c) for e, c in group if any(e[:i])]
+                term = self.power(i, k) * self._horner(rest, i) if rest else None
+                for e, c in group:  # at most one term c * images[i]**k
+                    if not any(e[:i]):
+                        alone = self.power(i, k)
+                        alone = alone if c == 1 else alone.scale(c)
+                        term = alone if term is None else term + alone
             acc = term if acc is None else acc + term
         return acc
 
@@ -513,7 +532,18 @@ def evaluate(maps, windows, polys, top=None):
     The maps are packed once, at the width of ``majorant_width``, the
     Horner scheme of ``Substitution`` runs on the packed images under the
     window rules of ``Packed``, and each result is unpacked once.
+
+    Both passes take the maps by decreasing window start (a stable sort,
+    so equal starts keep their order), each poly's exponents permuted to
+    match.  The Horner scheme forms the first variables innermost, so the
+    factors that vanish to the highest order are multiplied first, while
+    their windows, cut at ``top``, are smallest.  The order changes no
+    value, window or width.
     """
+    order = sorted(range(len(maps)), key=lambda i: -windows[i][0])
+    maps = [maps[i] for i in order]
+    windows = [windows[i] for i in order]
+    polys = [{tuple(e[i] for i in order): c for e, c in p.items()} for p in polys]
     sub = _images(maps, windows, majorant_width(maps, windows, polys, top), top)
     return ((x.unpacked(), x.start, x.kN) for x in map(sub, polys))
 

@@ -209,17 +209,20 @@ class FourierExpansion:
                 f"weight {self.weight}: coordinate {i} at {tuple(key)} is not "
                 f"a nonzero multiple of {value}"
             )
-        num = LaurentPoly.const(ratio.numerator)
-        try:
-            cells = {
-                k: tuple(x.scale(ratio.denominator).exact_div(num) for x in vec)
-                for k, vec in self.cells.items()
-            }
-        except NotDivisible:
-            raise NormalizationFailure(
-                f"weight {self.weight}: pinning {value} at {tuple(key)} "
-                f"leaves non-integer coefficients"
-            ) from None
+        num, den = ratio.numerator, ratio.denominator
+
+        def rescaled(x):
+            out = {}
+            for e, v in x.c.items():
+                out[e], rem = divmod(v * den, num)
+                if rem:
+                    raise NormalizationFailure(
+                        f"weight {self.weight}: pinning {value} at {tuple(key)} "
+                        f"leaves non-integer coefficients"
+                    )
+            return LaurentPoly.over(out)
+
+        cells = {k: tuple(map(rescaled, vec)) for k, vec in self.cells.items()}
         return FourierExpansion(
             self.weight, self.character, self.kN, cells, self.start,
             self.denom, validate=False,
@@ -465,9 +468,11 @@ def evaluate(forms, polys, top=None):
     One ``arith.evaluate`` runs the whole Horner scheme on the forms'
     packed images, at a width read off one scalar per antidiagonal
     n1 + n2 of each form; a power of a form is built once and shared by
-    every poly.  Windows, swap-sign half products and the weight of each
-    result are those of the same evaluation by ``mul`` and ``add``; a poly
-    whose terms differ in weight raises WeightMismatch.
+    every poly, and the forms of the highest start (the cusp forms) are
+    multiplied first, whatever their place in ``forms``.  Windows,
+    swap-sign half products and the weight of each result are those of
+    the same evaluation by ``mul`` and ``add``; a poly whose terms differ
+    in weight raises WeightMismatch.
 
     With a cut ``top``, each result is that expansion restricted to the
     cells with max index <= top, on the window [start, min(kN, top)]: no

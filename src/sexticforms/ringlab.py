@@ -16,7 +16,9 @@ generators are packed once, each generator power is built once, and each
 monomial is unpacked once.  The evaluation is cut at the truncation N,
 the window every rank reads: a cusp factor raises a monomial's natural
 window (chi_10^7 lies on [7, 11] at N = 5), and the cells past N are
-never formed.
+never formed.  The cusp factors come first: ``arith.evaluate`` orders the
+generators by window start, so chi_10^c * chi_12^d is formed on
+[c + d, N] before psi_4^a and psi_6^b, dense on [0, N], multiply it.
 
 Rank verdicts are evidence at a truncation, not proofs: a full-rank
 result is reported as "consistent with" the expected dimension.  A

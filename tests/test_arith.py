@@ -161,6 +161,15 @@ def test_common_ratio():
     assert common_ratio([(1, 0)]) is None
 
 
+def test_unpack_refuses_a_nonzero_one_bit_slot():
+    # a signed 1-bit slot holds only 0: a nonzero x there is a width bug,
+    # refused at once instead of read digit by digit without end
+    assert arith.unpack(0, 0, 1) == {}
+    with pytest.raises(ValueError):
+        arith.unpack(1, 0, 1)
+    assert arith.unpack(-3, 5, 2) == {5: 1, 6: -1}
+
+
 _PACKED_FORMAT = {"Packed", "pack", "unpack", "pack_rows", "accumulate"}
 
 

@@ -504,6 +504,15 @@ _g = _scalar({(1, 1): {0: 5}, (1, 2): {1: -3}}, start=1)
     [_g, _f], [{(3, 0): 1}, {(3, 1): 2, (0, 2): -1}, {(2, 0): 1}],
 ), 2)
 @example(([_g, _f], [{(3, 0): 1, (0, 1): 1}, {(1, 0): 1}]), 0)
+@example((  # the later map has the higher start, uncut and cut
+    [_f, _g], [{(1, 2): 1, (2, 1): -3}, {(0, 3): 2, (2, 0): 1}],
+), None)
+@example(([_f, _g], [{(1, 2): 1, (2, 1): -3}, {(0, 3): 2, (2, 0): 1}]), 2)
+@example((  # f^3 + f^3 * g^2 is f^3 * (1 + g^2) with g first: the unit on
+    # the common window [0, 1] must not cut f^3 on [0, 2]
+    [_scalar({(0, 0): {0: 3}}, kN=2), _scalar({(1, 1): {0: 5}}, kN=1, start=1)],
+    [{(3, 0): 1, (3, 2): 1}],
+), None)
 def test_packed_evaluation_equals_products_of_expansions(drawn, top):
     # cut at top, each result is the uncut one on the cells <= top
     forms, polys = drawn
@@ -513,6 +522,46 @@ def test_packed_evaluation_equals_products_of_expansions(drawn, top):
     if top is not None:
         assert all(e.kN <= top for e in got)
         assert _width(forms, polys, top) <= _width(forms, polys)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_forms_and_polys(), st.one_of(st.none(), st.integers(0, 6)), st.randoms())
+def test_evaluation_is_independent_of_the_order_of_the_maps(drawn, top, rnd):
+    # the maps permuted, each exponent tuple permuted to match: the same
+    # cells, windows and slot width
+    forms, polys = drawn
+    order = list(range(len(forms)))
+    rnd.shuffle(order)
+    moved = [forms[i] for i in order]
+    moved_polys = [{tuple(e[i] for i in order): c for e, c in p.items()} for p in polys]
+    assert list(qexp.evaluate(moved, moved_polys, top)) == list(
+        qexp.evaluate(forms, polys, top)
+    )
+    assert _width(moved, moved_polys, top) == _width(forms, polys, top)
+
+
+def test_evaluation_multiplies_the_highest_start_first(monkeypatch):
+    # f * (g + g^2 + g^3) cut at 3, f of start 0 and g of start 1: in the
+    # majorant pass (w = 0, starts doubled) and in the image pass alike,
+    # the powers of g are formed first and f multiplies once, last; in the
+    # order given, f would multiply each power of g as it is formed
+    products = []
+    mul = arith.Packed.__mul__
+
+    def spy(x, y):
+        products.append((x.w, x.start, y.start))
+        return mul(x, y)
+
+    monkeypatch.setattr(arith.Packed, "__mul__", spy)
+    (got,) = qexp.evaluate([_f, _g], [{(1, 1): 1, (1, 2): 1, (1, 3): 1}], 3)
+    w = products[-1][0]
+    assert w > 0
+    assert products == [
+        (0, 2, 2), (0, 4, 2), (0, 0, 2), (w, 1, 1), (w, 2, 1), (w, 0, 1)
+    ]
+    monkeypatch.undo()
+    sub = Substitution([_f, _g], qexp.constant_one(N))
+    assert got == _cut(sub({(1, 1): 1, (1, 2): 1, (1, 3): 1}), 3)
 
 
 def test_cut_is_zero_past_start_but_an_uncut_empty_window_raises():
