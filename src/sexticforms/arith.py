@@ -13,8 +13,9 @@ after construction and free of floating point.  Mod-p arithmetic lives in
 ``evaluate`` is the one entry of every series product in the package
 (Kronecker substitution; Schoenhage 1982, Harvey 2009): it evaluates
 polynomials at cell maps in their packed images.  Laurent polynomials,
-elliptic expansions (as Laurent polynomials in q), Fourier expansions,
-theta products and polynomials in forms all go through it; ``quotient``,
+theta products and, through ``qexp.evaluate``, Fourier expansions
+(elliptic forms among them, as boundary rows) and polynomials in forms
+all go through it; ``quotient``,
 the cell-map division behind ``qexp.FourierExpansion.exact_div``, is built
 from its parts.  No other module knows the packed format, and
 ``accumulate`` is the one multiply-add.

@@ -8,7 +8,7 @@ triple (n1, n2, r-exponent rho) encodes the half-integral matrix
 * ``denom`` in {1, 2}: character forms (chi_5, chi_6_3) live on the
   half-integral index lattice; their keys and r-exponents are stored
   doubled.  Products with trivial character are validated to be integral
-  and re-indexed to denom 1.
+  and re-indexed to denom 1 (``evaluate``).
 * ``start``: a certified vanishing offset — every coefficient (stored or
   not) with min(n1, n2) < start/denom is zero.  Cusp forms justify start
   1 (singular matrices carry no cusp-form coefficients); products add
@@ -24,8 +24,11 @@ product with start_out > top is zero on its window, no cells: every
 coefficient with min(n1, n2) < start_out vanishes.  A cut window is still
 exact, because a cell never depends on a cell of larger index.
 
-Every product, ``mul`` and the polynomials in forms of ``evaluate``
-alike, is one ``arith.evaluate`` under these window rules.
+Every product is one ``evaluate``: ``mul`` evaluates x * y, and
+``evaluate`` runs one ``arith.evaluate`` under these window rules.
+
+An elliptic form f is a boundary row: weight (0, k), a(n) at cell (n, 0),
+the Fourier series of f(tau_11) (``elliptic_form``, ``siegel_phi``).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import operator
 from fractions import Fraction
 
 from . import arith, linalg
-from .arith import LaurentPoly, common_ratio, frac_to_str
+from .arith import LaurentPoly, common_ratio
 from .errors import (
     BoundarySliceError,
     CharacterForm,
@@ -47,16 +50,6 @@ from .errors import (
 )
 
 _ZERO = LaurentPoly()
-
-
-def _reindex(lp: LaurentPoly, num: int, den: int) -> LaurentPoly:
-    """Multiply all exponents by num/den; exact or SupportViolation."""
-    out = {}
-    for e, c in lp.c.items():
-        if (e * num) % den:
-            raise SupportViolation("fractional r-exponent after re-indexing")
-        out[e * num // den] = c
-    return LaurentPoly(out)
 
 
 def _graded(keys):
@@ -86,10 +79,11 @@ class FourierExpansion:
                 raise ValueError(f"cell {key} outside window [{start},{kN}]")
             store[key] = vec
         self.cells = store
-        if validate and not self.character and self.denom == 1:
+        if validate:
             self._validate_support()
 
     def _validate_support(self):
+        # e^2 <= 4 n1 n2 reads the same on the doubled (denom 2) lattice
         for (n1, n2), vec in self.cells.items():
             bound = 4 * n1 * n2
             for lp in vec:
@@ -104,6 +98,10 @@ class FourierExpansion:
     @property
     def weight(self):
         return (self.j, self.k)
+
+    @property
+    def is_zero(self):
+        return not self.cells
 
     @property
     def truncation(self):
@@ -230,40 +228,10 @@ class FourierExpansion:
 
     # -- multiplication --------------------------------------------------------
     def mul(self, other) -> "FourierExpansion":
-        """The product, one ``arith.evaluate`` of x * y on the window of
-        the module docstring; an empty window raises OrderTooSmall."""
-        if self.denom != other.denom:
-            raise WeightMismatch("index-lattice mismatch in product")
-        j = self.j + other.j
-        k = self.k + other.k
-        character = self.character != other.character
-        ((cells, start, kN),) = arith.evaluate(
-            [self.cells, other.cells],
-            [(self.start, self.kN), (other.start, other.kN)],
-            [{(1, 1): 1}],
-        )
-        denom = self.denom
-        if denom == 2 and not character:
-            # product landed back on the integral lattice; validate and halve
-            half = {}
-            for (k1, k2), vec in cells.items():
-                if k1 % 2 or k2 % 2:
-                    if any(not x.is_zero for x in vec):
-                        raise SupportViolation(
-                            "non-integral index survives in a trivial-character "
-                            "product"
-                        )
-                    continue
-                half[(k1 // 2, k2 // 2)] = tuple(
-                    _reindex(x, 1, 2) for x in vec
-                )
-            cells, denom = half, 1
-            kN //= 2
-            start = (start + 1) // 2
-        # a sum of positive semi-definite index matrices is one: no re-check
-        return FourierExpansion(
-            (j, k), character, kN, cells, start, denom, validate=False
-        )
+        """The product, one ``evaluate`` of x * y; an empty window raises
+        OrderTooSmall."""
+        (product,) = evaluate([self, other], [{(1, 1): 1}])
+        return product
 
     __mul__ = mul
 
@@ -335,30 +303,26 @@ class FourierExpansion:
         return self.exact_div(theta.chi_10(self.kN - self.start + 1).pow(k))
 
     # -- boundary operators ---------------------------------------------------------
-    def siegel_phi(self) -> "EllipticExpansion":
-        """Siegel operator: the (n, 0) slice of coordinate 0.
+    def siegel_phi(self) -> "FourierExpansion":
+        """Siegel operator: the (n, 0) slice of coordinate 0, as the
+        boundary row of weight (0, j + k) that ``elliptic_form`` builds.
 
         Refuses character forms (undefined here); raises if any other
         coordinate survives on the slice.
         """
         if self.character or self.denom != 1:
             raise CharacterForm("Siegel operator is not defined for character forms")
-        coeffs = {}
-        for n in range(0, self.kN + 1):
-            vec = self.vec_at((n, 0))
-            for i in range(1, self.j + 1):
-                if not vec[i].is_zero:
-                    raise BoundarySliceError(
-                        f"coordinate {i} does not vanish on the boundary slice"
-                    )
-            c = vec[0].c.get(0, 0)
-            if set(vec[0].c) - {0}:
+        cells = {}
+        for n in range(self.kN + 1):
+            head, *rest = self.vec_at((n, 0))
+            if any(not x.is_zero for x in rest):
                 raise BoundarySliceError(
-                    "nonzero r-exponent on a singular index"
+                    "a coordinate past the first survives on the boundary slice"
                 )
-            if c:
-                coeffs[n] = c
-        return EllipticExpansion(self.k, self.kN, coeffs)
+            if set(head.c) - {0}:
+                raise BoundarySliceError("nonzero r-exponent on a singular index")
+            cells[n, 0] = (head,)
+        return FourierExpansion((0, self.j + self.k), False, self.kN, cells)
 
     def restrict_to_a11(self):
         """Substitute r = 1; per coordinate, a map (n1, n2) -> value."""
@@ -413,9 +377,14 @@ class FourierExpansion:
 
     @classmethod
     def from_json(cls, data: dict) -> "FourierExpansion":
-        denom = data.get("denominator", 1)
-        t = data["truncation"]
-        kN = int(Fraction(t) * denom) if isinstance(t, str) else t
+        denom, t = data.get("denominator", 1), data["truncation"]
+        if denom not in (1, 2):
+            raise ValueError(f"index-lattice denominator {denom!r} is not 1 or 2")
+        kN = Fraction(t) * denom
+        if kN.denominator != 1:
+            raise ValueError(
+                f"truncation {t!r} is off the lattice of denominator {denom}"
+            )
         cells = {
             tuple(entry["n"]): tuple(
                 LaurentPoly.from_json(v) for v in entry["vec"]
@@ -423,7 +392,7 @@ class FourierExpansion:
             for entry in data["coeffs"]
         }
         return cls(
-            tuple(data["weight"]), data["character"], kN, cells,
+            tuple(data["weight"]), data["character"], int(kN), cells,
             data.get("start", 0), denom,
         )
 
@@ -463,41 +432,68 @@ def constant_one(N: int) -> FourierExpansion:
 
 def evaluate(forms, polys, top=None):
     """Each of ``polys`` ({exponents: int}, one exponent per form) evaluated
-    at the trivial-character ``forms``, as an iterator of expansions.
+    at ``forms``, forms on one index lattice, as an iterator of expansions.
 
     One ``arith.evaluate`` runs the whole Horner scheme on the forms'
     packed images, at a width read off one scalar per antidiagonal
     n1 + n2 of each form; a power of a form is built once and shared by
     every poly, and the forms of the highest start (the cusp forms) are
-    multiplied first, whatever their place in ``forms``.  Windows,
-    swap-sign half products and the weight of each result are those of
-    the same evaluation by ``mul`` and ``add``; a poly whose terms differ
-    in weight raises WeightMismatch.
+    multiplied first, whatever their place in ``forms``.  Windows and
+    swap-sign half products are those of the module docstring.  Each
+    result takes the weight and character of its poly's terms, and a poly
+    whose terms differ in either, or forms on two lattices, raise
+    WeightMismatch.  A trivial-character result of half-integral forms is
+    re-indexed to the integral lattice, as chi_5^2 is.
 
     With a cut ``top``, each result is that expansion restricted to the
     cells with max index <= top, on the window [start, min(kN, top)]: no
     cell past top is formed, and a product whose start lies past top is
     formed as zero instead of raising OrderTooSmall.  Without one, an
-    empty window raises OrderTooSmall as in ``mul``.
+    empty window raises OrderTooSmall.
     """
-    if any(f.character or f.denom != 1 for f in forms):
-        raise WeightMismatch("evaluation takes trivial-character forms")
-    js, ks = [f.j for f in forms], [f.k for f in forms]
-    weights = []
+    denoms = {f.denom for f in forms}
+    if len(denoms) > 1:
+        raise WeightMismatch("evaluation takes forms on one index lattice")
+    denom = max(denoms, default=1)
+    grades = [(f.j, f.k, f.character) for f in forms]
+
+    def grade(e):
+        j, k, odd = (sum(map(operator.mul, e, g)) for g in zip(*grades))
+        return j, k, odd % 2 == 1
+
+    kinds = []
     for p in polys:
-        ws = {
-            (sum(map(operator.mul, e, js)), sum(map(operator.mul, e, ks)))
-            for e in p
-        }
+        ws = set(map(grade, p))
         if len(ws) != 1:
-            raise WeightMismatch("a poly to evaluate needs terms of one weight")
-        weights.append(ws.pop())
+            raise WeightMismatch(
+                "a poly to evaluate needs terms of one weight and character"
+            )
+        kinds.append(ws.pop())
     results = arith.evaluate(
         [f.cells for f in forms], [(f.start, f.kN) for f in forms], polys, top
     )
-    return (
-        FourierExpansion(weight, False, kN, cells, start, validate=False)
-        for weight, (cells, start, kN) in zip(weights, results)
+    return (_expansion(kind, denom, *x) for kind, x in zip(kinds, results))
+
+
+def _expansion(kind, denom, cells, start, kN):
+    """An ``evaluate`` result; one of trivial character on the half-integral
+    lattice is re-indexed to the integral one (keys and r-exponents
+    halved), or raises SupportViolation if a coefficient lies off it."""
+    j, k, character = kind
+    if denom == 2 and not character:
+        half = {}
+        for (k1, k2), vec in cells.items():
+            if k1 % 2 or k2 % 2 or any(e % 2 for x in vec for e in x.c):
+                raise SupportViolation(
+                    "non-integral index survives in a trivial-character product"
+                )
+            half[k1 // 2, k2 // 2] = tuple(
+                LaurentPoly.over({e // 2: v for e, v in x.c.items()}) for x in vec
+            )
+        cells, start, kN, denom = half, (start + 1) // 2, kN // 2, 1
+    # a sum of positive semi-definite index matrices is one: no re-check
+    return FourierExpansion(
+        (j, k), character, kN, cells, start, denom, validate=False
     )
 
 
@@ -569,89 +565,22 @@ def rank_of_span(forms) -> int:
     return linalg.rank(span_matrix(forms))
 
 
-# -- elliptic (degree-1) expansions -------------------------------------------
-
-
-class EllipticExpansion:
-    __slots__ = ("k", "N", "coeffs")
-
-    def __init__(self, k, N, coeffs):
-        self.k = k
-        self.N = N
-        self.coeffs = {n: c for n, c in coeffs.items() if c and 0 <= n <= N}
-
-    @property
-    def is_zero(self):
-        return not self.coeffs
-
-    def __getitem__(self, n):
-        return self.coeffs.get(n, 0)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, EllipticExpansion)
-            and self.k == other.k
-            and self.N == other.N
-            and self.coeffs == other.coeffs
-        )
-
-    def add(self, other):
-        if self.k != other.k:
-            raise WeightMismatch("elliptic weights differ")
-        N = min(self.N, other.N)
-        return EllipticExpansion(
-            self.k, N,
-            {n: self[n] + other[n] for n in range(N + 1)},
-        )
-
-    def sub(self, other):
-        return self.add(other.scale(-1))
-
-    def scale(self, c):
-        return EllipticExpansion(
-            self.k, self.N, {n: v * c for n, v in self.coeffs.items()}
-        )
-
-    def mul(self, other):
-        N = min(self.N, other.N)
-        out = LaurentPoly(self.coeffs) * LaurentPoly(other.coeffs)
-        return EllipticExpansion(self.k + other.k, N, out.c)
-
-    def pow(self, e):
-        if e < 1:
-            raise ValueError("positive powers only")
-        result = self
-        for _ in range(e - 1):
-            result = result.mul(self)
-        return result
-
-    def proportional_to(self, other):
-        """Constant c with self = c*other on the common window, or None."""
-        N = min(self.N, other.N)
-        return common_ratio((self[n], other[n]) for n in range(N + 1))
-
-    def __repr__(self):
-        terms = ", ".join(
-            f"{n}: {frac_to_str(c)}" for n, c in sorted(self.coeffs.items())
-        )
-        return f"EllipticExpansion(k={self.k}, N={self.N}, {{{terms}}})"
+# -- elliptic (degree-1) forms, as boundary rows --------------------------------
 
 
 def _sigma(n, power):
     return sum(d ** power for d in range(1, n + 1) if n % d == 0)
 
 
-def elliptic_form(name: str, N: int) -> EllipticExpansion:
+def elliptic_form(name: str, N: int) -> FourierExpansion:
+    """E4, E6 or Delta to q^N, as the boundary row of weight (0, k) with
+    a(n) at cell (n, 0)."""
     key = name.strip().lower()
     if key == "e4":
-        coeffs = {0: 1}
-        coeffs.update({n: 240 * _sigma(n, 3) for n in range(1, N + 1)})
-        return EllipticExpansion(4, N, coeffs)
-    if key == "e6":
-        coeffs = {0: 1}
-        coeffs.update({n: -504 * _sigma(n, 5) for n in range(1, N + 1)})
-        return EllipticExpansion(6, N, coeffs)
-    if key == "delta":
+        k, coeffs = 4, [1] + [240 * _sigma(n, 3) for n in range(1, N + 1)]
+    elif key == "e6":
+        k, coeffs = 6, [1] + [-504 * _sigma(n, 5) for n in range(1, N + 1)]
+    elif key == "delta":
         # q * prod_{n>=1} (1 - q^n)^24
         poly = [1] + [0] * N
         for m in range(1, N + 1):
@@ -659,6 +588,8 @@ def elliptic_form(name: str, N: int) -> EllipticExpansion:
                 # multiply by (1 - q^m)
                 for idx in range(N, m - 1, -1):
                     poly[idx] -= poly[idx - m]
-        coeffs = {n + 1: poly[n] for n in range(N) }
-        return EllipticExpansion(12, N, coeffs)
-    raise ValueError(f"unknown elliptic form {name!r}")
+        k, coeffs = 12, [0] + poly[:N]
+    else:
+        raise ValueError(f"unknown elliptic form {name!r}")
+    cells = {(n, 0): (LaurentPoly.const(c),) for n, c in enumerate(coeffs)}
+    return FourierExpansion((0, k), False, N, cells)

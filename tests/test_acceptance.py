@@ -103,11 +103,15 @@ def test_criterion_6_elliptic_consistency():
     delta = qexp.elliptic_form("Delta", n)
     relation = e4.pow(3).sub(e6.pow(2)) == delta.scale(1728)
     psi4 = ringlab.named_form("psi4", 3).expansion
-    phi_ok = psi4.siegel_phi().proportional_to(qexp.elliptic_form("E4", 3)) == 1
     e4_3 = qexp.elliptic_form("E4", 3)
+    phi_ok = qexp.proportionality(psi4.siegel_phi(), e4_3) == 1
+
+    def a(n):
+        return e4_3.vec_at((n, 0))[0].eval_at_one()
+
     slice0 = psi4.restrict_to_a11()[0]
     tensor_ok = bool(slice0) and all(
-        val == e4_3[n1] * e4_3[n2] for (n1, n2), val in slice0.items()
+        val == a(n1) * a(n2) for (n1, n2), val in slice0.items()
     )
     ok = relation and phi_ok and tensor_ok
     report("E4^3 - E6^2 = 1728*Delta and psi4 boundary behaviour", ok)

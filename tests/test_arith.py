@@ -16,7 +16,7 @@ from sexticforms.arith import (
     frac_to_str,
     is_prime,
 )
-from sexticforms import arith
+from sexticforms import arith, qexp
 from sexticforms.errors import NotDivisible
 
 coeffs = st.dictionaries(
@@ -188,3 +188,29 @@ def test_only_arith_knows_the_packed_format():
             elif isinstance(node, ast.alias):
                 named.add(node.name)
         assert not named & _PACKED_FORMAT, path.name
+
+
+def test_qexp_has_one_series_class_and_one_product_path():
+    tree = ast.parse(pathlib.Path(qexp.__file__).read_text())
+    classes = [n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+    assert classes == ["FourierExpansion"]
+    callers = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "evaluate"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "arith"
+            ):
+                callers.add(fn.name)
+    assert callers == {"evaluate"}
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "arith"
+        for alias in node.names
+    }
+    assert "evaluate" not in imported

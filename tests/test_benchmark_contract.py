@@ -5,7 +5,6 @@ the benchmark's stored reference, and the benchmark's traced recipes
 agree with the program they trace."""
 
 import importlib.util
-import json
 import os
 
 import pytest
@@ -14,7 +13,6 @@ from sexticforms import cli, ringlab
 from sexticforms.qexp import FourierExpansion
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
-GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "chi6_8_N2.json")
 
 
 @pytest.fixture(scope="module")
@@ -28,8 +26,8 @@ def job():
 
 
 def test_job_checks_the_golden_chi68_block(job):
-    with open(GOLDEN) as fh:
-        ref = json.load(fh)
+    # the reference is at order 5; its window at order 2 is the block
+    ref = job.load_ref("nu-registry")["chi6_8"]
     code, text = job.run_cli(["expand", "chi6_8", "--order", "2", "--json", "--no-cache"])
     assert code == 0
     got = job.expansion_of(text)

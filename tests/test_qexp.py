@@ -15,7 +15,7 @@ from sexticforms.errors import (
     SupportViolation,
     WeightMismatch,
 )
-from sexticforms.qexp import EllipticExpansion, FourierExpansion
+from sexticforms.qexp import FourierExpansion
 
 N = 3
 
@@ -154,6 +154,28 @@ def test_json_round_trip(chi10_n3):
     data = chi10_n3.to_json()
     back = FourierExpansion.from_json(data)
     assert back == chi10_n3
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"truncation": "5/2"},  # off the integral lattice, not floored to 2
+        # r^9 at (1, 1) loaded before: the support check was skipped
+        {"denominator": 3, "coeffs": [{"n": [1, 1], "vec": [{"9": "1"}]}]},
+        {"denominator": 0},
+    ],
+)
+def test_from_json_refuses_bad_lattice_fields(chi10_n3, fields):
+    with pytest.raises(ValueError):
+        FourierExpansion.from_json({**chi10_n3.to_json(), **fields})
+
+
+def test_support_is_checked_on_the_half_integral_lattice():
+    data = theta.chi_5(3).to_json()
+    assert FourierExpansion.from_json(data).denom == 2
+    data["coeffs"].append({"n": [1, 1], "vec": [{"9": "1"}]})
+    with pytest.raises(SupportViolation):
+        FourierExpansion.from_json(data)
 
 
 def test_a11_order(chi10_n3):
@@ -701,16 +723,43 @@ def test_evaluate_takes_polys_of_one_weight():
     assert x.weight == (0, 12) and x == a.pow(3).sub(b.pow(2))
 
 
-# -- elliptic expansions -------------------------------------------------------
+def test_evaluate_takes_character_forms_on_one_lattice(chi10_n3):
+    x5 = theta.chi_5(3)
+    (sq,) = qexp.evaluate([x5], [{(2,): 1}])
+    assert sq == x5.mul(x5) and sq.denom == 1 and not sq.character
+    (cube,) = qexp.evaluate([x5], [{(3,): 1}])
+    assert (cube.weight, cube.denom, cube.character) == ((0, 15), 2, True)
+    assert not cube.is_zero
+    with pytest.raises(WeightMismatch):  # two index lattices
+        qexp.evaluate([x5, chi10_n3], [{(2, 0): 1, (0, 1): 1}])
+    plain = FourierExpansion((0, 5), False, 6, {}, 0, 2)
+    with pytest.raises(WeightMismatch):  # terms of two characters
+        qexp.evaluate([x5, plain], [{(1, 0): 1, (0, 1): 1}])
+
+
+# -- elliptic forms, as boundary rows ------------------------------------------
+
+
+def test_siegel_phi_is_the_elliptic_boundary_row():
+    for name, elliptic in (("psi4", "E4"), ("psi6", "E6")):
+        phi = ringlab.named_form(name, 3).expansion.siegel_phi()
+        assert phi == qexp.elliptic_form(elliptic, 3)
+    for name in ("chi10", "chi12", "chi35"):
+        assert ringlab.named_form(name, 3).expansion.siegel_phi().is_zero
 
 
 def test_eisenstein_normalizations():
     e4 = qexp.elliptic_form("E4", 3)
     e6 = qexp.elliptic_form("E6", 3)
     delta = qexp.elliptic_form("Delta", 3)
-    assert e4[0] == 1 and e4[1] == 240
-    assert e6[0] == 1 and e6[1] == -504
-    assert delta[0] == 0 and delta[1] == 1 and delta[2] == -24
+
+    def a(f, n):
+        return f.coefficient(n, 0)[0]
+
+    assert a(e4, 0) == LaurentPoly.const(1) and a(e4, 1) == LaurentPoly.const(240)
+    assert a(e6, 0) == LaurentPoly.const(1) and a(e6, 1) == LaurentPoly.const(-504)
+    assert a(delta, 0).is_zero and a(delta, 1) == LaurentPoly.const(1)
+    assert a(delta, 2) == LaurentPoly.const(-24)
 
 
 def test_elliptic_relation_small():
