@@ -420,7 +420,10 @@ class Substitution:
     """Evaluates polynomials at ``images[i]`` for variable i, with ``one``
     the unit of their ring; images need ``*``, ``+`` and ``scale``.
 
-    ``power(i, k)`` builds images[i]**k once and keeps it.  A call groups
+    ``power(i, k)`` builds images[i]**k once and keeps it, as power(i, t)
+    * power(i, k - t) with t the largest power of two below k: a lone x**k
+    takes the products of binary powering (x**13: x**2, x**4, x**8, x**5,
+    x**13), a run of exponents one product per exponent.  A call groups
     the terms on one variable at a time, the last variable outermost (the
     sparse multivariate Horner scheme; Pena and Sauer, 2000): a factor
     several terms share is multiplied once, and a constant cofactor is a
@@ -436,9 +439,11 @@ class Substitution:
         self._powers = {}
 
     def power(self, i, k):
+        if k == 1:
+            return self.images[i]
         if (i, k) not in self._powers:
-            x = self.images[i]
-            self._powers[i, k] = x if k == 1 else self.power(i, k - 1) * x
+            t = 1 << (k - 1).bit_length() - 1  # the largest power of two below k
+            self._powers[i, k] = self.power(i, t) * self.power(i, k - t)
         return self._powers[i, k]
 
     def __call__(self, terms):
@@ -706,14 +711,8 @@ class LaurentPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("non-negative powers only")
-        result = LaurentPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        ((cells, _, _),) = evaluate([{(0, 0): (self,)}], [(0, 0)], [{(n,): 1}])
+        return cells[0, 0][0] if cells else LaurentPoly()
 
     def __eq__(self, other):
         return isinstance(other, LaurentPoly) and self.c == other.c

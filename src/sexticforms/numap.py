@@ -150,13 +150,14 @@ def nu_raw(c: Covariant, N: int) -> FourierExpansion:
 
 
 def nu_normalized(c: Covariant, m: int, N: int) -> FourierExpansion:
-    """chi_10^m * nu(c): nu_raw divided once by chi_10^(d - m).
+    """chi_10^m * nu(c) on the window [m, N], empty for N < m: nu_raw at
+    max(1, N - m + 1) divided once by chi_10^(d - m), then cut at N.
 
     Raises NotDivisible when chi_10^m * nu(c) is not holomorphic.
     """
     if not 0 <= m <= c.degree:
         raise ValueError("chi_10 power must satisfy 0 <= m <= degree")
-    return nu_raw(c, N).exact_div_chi10(c.degree - m)
+    return nu_raw(c, max(1, N - m + 1)).exact_div_chi10(c.degree - m).cut(N)
 
 
 def minimal_chi10_power(c: Covariant) -> int:

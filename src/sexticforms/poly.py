@@ -191,14 +191,8 @@ class MultiPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("non-negative powers only")
-        result = MultiPoly.const(self.vars, 1, self.modulus)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        one = MultiPoly.const(self.vars, 1, self.modulus)
+        return Substitution([self], one)({(n,): 1})
 
     # -- calculus and substitution -----------------------------------------
     def derivative(self, name: str) -> "MultiPoly":

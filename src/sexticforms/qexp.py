@@ -24,8 +24,8 @@ product with start_out > top is zero on its window, no cells: every
 coefficient with min(n1, n2) < start_out vanishes.  A cut window is still
 exact, because a cell never depends on a cell of larger index.
 
-Every product is one ``evaluate``: ``mul`` evaluates x * y, and
-``evaluate`` runs one ``arith.evaluate`` under these window rules.
+Every product is one ``evaluate``: ``mul`` evaluates x * y, ``pow`` x**n,
+and ``evaluate`` runs one ``arith.evaluate`` under these window rules.
 
 An elliptic form f is a boundary row: weight (0, k), a(n) at cell (n, 0),
 the Fourier series of f(tau_11) (``elliptic_form``, ``siegel_phi``).
@@ -83,8 +83,10 @@ class FourierExpansion:
             self._validate_support()
 
     def _validate_support(self):
-        # e^2 <= 4 n1 n2 reads the same on the doubled (denom 2) lattice
+        # n1, n2 >= 0 and e^2 <= 4 n1 n2 read alike on the doubled lattice
         for (n1, n2), vec in self.cells.items():
+            if n1 < 0 or n2 < 0:
+                raise SupportViolation(f"negative index at ({n1},{n2})")
             bound = 4 * n1 * n2
             for lp in vec:
                 for e in lp.c:
@@ -139,6 +141,18 @@ class FourierExpansion:
             )
         if self.character != other.character or self.denom != other.denom:
             raise WeightMismatch("character/lattice mismatch")
+
+    def cut(self, N) -> "FourierExpansion":
+        """The cells with max index <= N, N in logical units, on the window
+        [start, N]; OrderTooSmall past the truncation."""
+        kN = N * self.denom
+        if kN > self.kN:
+            raise OrderTooSmall(f"cut at {N} past the truncation {self.truncation}")
+        cells = {key: vec for key, vec in self.cells.items() if max(key) <= kN}
+        return FourierExpansion(
+            self.weight, self.character, kN, cells, self.start, self.denom,
+            validate=False,
+        )
 
     # -- linear structure ----------------------------------------------------
     def add(self, other) -> "FourierExpansion":
@@ -236,18 +250,12 @@ class FourierExpansion:
     __mul__ = mul
 
     def pow(self, n: int) -> "FourierExpansion":
-        """The n-th power by repeated squaring; the window rule of ``mul``
-        gives every way of forming it the same window."""
+        """The n-th power, n >= 1: one ``evaluate`` of x**n, whose products
+        are those of binary powering (``arith.Substitution``)."""
         if n < 1:
             raise ValueError("positive powers only")
-        result, base = None, self
-        while True:
-            if n & 1:
-                result = base if result is None else result.mul(base)
-            n >>= 1
-            if not n:
-                return result
-            base = base.mul(base)
+        (power,) = evaluate([self], [{(n,): 1}])
+        return power
 
     # -- division -----------------------------------------------------------------
     def exact_div(self, other: "FourierExpansion") -> "FourierExpansion":
@@ -288,11 +296,11 @@ class FourierExpansion:
         """Exact quotient by chi_10^k in one division; k = 0 returns self.
 
         chi_10 is built just deep enough for this window, on [1, kN - start
-        + 1], and its k-th power reaches kN - start + k, so the quotient's
-        window is [start - k, kN - k], as after k divisions by chi_10.  The
-        corner cell of chi_10^k, (r - 2 + r^-1)^k, is primitive, so the
-        quotient exists over Z exactly when the k successive quotients do,
-        and raises NotDivisible otherwise.
+        + 1], and its k-th power, one ``pow``, reaches kN - start + k, so
+        the quotient's window is [start - k, kN - k], as after k divisions
+        by chi_10.  The corner cell of chi_10^k, (r - 2 + r^-1)^k, is
+        primitive, so the quotient exists over Z exactly when the k
+        successive quotients do, and raises NotDivisible otherwise.
         """
         from . import theta
 

@@ -57,14 +57,14 @@ def _theta(name):
     return lambda N: getattr(theta, name)(N)
 
 
-def _nu(m, extra, covariant, *args):
-    """Builder of chi_10^m * nu(covariant(*args)) at truncation N + extra."""
-    return lambda N: numap.nu_normalized(covariant(*args), m, N + extra)
+def _nu(m, covariant, *args):
+    """Builder of chi_10^m * nu(covariant(*args)) on the window [m, N]."""
+    return lambda N: numap.nu_normalized(covariant(*args), m, N)
 
 
 def _build_psi6(N: int) -> FourierExpansion:
     # constant term 1, as for E6, the image of psi6 under the Siegel operator
-    raw = _nu(0, 1, covariants.combination_AB_minus_3C)(N)
+    raw = _nu(0, covariants.combination_AB_minus_3C)(N)
     return raw.pinned((0, 0), 0, LaurentPoly.const(1))
 
 
@@ -72,16 +72,12 @@ def _build_chi35(N: int) -> FourierExpansion:
     """chi35 on the window [2, N].  The chain from chi6_8 at max(2, N - 1)
     runs over Z and gives chi10^15 * nu(E) up to scale; one division by
     chi10^13 leaves [2, max(3, N)], where the (2,3) pin fixes the scale,
-    cut down to N."""
+    cut at N."""
     built = {"f": theta.chi_6_8(max(2, N - 1))}
     for out, left, right, k in covariants.skew_chain_transvectants():
         built[out] = numap.transvectant_expansion(built[left], built[right], k)
     x = built["e0"].exact_div_chi10(13)
-    x = x.pinned((2, 3), 0, LaurentPoly({1: 8192, -1: -8192}))
-    cells = {key: vec for key, vec in x.cells.items() if max(key) <= N}
-    return FourierExpansion(
-        x.weight, False, min(N, x.kN), cells, x.start, validate=False
-    )
+    return x.pinned((2, 3), 0, LaurentPoly({1: 8192, -1: -8192})).cut(N)
 
 
 # the registry, name: (how it is built, builder N -> FourierExpansion)
@@ -90,11 +86,11 @@ _REGISTRY = {
     "chi6_3": ("Sym^6 product of the 6 odd theta gradients", _theta("chi_6_3")),
     "chi10": ("chi5^2, (1,1) coefficient pinned to r - 2 + r^-1", _theta("chi_10")),
     "chi6_8": ("chi5 * chi6_3, (1,1) coefficient vector pinned", _theta("chi_6_8")),
-    "psi4": ("nu(B)", _nu(0, 1, covariants.invariant, "B")),
+    "psi4": ("nu(B)", _nu(0, covariants.invariant, "B")),
     "psi6": ("nu(-8*A*B - 3*C), (0,0) coefficient pinned to 1", _build_psi6),
-    "chi12": ("nu(A) * chi10", _nu(1, 0, covariants.invariant, "A")),
-    "chi8_8": ("nu(Hessian) * chi10", _nu(1, 0, covariants.grace_young, "Hessian")),
-    "chi4_10": ("nu(V[8,4]) * chi10", _nu(1, 0, covariants.grace_young, "V8,4")),
+    "chi12": ("nu(A) * chi10", _nu(1, covariants.invariant, "A")),
+    "chi8_8": ("nu(Hessian) * chi10", _nu(1, covariants.grace_young, "Hessian")),
+    "chi4_10": ("nu(V[8,4]) * chi10", _nu(1, covariants.grace_young, "V8,4")),
     "chi35": (
         "chi10^2 * nu(E) via the q-side transvectant chain, "
         "(2,3) coefficient pinned to 8192*(r - r^-1)",
@@ -300,7 +296,7 @@ def dim_s68_probe(N: int = 3, cache_dir=None):
     the theta product chi5*chi6_3 and nu(D*f)/chi10^11."""
     reference = named_form("chi6_8", N, cache_dir).expansion
     d_times_f = covariants.invariant("D") * covariants.universal_sextic()
-    other = numap.nu_normalized(d_times_f, 0, N + 1)
+    other = numap.nu_normalized(d_times_f, 0, N)
     const = qexp.proportionality(other, reference)
     return {
         "constructions": ["chi5 * chi6_3", "nu(D*f) / chi10^11"],

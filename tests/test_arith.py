@@ -190,6 +190,25 @@ def test_only_arith_knows_the_packed_format():
         assert not named & _PACKED_FORMAT, path.name
 
 
+def test_every_power_is_one_substitution():
+    # Substitution.power is the one power rule: no pow or __pow__ loops,
+    # and each reaches it through evaluate or Substitution
+    found = []
+    for path in pathlib.Path(arith.__file__).parent.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef) and fn.name in ("pow", "__pow__"):
+                found.append(f"{path.name}:{fn.name}")
+                nodes = list(ast.walk(fn))
+                assert not any(isinstance(n, (ast.For, ast.While)) for n in nodes)
+                called = {
+                    getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+                    for n in nodes
+                    if isinstance(n, ast.Call)
+                }
+                assert called & {"evaluate", "Substitution"}, found[-1]
+    assert sorted(found) == ["arith.py:__pow__", "poly.py:__pow__", "qexp.py:pow"]
+
+
 def test_qexp_has_one_series_class_and_one_product_path():
     tree = ast.parse(pathlib.Path(qexp.__file__).read_text())
     classes = [n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]

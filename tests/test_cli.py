@@ -237,6 +237,8 @@ def test_verify_odd_weight_reads_the_order(tmp_path, capsys):
         (["expand", "chi10"], lambda good: _with_truncation(good, 3), 0, None),
         # nesting past the recursion limit is a parse error, not a traceback
         (["nu", "(" * 300 + "a0" + ")" * 300], None, 2, "nested too deeply"),
+        # a cell at negative indices, inside the cone, under the right key
+        (["expand", "chi10"], lambda good: _with_negative_cell(good), 0, None),
     ],
 )
 def test_bad_input_exit_codes(tmp_path, capsys, argv, corrupt, code, message):
@@ -281,6 +283,15 @@ def _with_term(entry_text, key, exponent, coeff):
     return _signed(data)
 
 
+def _with_negative_cell(entry_text):
+    """A cache entry whose expansion starts at -1 and holds 5 at the cell
+    (-1, -1), its digest recomputed."""
+    data = json.loads(entry_text)
+    data["expansion"]["start"] = -1
+    data["expansion"]["coeffs"].insert(0, {"n": [-1, -1], "vec": [{"0": "5"}]})
+    return _signed(data)
+
+
 def _with_truncation(entry_text, kN):
     """A cache entry whose expansion claims the truncation kN, its digest
     left as written."""
@@ -316,10 +327,11 @@ def _nu_payload(power, degree, order, weight, n, vec):
 
 
 @pytest.mark.parametrize(
-    "name, text, payload",
+    "name, order, text, payload",
     [
         (
             "C2,0",
+            "1",
             "chi_10^1 * nu(covariant), degree 2, order 0\n"
             "weight (0,12), truncation 1\n"
             "(1,1): -1/15*r^-1 - 2/3 - 1/15*r\n",
@@ -327,6 +339,7 @@ def _nu_payload(power, degree, order, weight, n, vec):
         ),
         (
             "C2,4",
+            "1",
             "chi_10^1 * nu(covariant), degree 2, order 4\n"
             "weight (4,10), truncation 1\n"
             "(1,1): (2/75*r^-1 - 4/75 + 2/75*r, -4/75*r^-1 + 4/75*r, "
@@ -342,6 +355,7 @@ def _nu_payload(power, degree, order, weight, n, vec):
         ),
         (
             "C3,2",
+            "2",
             "chi_10^2 * nu(covariant), degree 3, order 2\n"
             "weight (2,22), truncation 2\n"
             "(2,2): (2/1125*r^-2 + 16/1125*r^-1 - 4/125 + 16/1125*r + 2/1125*r^2, "
@@ -356,12 +370,26 @@ def _nu_payload(power, degree, order, weight, n, vec):
     ],
     ids=["C2,0", "C2,4", "C3,2"],
 )
-def test_nu_json_with_rational_coefficients(capsys, name, text, payload):
+def test_nu_json_with_rational_coefficients(capsys, name, order, text, payload):
     # the series are integral; the covariant's rational content is applied
     # as they are printed
-    assert run(capsys, "nu", name, "--order", "1") == (0, text, "")
-    code, out, _ = run(capsys, "nu", name, "--order", "1", "--json")
+    assert run(capsys, "nu", name, "--order", order) == (0, text, "")
+    code, out, _ = run(capsys, "nu", name, "--order", order, "--json")
     assert code == 0 and json.loads(out) == payload
+
+
+@pytest.mark.parametrize("name, order", [("B", "2"), ("D", "1"), ("C3,2", "1")])
+def test_nu_truncation_is_the_order(capsys, name, order):
+    # chi_10^m * nu(c) lies on [m, order], whatever its chi_10 power m
+    code, out, _ = run(capsys, "nu", name, "--order", order)
+    assert code == 0
+    assert out.splitlines()[1].endswith(f", truncation {order}")
+
+
+def test_covariant_of_a_high_power(capsys):
+    # the power is formed in log2(5000) nested steps, not 5000
+    code, out, _ = run(capsys, "covariant", "a0^5000")
+    assert code == 0 and out == "degree 5000, order 0\na0^5000\n"
 
 
 def test_expand_half_integral_lattice(capsys):

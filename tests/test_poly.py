@@ -72,6 +72,26 @@ def test_pow_refuses_negative_powers():
         x ** -1
 
 
+def test_pow_makes_the_products_of_binary_powering(monkeypatch):
+    # p^8: p^2, p^4, p^8; p^13: p^2, p^4, p^8, p^5, p^13
+    p = MultiPoly.variable(SEXTIC_VARS, "a0") + MultiPoly.variable(SEXTIC_VARS, "a1")
+    calls = []
+    mul = MultiPoly.__mul__
+
+    def spy(x, y):
+        calls.append(1)
+        return mul(x, y)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", spy)
+    p8 = p ** 8
+    assert len(calls) == 3
+    calls.clear()
+    p13 = p ** 13
+    assert len(calls) == 5
+    monkeypatch.undo()
+    assert p8.coefficient(a0=4, a1=4) == 70 and p13 == p8 * p ** 5
+
+
 def test_exact_div_mod2():
     a = MultiPoly.variable(CHAR2_VARS, "a0", 2) + MultiPoly.variable(
         CHAR2_VARS, "a1", 2

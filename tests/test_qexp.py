@@ -118,6 +118,51 @@ def test_pow_equals_repeated_products(chi10_n3):
         chi10_n3.pow(0)
 
 
+def test_pow_of_a_character_form():
+    # an odd power keeps the character and the half-integral lattice; an
+    # even one is re-indexed to the integral lattice, as a product is
+    x5 = theta.chi_5(3)
+    (cube,) = qexp.evaluate([x5], [{(3,): 1}])
+    got = x5.pow(3)
+    assert got == cube
+    assert (got.weight, got.character, got.denom) == ((0, 15), True, 2)
+    assert x5.pow(2) == x5.mul(x5) and x5.pow(2).denom == 1
+
+
+def test_pow_makes_the_products_of_binary_powering(monkeypatch):
+    # x^13: x^2, x^4, x^8, x^5, x^13; x^6: x^2, x^4, x^6 (image pass, w > 0)
+    products = []
+    mul = arith.Packed.__mul__
+
+    def spy(x, y):
+        if x.w > 0:
+            products.append((x.start, y.start))
+        return mul(x, y)
+
+    chi10 = theta.chi_10(4)
+    monkeypatch.setattr(arith.Packed, "__mul__", spy)
+    chi10.pow(13)
+    assert products == [(1, 1), (2, 2), (4, 4), (4, 1), (8, 5)]
+    products.clear()
+    chi10.pow(6)
+    assert products == [(1, 1), (2, 2), (4, 2)]
+
+
+def test_cut_keeps_the_start_and_refuses_past_the_truncation(chi10_n3):
+    x = chi10_n3.cut(2)
+    assert (x.start, x.kN) == (1, 2) and x.agrees_with(chi10_n3)
+    assert all(max(key) <= 2 for key in x.cells) and x.cells
+    assert chi10_n3.cut(3) == chi10_n3
+    empty = chi10_n3.cut(0)
+    assert (empty.start, empty.kN, empty.cells) == (1, 0, {})
+    with pytest.raises(OrderTooSmall):
+        chi10_n3.cut(4)
+    x5 = theta.chi_5(3)  # logical units: chi5 stores doubled indices
+    assert x5.cut(2).truncation == 2 and x5.cut(2).kN == 4
+    with pytest.raises(OrderTooSmall):
+        x5.cut(4)
+
+
 def test_exact_div_window_limited_by_divisor(chi10_n3):
     # the divisor's window bounds the quotient's: chi10 at truncation 1
     # only determines chi10^2 / chi10 on [1, 1]
@@ -168,6 +213,15 @@ def test_json_round_trip(chi10_n3):
 def test_from_json_refuses_bad_lattice_fields(chi10_n3, fields):
     with pytest.raises(ValueError):
         FourierExpansion.from_json({**chi10_n3.to_json(), **fields})
+
+
+def test_from_json_refuses_negative_indices(chi10_n3):
+    # the cell (-1, -1) passes e^2 <= 4 * n1 * n2 and the window [-1, 3]
+    data = chi10_n3.to_json()
+    data["start"] = -1
+    data["coeffs"].append({"n": [-1, -1], "vec": [{"0": "5"}]})
+    with pytest.raises(SupportViolation):
+        FourierExpansion.from_json(data)
 
 
 def test_support_is_checked_on_the_half_integral_lattice():

@@ -72,6 +72,15 @@ def test_named_form_truncation_is_the_order(N):
         assert ringlab.named_form(name, N).expansion.truncation == N, name
 
 
+@pytest.mark.parametrize("deep, N", [(5, 3), (4, 2)])
+def test_named_form_at_a_lower_order_is_the_cut(deep, N):
+    # every window is exact: a form at order N is the one at a deeper
+    # order cut at N, with the same start
+    for name in ringlab.registry_names():
+        cut = ringlab.named_form(name, deep).expansion.cut(N)
+        assert cut == ringlab.named_form(name, N).expansion, name
+
+
 def test_chi35_shape():
     # the first nonzero cells are (2,3) and (3,2): the window [2,2] holds none
     x35 = ringlab.named_form("chi35", 3).expansion
