@@ -32,7 +32,20 @@ weight (6,8), truncation 2
 (2,2): (16*r^-3 - 144*r^-1 + 256 - 144*r + 16*r^3, -72*r^-3 + 216*r^-1 - 216*r + 72*r^3, 128*r^-3 - 256 + 128*r^3, -144*r^-3 - 720*r^-1 + 720*r + 144*r^3, 128*r^-3 - 256 + 128*r^3, -72*r^-3 + 216*r^-1 - 216*r + 72*r^3, 16*r^-3 - 144*r^-1 + 256 - 144*r + 16*r^3)"""
 
 
+def _int_digit_limit() -> int:
+    """The most digits the interpreter converts between int and str, or 0
+    where there is no limit (before Python 3.11, or switched off)."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get is not None else 0
+
+
 # -- inline polynomial parsing ------------------------------------------------
+
+
+def _is_digit(ch) -> bool:
+    # ASCII only: str.isdigit() also accepts superscript digits, which
+    # int() refuses
+    return "0" <= ch <= "9"
 
 
 class _Tokenizer:
@@ -57,10 +70,17 @@ class _Tokenizer:
     def take_int(self):
         self.peek()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and _is_digit(self.text[self.pos]):
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an integer", start)
+        limit = _int_digit_limit()
+        if limit and self.pos - start > limit:
+            raise ParseError(
+                f"integer literal longer than the interpreter's limit of "
+                f"{limit} digits",
+                start,
+            )
         return int(self.text[start : self.pos])
 
     def take_name(self):
@@ -92,7 +112,7 @@ def parse_polynomial(text: str) -> MultiPoly:
             if not tok.take_op(")"):
                 raise ParseError("expected ')'", tok.pos)
             return inner
-        if ch.isdigit():
+        if _is_digit(ch):
             return MultiPoly.const(SEXTIC_VARS, tok.take_int())
         if ch.isalpha():
             pos = tok.pos
@@ -189,11 +209,19 @@ def _cache_dir(args):
 
 def _emit(args, text, data):
     """Print ``data()`` as JSON under --json, else ``text()``; only the
-    format asked for is built."""
-    if args.json:
-        print(json.dumps(data(), sort_keys=True))
-    else:
-        print(text())
+    format asked for is built.  A result holding an integer past the
+    interpreter's limit for int-to-str conversion is a usage error."""
+    try:
+        out = json.dumps(data(), sort_keys=True) if args.json else text()
+    except ValueError:
+        limit = _int_digit_limit()
+        if not limit:
+            raise
+        raise SystemExit2(
+            f"the result holds an integer of more than {limit} digits, the "
+            "interpreter's limit for printing one"
+        ) from None
+    print(out)
 
 
 def cmd_covariant(args) -> int:

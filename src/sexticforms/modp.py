@@ -85,23 +85,31 @@ def _random_sl2(rng):
     return m
 
 
+def _binomial_rows(a, b):
+    """Rows k = 0..6 of (a*x1 + b*x2)^k, each in x2-degree order."""
+    rows = [[1]]
+    for _ in range(6):
+        row = rows[-1]
+        rows.append([a * x + b * y for x, y in zip(row + [0], [0] + row)])
+    return rows
+
+
 def _transformed_sextic_values(values, m):
-    """Coefficients of f(p*x1+q*x2, r*x1+s*x2) for integer coefficients."""
+    """Coefficients a'_0..a'_6 of f(p*x1 + q*x2, r*x1 + s*x2), where f has
+    the integer coefficients ``values`` and m = (p, q, r, s).
+
+    The term a_i x1^(6-i) x2^i moves to a_i (p*x1 + q*x2)^(6-i) (r*x1 +
+    s*x2)^i, so a' is the sum of a_i times the convolution of row 6 - i of
+    the binomial rows of (p, q) with row i of those of (r, s).
+    """
     p, q, r, s = m
+    left, right = _binomial_rows(p, q), _binomial_rows(r, s)
     out = [0] * 7
     for i, a in enumerate(values):
-        # expand (p*x1+q*x2)^(6-i) * (r*x1+s*x2)^i
-        for u in range(6 - i + 1):
-            for v in range(i + 1):
-                coeff = (
-                    math.comb(6 - i, u)
-                    * p ** (6 - i - u)
-                    * q**u
-                    * math.comb(i, v)
-                    * r ** (i - v)
-                    * s**v
-                )
-                out[u + v] += a * coeff
+        if a:
+            for u, x in enumerate(left[6 - i]):
+                for v, y in enumerate(right[i]):
+                    out[u + v] += a * x * y
     return out
 
 

@@ -25,6 +25,8 @@ CHAR2_VARS = ("a0", "a1", "a2", "a3", "b0", "b1", "b2", "b3", "b4", "b5", "b6")
 
 
 def _norm_coeff(c, modulus):
+    if type(c) is int:  # the common case; bool and Fraction take the paths below
+        return c if modulus is None else c % modulus
     if modulus is not None:
         if isinstance(c, Fraction):
             if math.gcd(c.denominator, modulus) != 1:
@@ -34,6 +36,23 @@ def _norm_coeff(c, modulus):
     if isinstance(c, Fraction) and c.denominator == 1:
         return c.numerator
     return c
+
+
+def _prepared(terms):
+    """The factor lists of {exponents: c} for repeated evaluation.
+
+    Returns (pairs, factors): pairs lists every (variable index, exponent)
+    with a nonzero exponent that occurs in some term, sorted; factors
+    holds one (c, keys) per term, keys the positions in pairs of that
+    term's nonzero exponents.
+    """
+    pairs = sorted({(i, e) for exps in terms for i, e in enumerate(exps) if e})
+    key = {pair: k for k, pair in enumerate(pairs)}
+    factors = [
+        (c, tuple(key[i, e] for i, e in enumerate(exps) if e))
+        for exps, c in terms.items()
+    ]
+    return pairs, factors
 
 
 def _grlex(exps):
@@ -78,7 +97,9 @@ def transvect(g, h, k: int):
 
 
 class MultiPoly:
-    __slots__ = ("vars", "terms", "modulus")
+    # terms is never changed after __init__, so the factor lists that
+    # evaluate builds from it on its first call stay valid
+    __slots__ = ("vars", "terms", "modulus", "_factors")
 
     def __init__(self, vars, terms=None, modulus=None):
         self.vars = tuple(vars)
@@ -90,6 +111,7 @@ class MultiPoly:
                     out[tuple(exps)] = c
         self.terms = out
         self.modulus = modulus
+        self._factors = None
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -229,15 +251,32 @@ class MultiPoly:
         return Substitution(images, MultiPoly.const(tvars, 1, mod))(self.terms)
 
     def evaluate(self, values: dict):
-        """Evaluate at scalars; every variable must be assigned."""
+        """Evaluate at scalars; every variable must be assigned.
+
+        The first call prepares the polynomial for repeated evaluation
+        (Knuth's adaptation of coefficients, TAOCP vol. 2, 4.6.4): it lists
+        each term's nonzero exponents once and keeps the lists.  Each call
+        then raises every value only to the exponents that occur with it,
+        each power from the one below it, multiplies each term's listed
+        factors and reduces mod p once, at the end.
+        """
         vals = [values[name] for name in self.vars]
+        if self._factors is None:
+            self._factors = _prepared(self.terms)
+        pairs, factors = self._factors
+        powers = []
+        last, acc, below = None, 1, 0
+        for i, e in pairs:
+            if i != last:
+                last, acc, below = i, 1, 0
+            acc *= vals[i] ** (e - below)
+            below = e
+            powers.append(acc)
         total = 0
-        for exps, c in self.terms.items():
-            term = c
-            for v, e in zip(vals, exps):
-                if e:
-                    term *= v ** e
-            total += term
+        for c, keys in factors:
+            for k in keys:
+                c *= powers[k]
+            total += c
         if self.modulus is not None:
             total %= self.modulus
         return total

@@ -8,6 +8,11 @@ from sexticforms import cli
 from sexticforms.errors import ParseError
 from sexticforms.qexp import FourierExpansion
 
+# 0 where the interpreter has no limit on int <-> str conversion
+_DIGIT_LIMIT = cli._int_digit_limit()
+# 2^20000 has 6021 digits
+_BIG_UNPRINTABLE = 0 < _DIGIT_LIMIT < 6021
+
 BENCH_REF = os.path.join(
     os.path.dirname(__file__), "..", "perfbench", "refs", "cli-symbolic.json"
 )
@@ -239,6 +244,16 @@ def test_verify_odd_weight_reads_the_order(tmp_path, capsys):
         (["nu", "(" * 300 + "a0" + ")" * 300], None, 2, "nested too deeply"),
         # a cell at negative indices, inside the cone, under the right key
         (["expand", "chi10"], lambda good: _with_negative_cell(good), 0, None),
+        # digits that str.isdigit() accepts and int() refuses
+        (["covariant", "a0^\u00b2"], None, 2, "expected an integer (at position 3)"),
+        (["covariant", "\u00b2*a0"], None, 2, "unexpected character"),
+        # past the interpreter's limit for int <-> str conversion, where it has one
+        (["covariant", "1" * (_DIGIT_LIMIT or 4300) + "1*a0"], None,
+         2 if _DIGIT_LIMIT else 0, "integer literal longer" if _DIGIT_LIMIT else None),
+        (["covariant", "2^20000*a0"], None,
+         2 if _BIG_UNPRINTABLE else 0, "digits" if _BIG_UNPRINTABLE else None),
+        (["nu", "2^20000"], None,
+         2 if _BIG_UNPRINTABLE else 0, "digits" if _BIG_UNPRINTABLE else None),
     ],
 )
 def test_bad_input_exit_codes(tmp_path, capsys, argv, corrupt, code, message):

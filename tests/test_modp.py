@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_covariants import _transform
 
 from sexticforms import covariants as cv
-from sexticforms import modp
+from sexticforms import modp, poly
 from sexticforms.poly import CHAR2_VARS, MultiPoly
 
 
@@ -96,3 +99,53 @@ def test_singular_detection_sampled_report():
         for _ in range(10)
     ]
     assert modp.char2_discriminant_detects(pairs)["status"] == "PASS"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.randoms(use_true_random=False),
+    st.lists(st.integers(-20, 20), min_size=7, max_size=7),
+)
+def test_transformed_sextic_values_is_the_binomial_expansion(rng, coeffs):
+    m = modp._random_sl2(rng)
+    assert modp._transformed_sextic_values(coeffs, m) == _transform(coeffs, m)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_modp_invariance_reports_are_frozen(p):
+    # C vanishes mod 2, so its reduction fails the nonvanishing test there
+    expected = {"A": True, "B": True, "C": p != 2, "D": True}
+    expected["status"] = "PASS" if p != 2 else "FAIL"
+    for seed in range(5):
+        assert modp.modp_invariance_check(p, seed) == expected
+
+
+def test_evaluation_prepares_each_polynomial_once(monkeypatch):
+    builds, evaluations = [], []
+    prepared, evaluate = poly._prepared, MultiPoly.evaluate
+
+    def build_spy(terms):
+        builds.append(1)
+        return prepared(terms)
+
+    def evaluate_spy(self, values):
+        evaluations.append(1)
+        return evaluate(self, values)
+
+    monkeypatch.setattr(poly, "_prepared", build_spy)
+    monkeypatch.setattr(MultiPoly, "evaluate", evaluate_spy)
+    assert modp.modp_invariance_check(13)["status"] == "PASS"
+    assert len(builds) == 4 and len(evaluations) >= 200
+
+    builds.clear()
+    evaluations.clear()
+    lift = modp.char2_lift_invariant("D")
+    # a copy that no earlier evaluation has prepared
+    fresh = modp.Char2Invariant(
+        MultiPoly(lift.poly.vars, lift.poly.terms, 2), lift.degree
+    )
+    for mask in range(2**11):
+        a = [(mask >> i) & 1 for i in range(4)]
+        b = [(mask >> (4 + i)) & 1 for i in range(7)]
+        fresh.evaluate(modp.Char2Pair(a, b))
+    assert len(builds) == 1 and len(evaluations) == 2**11

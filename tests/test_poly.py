@@ -169,3 +169,51 @@ def test_substitute_is_evaluation(p, images, point):
     pt = dict(zip(SEXTIC_VARS, point))
     values = {v: mapping[v].evaluate(pt) for v in SEXTIC_VARS}
     assert p.substitute(mapping).evaluate(pt) == p.evaluate(values)
+
+
+def _term_sum(terms, point, modulus):
+    """The sum of c * prod(v^e) over {exponents: c}, reduced mod p last."""
+    total = 0
+    for exps, c in terms.items():
+        term = c
+        for name, e in zip(SEXTIC_VARS, exps):
+            term *= point[name] ** e
+        total += term
+    return total if modulus is None else total % modulus
+
+
+@st.composite
+def _polys_and_points(draw):
+    """Terms over Z, Q or F_p with two points to evaluate them at; the
+    points are Fractions over Q."""
+    modulus = draw(st.sampled_from([None, None, 2, 3, 13]))
+    rational = modulus is None and draw(st.booleans())
+    scalars = (
+        st.fractions(-9, 9, max_denominator=9) if rational else st.integers(-9, 9)
+    )
+    exponents = st.tuples(*[st.integers(0, 4) for _ in range(9)])
+    terms = draw(st.dictionaries(exponents, scalars, max_size=6))
+    points = draw(st.lists(st.tuples(*[scalars] * 9), min_size=2, max_size=2))
+    return terms, modulus, [dict(zip(SEXTIC_VARS, pt)) for pt in points]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polys_and_points())
+@example(({}, None, [dict.fromkeys(SEXTIC_VARS, 1)] * 2))
+@example(({}, 5, [dict.fromkeys(SEXTIC_VARS, 1)] * 2))
+def test_evaluate_is_the_term_sum(case):
+    # two calls: the second one reads the factor lists the first one kept
+    terms, modulus, points = case
+    p = MultiPoly(SEXTIC_VARS, terms, modulus)
+    for point in points:
+        assert p.evaluate(point) == _term_sum(terms, point, modulus)
+
+
+def test_evaluate_raises_only_to_the_exponents_that_occur():
+    # a table of every power up to the top exponent would take 10^12 steps
+    e = 10**12
+    p = _mono((e,) + (0,) * 8, 3) + _mono((e - 1, 1) + (0,) * 7, 2)
+    point = dict.fromkeys(SEXTIC_VARS, 1)
+    point["a0"] = -1
+    assert p.evaluate(point) == 3 - 2
+    assert p.reduce_mod(5).evaluate(point) == 1
