@@ -665,10 +665,6 @@ class LaurentPoly:
         return p
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def const(cls, v):
         return cls({0: v})
 

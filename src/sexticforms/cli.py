@@ -1,9 +1,15 @@
 """Command-line interface: covariant lookup and inline evaluation, Fourier
 expansion of the named forms, and the verification suites.
 
+Each subcommand takes only the options its command reads: covariant
+--json; expand --order, --cache, --no-cache, --json; nu --order, --power,
+--json; verify --kmax, --order, --prime, --cache, --no-cache, --json,
+--no-timestamp.
+
 Exit codes: 0 success / all checks pass, 1 failed check or a division that
-leaves a remainder, 2 usage error (bad arguments, parse errors, unknown
-names, inputs the computation rejects such as odd-order covariants).
+leaves a remainder, 2 usage error (bad arguments, an option the subcommand
+does not take, parse errors, unknown names, inputs the computation rejects
+such as odd-order covariants).
 """
 
 from __future__ import annotations
@@ -396,6 +402,39 @@ def cmd_verify(args) -> int:
 # -- entry point ---------------------------------------------------------------
 
 
+# every option a subcommand may take; _COMMAND_OPTIONS names the ones each
+# subcommand reads, and argparse refuses any other as a usage error
+_OPTIONS = {
+    "--order": dict(
+        type=int, default=2, metavar="N", help="truncation order (default 2)"
+    ),
+    "--power": dict(
+        type=int,
+        default=None,
+        metavar="M",
+        help="chi_10 power to keep (default: minimal holomorphic)",
+    ),
+    "--kmax": dict(type=int, default=20),
+    "--prime": dict(type=int, default=None, metavar="P"),
+    "--cache": dict(default=None, metavar="DIR"),
+    "--no-cache": dict(action="store_true"),
+    "--json": dict(action="store_true"),
+    "--no-timestamp": dict(
+        action="store_true", help="omit the timestamp field from JSON reports"
+    ),
+}
+
+_COMMAND_OPTIONS = {
+    "covariant": ("--json",),
+    "expand": ("--order", "--cache", "--no-cache", "--json"),
+    "nu": ("--order", "--power", "--json"),
+    "verify": (
+        "--kmax", "--order", "--prime", "--cache", "--no-cache", "--json",
+        "--no-timestamp",
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sexticforms",
@@ -404,66 +443,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument(
-            "--order",
-            type=int,
-            default=2,
-            metavar="N",
-            help="truncation order (default 2)",
-        )
-        p.add_argument("--prime", type=int, default=None, metavar="P")
-        p.add_argument("--cache", default=None, metavar="DIR")
-        p.add_argument("--no-cache", action="store_true")
-        p.add_argument("--json", action="store_true")
-        p.add_argument(
-            "--no-timestamp",
-            action="store_true",
-            help="omit the timestamp field from JSON reports",
-        )
+    def command(name, func, help_text, positional, **positional_kw):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument(positional, **positional_kw)
+        for option in _COMMAND_OPTIONS[name]:
+            p.add_argument(option, **_OPTIONS[option])
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("covariant", help="print a catalog or inline covariant")
-    p.add_argument("name")
-    common(p)
-    p.set_defaults(func=cmd_covariant)
-
-    p = sub.add_parser("expand", help="Fourier expansion of a named form")
-    p.add_argument("name", help="one of: " + ", ".join(ringlab.registry_names()))
-    common(p)
-    p.set_defaults(func=cmd_expand)
-
-    p = sub.add_parser("nu", help="expansion of the nu-image of a covariant")
-    p.add_argument("name")
-    p.add_argument(
-        "--power",
-        type=int,
-        default=None,
-        metavar="M",
-        help="chi_10 power to keep (default: minimal holomorphic)",
+    command("covariant", cmd_covariant, "print a catalog or inline covariant", "name")
+    command(
+        "expand", cmd_expand, "Fourier expansion of a named form", "name",
+        help="one of: " + ", ".join(ringlab.registry_names()),
     )
-    common(p)
-    p.set_defaults(func=cmd_nu)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument(
-        "suite",
+    command("nu", cmd_nu, "expansion of the nu-image of a covariant", "name")
+    command(
+        "verify", cmd_verify, "run a verification suite", "suite",
         help="one of: " + ", ".join(sorted(_SUITES) + ["quick", "all"]),
     )
-    p.add_argument("--kmax", type=int, default=20)
-    common(p)
-    p.set_defaults(func=cmd_verify)
-
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.order < 1:
+    # --order and --prime are checked on the subcommands that take them
+    if getattr(args, "order", 1) < 1:
         parser.exit(2, "truncation order must be >= 1\n")
+    prime = getattr(args, "prime", None)
     try:
-        if args.prime is not None and not modp.is_prime(args.prime):
-            parser.exit(2, f"{args.prime} is not prime\n")
+        if prime is not None and not modp.is_prime(prime):
+            parser.exit(2, f"{prime} is not prime\n")
     except ValueError as exc:
         parser.exit(2, f"{exc}\n")
     try:

@@ -12,6 +12,10 @@ chain, D through Clebsch's degree-10 invariant and E as the chain's skew
 end), and one routine solves each combination so a fixed set of anchor
 monomial coefficients takes pinned integer values, checked against further
 pinned coefficients.
+
+One mover, ``_transformed_sextic_values``, gives the coefficients of the
+sextic moved by an SL2 matrix; ``act_sl2`` runs it on the symbolic a_i and
+``modp`` on integer samples.
 """
 
 from __future__ import annotations
@@ -146,25 +150,42 @@ def transvectant(g: Covariant, h: Covariant, k: int) -> Covariant:
     return transvect(g, h, k).scale(norm)
 
 
+def _binomial_rows(a, b):
+    """Rows k = 0..6 of (a*x1 + b*x2)^k, each in x2-degree order."""
+    rows = [[1]]
+    for _ in range(6):
+        row = rows[-1]
+        rows.append([a * x + b * y for x, y in zip(row + [0], [0] + row)])
+    return rows
+
+
+def _transformed_sextic_values(values, m):
+    """Coefficients a'_0..a'_6 of f(p*x1 + q*x2, r*x1 + s*x2), where f has
+    the coefficients ``values`` (ints, or polynomials) and m = (p, q, r, s).
+
+    The term a_i x1^(6-i) x2^i moves to a_i (p*x1 + q*x2)^(6-i) (r*x1 +
+    s*x2)^i, so a' is the sum of a_i times the convolution of row 6 - i of
+    the binomial rows of (p, q) with row i of those of (r, s).
+    """
+    p, q, r, s = m
+    left, right = _binomial_rows(p, q), _binomial_rows(r, s)
+    out = [values[0] * 0] * 7
+    for i, a in enumerate(values):
+        if a:
+            for u, x in enumerate(left[6 - i]):
+                for v, y in enumerate(right[i]):
+                    out[u + v] += a * x * y
+    return out
+
+
 def act_sl2(m, c: Covariant) -> Covariant:
     """Substitute the coefficients of f(a x1 + b x2, c x1 + d x2) for the a_i."""
     (p, q), (r, s) = m
     if p * s - q * r != 1:
         raise NotUnimodular("matrix must have determinant 1")
-    x1 = MultiPoly.variable(SEXTIC_VARS, "x1")
-    x2 = MultiPoly.variable(SEXTIC_VARS, "x2")
-    u = x1.scale(p) + x2.scale(q)
-    v = x1.scale(r) + x2.scale(s)
-    g = universal_sextic().poly.substitute({"x1": u, "x2": v})
-    # read off the transformed coefficient of x1^(6-i) x2^i as a poly in a's
-    images = {name: MultiPoly.zero(SEXTIC_VARS) for name in A_VARS}
-    for exps, coeff in g.terms.items():
-        i = exps[8]
-        a_part = exps[:7] + (0, 0)
-        images[A_VARS[i]] = images[A_VARS[i]] + MultiPoly(
-            SEXTIC_VARS, {a_part: coeff}
-        )
-    return Covariant(c.poly.substitute(images), c.degree, c.order)
+    a_vars = [MultiPoly.variable(SEXTIC_VARS, name) for name in A_VARS]
+    moved = _transformed_sextic_values(a_vars, (p, q, r, s))
+    return Covariant(c.poly.substitute(dict(zip(A_VARS, moved))), c.degree, c.order)
 
 
 def a11_order_bound(c: Covariant) -> int:

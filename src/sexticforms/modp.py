@@ -22,7 +22,7 @@ from functools import lru_cache
 
 from . import covariants
 from .arith import is_prime
-from .covariants import Covariant
+from .covariants import Covariant, _transformed_sextic_values
 from .errors import ZeroAfterReduction
 from .poly import CHAR2_VARS, SEXTIC_VARS, MultiPoly, transvect
 
@@ -85,41 +85,6 @@ def _random_sl2(rng):
     return m
 
 
-def _binomial_rows(a, b):
-    """Rows k = 0..6 of (a*x1 + b*x2)^k, each in x2-degree order."""
-    rows = [[1]]
-    for _ in range(6):
-        row = rows[-1]
-        rows.append([a * x + b * y for x, y in zip(row + [0], [0] + row)])
-    return rows
-
-
-def _transformed_sextic_values(values, m):
-    """Coefficients a'_0..a'_6 of f(p*x1 + q*x2, r*x1 + s*x2), where f has
-    the integer coefficients ``values`` and m = (p, q, r, s).
-
-    The term a_i x1^(6-i) x2^i moves to a_i (p*x1 + q*x2)^(6-i) (r*x1 +
-    s*x2)^i, so a' is the sum of a_i times the convolution of row 6 - i of
-    the binomial rows of (p, q) with row i of those of (r, s).
-    """
-    p, q, r, s = m
-    left, right = _binomial_rows(p, q), _binomial_rows(r, s)
-    out = [0] * 7
-    for i, a in enumerate(values):
-        if a:
-            for u, x in enumerate(left[6 - i]):
-                for v, y in enumerate(right[i]):
-                    out[u + v] += a * x * y
-    return out
-
-
-def _invariant_value(poly: MultiPoly, values) -> int:
-    env = {f"a{i}": values[i] for i in range(7)}
-    env["x1"] = 1
-    env["x2"] = 1
-    return poly.evaluate(env)
-
-
 def modp_invariance_check(p: int, seed=11):
     """Mod-p nonvanishing plus sampled SL2-invariance of the reductions."""
     rng = random.Random(seed)
@@ -132,9 +97,7 @@ def modp_invariance_check(p: int, seed=11):
             m = _random_sl2(rng)
             # reduced before evaluation: the moved values reach 10^12 for p = 13
             moved = [v % p for v in _transformed_sextic_values(values, m)]
-            if _invariant_value(red.poly, values) != _invariant_value(
-                red.poly, moved
-            ):
+            if red.evaluate_at_sextic(values) != red.evaluate_at_sextic(moved):
                 ok = False
                 break
         report[name] = ok
@@ -433,26 +396,6 @@ def char2_is_singular(pair: Char2Pair) -> bool:
     return chart_singular(pair.a, pair.b) or chart_singular(
         tuple(reversed(pair.a)), tuple(reversed(pair.b))
     )
-
-
-def char2_discriminant_detects(pairs) -> dict:
-    """Vanishing of the lifted discriminant against direct smoothness."""
-    lift_d = char2_lift_invariant("D")
-    rows = []
-    ok = True
-    for pair in pairs:
-        predicted_singular = lift_d.evaluate(pair) == 0
-        actual = char2_is_singular(pair)
-        rows.append(
-            {
-                "pair": repr(pair),
-                "lift_D_zero": predicted_singular,
-                "singular": actual,
-            }
-        )
-        if predicted_singular != actual:
-            ok = False
-    return {"rows": rows, "status": "PASS" if ok else "FAIL"}
 
 
 # -- bundled verification -----------------------------------------------------

@@ -123,10 +123,6 @@ class MultiPoly:
         return cls(vars, {(0,) * len(vars): c}, modulus)
 
     @classmethod
-    def monomial(cls, vars, exps, c=1, modulus=None):
-        return cls(vars, {tuple(exps): c}, modulus)
-
-    @classmethod
     def variable(cls, vars, name, modulus=None):
         vars = tuple(vars)
         i = vars.index(name)
@@ -281,10 +277,9 @@ class MultiPoly:
             total %= self.modulus
         return total
 
-    def extend_ring(self, newvars, modulus="same") -> "MultiPoly":
+    def extend_ring(self, newvars) -> "MultiPoly":
         """Re-embed into a larger ring containing all current variables."""
         newvars = tuple(newvars)
-        mod = self.modulus if modulus == "same" else modulus
         idx = [newvars.index(v) for v in self.vars]
         out = {}
         for e, c in self.terms.items():
@@ -292,7 +287,7 @@ class MultiPoly:
             for i, x in zip(idx, e):
                 ne[i] = x
             out[tuple(ne)] = c
-        return MultiPoly(newvars, out, mod)
+        return MultiPoly(newvars, out, self.modulus)
 
     # -- structure ----------------------------------------------------------
     def coefficient(self, **exps) -> object:
@@ -304,10 +299,6 @@ class MultiPoly:
 
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
-
-    def degree_on(self, names) -> int:
-        idx = [self.vars.index(n) for n in names]
-        return max((sum(e[i] for i in idx) for e in self.terms), default=0)
 
     def homogeneous_degree_on(self, names):
         """Common degree on a variable group, or None if inhomogeneous."""

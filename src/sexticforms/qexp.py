@@ -56,6 +56,13 @@ def _graded(keys):
     return sorted(keys, key=lambda k: (k[0] + k[1], k))
 
 
+def _int(x, label):
+    """x, an int read from JSON; ValueError for a float or a bool."""
+    if type(x) is not int:
+        raise ValueError(f"{label} {x!r} is not an integer")
+    return x
+
+
 class FourierExpansion:
     __slots__ = ("j", "k", "character", "denom", "kN", "start", "cells")
 
@@ -393,16 +400,18 @@ class FourierExpansion:
             raise ValueError(
                 f"truncation {t!r} is off the lattice of denominator {denom}"
             )
+        character = data["character"]
+        if type(character) is not bool:
+            raise ValueError(f"character {character!r} is not a JSON bool")
         cells = {
-            tuple(entry["n"]): tuple(
+            tuple(_int(n, "index") for n in entry["n"]): tuple(
                 LaurentPoly.from_json(v) for v in entry["vec"]
             )
             for entry in data["coeffs"]
         }
-        return cls(
-            tuple(data["weight"]), data["character"], int(kN), cells,
-            data.get("start", 0), denom,
-        )
+        weight = tuple(_int(w, "weight") for w in data["weight"])
+        start = _int(data.get("start", 0), "start")
+        return cls(weight, character, int(kN), cells, start, denom)
 
     def to_text(self, factor=1) -> str:
         """Display style of the printed expansions: one line per index pair,
@@ -430,12 +439,6 @@ class FourierExpansion:
             f"character={self.character}, window=[{self.start},{self.kN}], "
             f"cells={len(self.cells)})"
         )
-
-
-def constant_one(N: int) -> FourierExpansion:
-    return FourierExpansion(
-        (0, 0), False, N, {(0, 0): (LaurentPoly({0: 1}),)}, 0, 1
-    )
 
 
 def evaluate(forms, polys, top=None):
@@ -485,24 +488,30 @@ def evaluate(forms, polys, top=None):
 
 def _expansion(kind, denom, cells, start, kN):
     """An ``evaluate`` result; one of trivial character on the half-integral
-    lattice is re-indexed to the integral one (keys and r-exponents
-    halved), or raises SupportViolation if a coefficient lies off it."""
+    lattice is re-indexed to the integral one (``reindexed``)."""
     j, k, character = kind
     if denom == 2 and not character:
-        half = {}
-        for (k1, k2), vec in cells.items():
-            if k1 % 2 or k2 % 2 or any(e % 2 for x in vec for e in x.c):
-                raise SupportViolation(
-                    "non-integral index survives in a trivial-character product"
-                )
-            half[k1 // 2, k2 // 2] = tuple(
-                LaurentPoly.over({e // 2: v for e, v in x.c.items()}) for x in vec
-            )
-        cells, start, kN, denom = half, (start + 1) // 2, kN // 2, 1
+        cells, start, kN, denom = reindexed(cells, 2), (start + 1) // 2, kN // 2, 1
     # a sum of positive semi-definite index matrices is one: no re-check
     return FourierExpansion(
         (j, k), character, kN, cells, start, denom, validate=False
     )
+
+
+def reindexed(cells, step):
+    """A cell map moved to a coarser lattice: keys divided by ``step``,
+    r-exponents by 2.  A key or r-exponent off that lattice raises
+    SupportViolation."""
+    out = {}
+    for (k1, k2), vec in cells.items():
+        if k1 % step or k2 % step or any(e % 2 for x in vec for e in x.c):
+            raise SupportViolation(
+                f"cell ({k1},{k2}) lies off the lattice of step {step}"
+            )
+        out[k1 // step, k2 // step] = tuple(
+            LaurentPoly.over({e // 2: v for e, v in x.c.items()}) for x in vec
+        )
+    return out
 
 
 def proportionality(a: FourierExpansion, b: FourierExpansion):

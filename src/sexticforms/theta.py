@@ -30,13 +30,8 @@ import math
 from functools import lru_cache
 
 from .arith import LaurentPoly, evaluate
-from .errors import (
-    EvenCharacteristic,
-    NormalizationFailure,
-    OddCharacteristic,
-    SupportViolation,
-)
-from .qexp import FourierExpansion
+from .errors import EvenCharacteristic, NormalizationFailure, OddCharacteristic
+from .qexp import FourierExpansion, reindexed
 
 
 class ThetaCharacteristic:
@@ -154,20 +149,12 @@ def _to_fourier(cells, weight, N, label):
     a nonzero cell with a zero q-exponent raises NormalizationFailure.  A
     key or r-exponent off the half-integral lattice raises SupportViolation.
     """
-    built = {}
     for (e1, e2), vec in cells.items():
-        if all(x.is_zero for x in vec):
-            continue
-        if e1 == 0 or e2 == 0:
+        if (e1 == 0 or e2 == 0) and not all(x.is_zero for x in vec):
             raise NormalizationFailure(f"{label}: unexpected boundary coefficient")
-        if e1 % 4 or e2 % 4 or any(e % 2 for x in vec for e in x.c):
-            raise SupportViolation(
-                "theta product does not live on the half-integral lattice"
-            )
-        built[(e1 // 4, e2 // 4)] = tuple(
-            LaurentPoly({e // 2: v for e, v in x.c.items()}) for x in vec
-        )
-    return FourierExpansion(weight, True, 2 * N, built, 1, denom=2, validate=False)
+    return FourierExpansion(
+        weight, True, 2 * N, reindexed(cells, 4), 1, denom=2, validate=False
+    )
 
 
 @lru_cache(maxsize=None)

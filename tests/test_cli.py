@@ -254,6 +254,11 @@ def test_verify_odd_weight_reads_the_order(tmp_path, capsys):
          2 if _BIG_UNPRINTABLE else 0, "digits" if _BIG_UNPRINTABLE else None),
         (["nu", "2^20000"], None,
          2 if _BIG_UNPRINTABLE else 0, "digits" if _BIG_UNPRINTABLE else None),
+        # mistyped fields under the right key: a string for the character,
+        # a float start, float indices
+        (["expand", "chi10"], lambda good: _with_field(good, "character", "no"), 0, None),
+        (["expand", "chi10"], lambda good: _with_field(good, "start", 0.5), 0, None),
+        (["expand", "chi10"], lambda good: _with_index(good, (1, 1), [1.0, 1.0]), 0, None),
     ],
 )
 def test_bad_input_exit_codes(tmp_path, capsys, argv, corrupt, code, message):
@@ -262,7 +267,11 @@ def test_bad_input_exit_codes(tmp_path, capsys, argv, corrupt, code, message):
         cache = tmp_path / "file"
         cache.write_text("")
         corrupt = None
-    argv = argv + ["--order", "2", "--cache", str(cache)]
+    # each subcommand takes only the options it reads
+    if argv[0] in ("expand", "nu", "verify"):
+        argv = argv + ["--order", "2"]
+    if argv[0] in ("expand", "verify"):
+        argv = argv + ["--cache", str(cache)]
     if corrupt is not None:
         run(capsys, *argv)
         (entry,) = tmp_path.iterdir()
@@ -304,6 +313,24 @@ def _with_negative_cell(entry_text):
     data = json.loads(entry_text)
     data["expansion"]["start"] = -1
     data["expansion"]["coeffs"].insert(0, {"n": [-1, -1], "vec": [{"0": "5"}]})
+    return _signed(data)
+
+
+def _with_field(entry_text, field, value):
+    """A cache entry whose expansion's ``field`` is ``value``, its digest
+    recomputed."""
+    data = json.loads(entry_text)
+    data["expansion"][field] = value
+    return _signed(data)
+
+
+def _with_index(entry_text, key, index):
+    """A cache entry whose cell ``key`` is written at ``index``, its digest
+    recomputed."""
+    data = json.loads(entry_text)
+    for cell in data["expansion"]["coeffs"]:
+        if tuple(cell["n"]) == key:
+            cell["n"] = index
     return _signed(data)
 
 
@@ -443,6 +470,50 @@ def test_verify_s68_json(capsys):
 def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "bogus")
     assert code == 2
+
+
+def test_each_subcommand_takes_the_options_it_reads():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if a.dest == "command"]
+    got = {
+        name: sorted(
+            opt for a in p._actions if a.dest != "help" for opt in a.option_strings
+        )
+        for name, p in sub.choices.items()
+    }
+    assert got == {
+        "covariant": ["--json"],
+        "expand": ["--cache", "--json", "--no-cache", "--order"],
+        "nu": ["--json", "--order", "--power"],
+        "verify": [
+            "--cache", "--json", "--kmax", "--no-cache", "--no-timestamp",
+            "--order", "--prime",
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["covariant", "A", "--order", "2"],
+        ["covariant", "A", "--prime", "5"],
+        ["covariant", "A", "--cache", "DIR"],
+        ["covariant", "A", "--no-cache"],
+        ["covariant", "A", "--no-timestamp"],
+        ["expand", "chi10", "--prime", "5"],
+        ["expand", "chi10", "--no-timestamp"],
+        ["nu", "A", "--prime", "5"],
+        ["nu", "A", "--cache", "DIR"],
+        ["nu", "A", "--no-cache"],
+        ["nu", "A", "--no-timestamp"],
+    ],
+    ids=lambda argv: f"{argv[0]} {argv[2]}",
+)
+def test_an_option_the_subcommand_does_not_read_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(argv[2:]) in capsys.readouterr().err
 
 
 def test_usage_errors(capsys):

@@ -272,10 +272,9 @@ def test_transvectant_grading(fa, fb, k):
     ca = cv.Covariant(
         sum(
             (
-                MultiPoly.monomial(
+                MultiPoly(
                     SEXTIC_VARS,
-                    tuple(int(t == i) for t in range(7)) + (6 - i, i),
-                    c,
+                    {tuple(int(t == i) for t in range(7)) + (6 - i, i): c},
                 )
                 for i, c in enumerate(fa)
                 if c
@@ -288,10 +287,9 @@ def test_transvectant_grading(fa, fb, k):
     cb = cv.Covariant(
         sum(
             (
-                MultiPoly.monomial(
+                MultiPoly(
                     SEXTIC_VARS,
-                    tuple(int(t == i) for t in range(7)) + (6 - i, i),
-                    c,
+                    {tuple(int(t == i) for t in range(7)) + (6 - i, i): c},
                 )
                 for i, c in enumerate(fb)
                 if c

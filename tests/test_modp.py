@@ -1,5 +1,3 @@
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,7 +51,7 @@ def test_k4_and_k3():
     assert k4.degree == 4 and k3.degree == 3
     assert k3.poly * k1.poly == k4.poly
     # K4 genuinely involves the b-coefficients
-    assert k4.poly.degree_on(CHAR2_VARS[4:]) > 0
+    assert max(sum(e[4:]) for e in k4.poly.terms) > 0
 
 
 def test_action_checks():
@@ -87,18 +85,6 @@ def test_singular_detection_exhaustive():
         b = [(mask >> (4 + i)) & 1 for i in range(7)]
         pair = modp.Char2Pair(a, b)
         assert (lift_d.evaluate(pair) == 0) == modp.char2_is_singular(pair)
-
-
-def test_singular_detection_sampled_report():
-    rng = random.Random(3)
-    pairs = [
-        modp.Char2Pair(
-            [rng.randrange(2) for _ in range(4)],
-            [rng.randrange(2) for _ in range(7)],
-        )
-        for _ in range(10)
-    ]
-    assert modp.char2_discriminant_detects(pairs)["status"] == "PASS"
 
 
 @settings(max_examples=200, deadline=None)

@@ -83,7 +83,9 @@ def test_nu_raw_of_constant():
         out = numap.nu_raw(three, N)
         assert out.weight == (0, 0)
         assert out.kN == N
-        assert out.agrees_with(qexp.constant_one(N).scale(3))
+        assert out.agrees_with(
+            FourierExpansion((0, 0), False, N, {(0, 0): (LaurentPoly({0: 3}),)})
+        )
 
 
 def test_nu_raw_shares_products(monkeypatch):

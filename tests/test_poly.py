@@ -9,7 +9,7 @@ from sexticforms.poly import CHAR2_VARS, SEXTIC_VARS, MultiPoly
 
 
 def _mono(exps, c=1):
-    return MultiPoly.monomial(SEXTIC_VARS, exps, c)
+    return MultiPoly(SEXTIC_VARS, {tuple(exps): c})
 
 
 small_polys = st.dictionaries(
@@ -31,7 +31,7 @@ def test_derivative_and_substitute():
     p = a0 * x1**3
     assert p.derivative("x1") == a0.scale(3) * x1**2
     q = p.substitute({"x1": x1 + MultiPoly.variable(SEXTIC_VARS, "x2")})
-    assert q.degree_on(["x1", "x2"]) == 3
+    assert q.homogeneous_degree_on(["x1", "x2"]) == 3
     assert q.coefficient(a0=1, x1=1, x2=2) == 3
 
 

@@ -30,18 +30,17 @@ def _scalar(cells, k=0, kN=N, start=0):
     )
 
 
+def _one(kN):
+    """The unit expansion 1 on [0, kN]."""
+    return _scalar({(0, 0): {0: 1}}, kN=kN)
+
+
 # -- basic structure -----------------------------------------------------------
 
 
 def test_support_validation():
     with pytest.raises(SupportViolation):
         _scalar({(1, 1): {5: 1}})
-
-
-def test_constant_one():
-    one = qexp.constant_one(2)
-    assert one.coefficient(0, 0) == (LaurentPoly.const(1),)
-    assert one.mul(one).agrees_with(one)
 
 
 def test_add_requires_same_weight():
@@ -183,7 +182,7 @@ def test_exact_div_chi10_right_sizes_divisor(monkeypatch, chi10_n3):
 
 
 def test_exact_div_detects_non_holomorphy(chi10_n3):
-    one = qexp.constant_one(chi10_n3.kN)
+    one = _one(chi10_n3.kN)
     with pytest.raises(NotDivisible):
         one.exact_div(chi10_n3)
 
@@ -221,6 +220,22 @@ def test_from_json_refuses_negative_indices(chi10_n3):
     data["start"] = -1
     data["coeffs"].append({"n": [-1, -1], "vec": [{"0": "5"}]})
     with pytest.raises(SupportViolation):
+        FourierExpansion.from_json(data)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("character", "no"), ("start", 0.5), ("n", [1.0, 1.0]), ("weight", [0.0, 10.0])],
+    ids=["character", "start", "index", "weight"],
+)
+def test_from_json_refuses_mistyped_fields(chi10_n3, field, value):
+    # a JSON string is no bool, and a float is no index or weight
+    data = chi10_n3.to_json()
+    if field == "n":
+        data["coeffs"][0]["n"] = value
+    else:
+        data[field] = value
+    with pytest.raises(ValueError):
         FourierExpansion.from_json(data)
 
 
@@ -592,7 +607,7 @@ _g = _scalar({(1, 1): {0: 5}, (1, 2): {1: -3}}, start=1)
 def test_packed_evaluation_equals_products_of_expansions(drawn, top):
     # cut at top, each result is the uncut one on the cells <= top
     forms, polys = drawn
-    sub = Substitution(forms, qexp.constant_one(min(f.kN for f in forms)))
+    sub = Substitution(forms, _one(min(f.kN for f in forms)))
     got = list(qexp.evaluate(forms, polys, top))
     assert got == [_cut(sub(p), top) for p in polys]
     if top is not None:
@@ -636,7 +651,7 @@ def test_evaluation_multiplies_the_highest_start_first(monkeypatch):
         (0, 2, 2), (0, 4, 2), (0, 0, 2), (w, 1, 1), (w, 2, 1), (w, 0, 1)
     ]
     monkeypatch.undo()
-    sub = Substitution([_f, _g], qexp.constant_one(N))
+    sub = Substitution([_f, _g], _one(N))
     assert got == _cut(sub({(1, 1): 1, (1, 2): 1, (1, 3): 1}), 3)
 
 
@@ -664,7 +679,7 @@ def test_packed_evaluation_cancels_to_zero():
         [{(1, 0): 1, (0, 1): 1}, {(2, 1): 2, (1, 2): 2}, {(0, 0): 7}],
     )
     assert not x.cells and not y.cells
-    assert c == qexp.constant_one(N).scale(7)
+    assert c == _one(N).scale(7)
 
 
 def test_majorant_width_is_tight_for_positive_coefficients():
@@ -686,7 +701,7 @@ def test_majorant_width_is_tight_for_positive_coefficients():
     def unpacked_at(width):
         sub = Substitution(
             [arith.Packed.of(f.cells, width, f.start, f.kN) for f in forms],
-            arith.Packed.of(qexp.constant_one(N).cells, width, 0, N),
+            arith.Packed.of(_one(N).cells, width, 0, N),
         )
         return [sub(p).unpacked() for p in polys]
 
@@ -734,7 +749,7 @@ def test_majorant_width_bounds_every_result_coefficient(drawn, top):
     # bit length is below the width
     forms, polys = drawn
     w = _width(forms, polys, top)
-    sub = Substitution(forms, qexp.constant_one(min(f.kN for f in forms)))
+    sub = Substitution(forms, _one(min(f.kN for f in forms)))
     for p in polys:
         for vec in _cut(sub(p), top).cells.values():
             assert all(abs(v).bit_length() < w for x in vec for v in x.c.values())

@@ -49,7 +49,7 @@ def test_chi10_proportional_to_chi5_squared():
 
 
 def test_chi6_8_normalization_pin(chi68_n2):
-    z = LaurentPoly.zero()
+    z = LaurentPoly()
     mid = LaurentPoly({-1: 1, 0: -2, 1: 1})
     grad = LaurentPoly({1: 2, -1: -2})
     assert chi68_n2.vec_at((1, 1)) == (z, z, mid, grad, mid, z, z)
