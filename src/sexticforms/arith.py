@@ -31,14 +31,15 @@ coordinate once as signed w-bit digits, which is exact when every
 coefficient lies in (-2^(w-1), 2^(w-1)).  ``Packed.of`` packs a cell map.
 ``evaluate`` packs its maps once, at a width read off a majorant
 (``majorant_width``): each map reduced to one scalar per antidiagonal
-n1 + n2 = t, the sum of |c| over its cells and coordinates, keyed (t, 0),
-packed at w = 0 on the doubled window and evaluated through the same
-products.  These sums are subadditive and submultiplicative, so the
-result bounds the sum of |c| over each antidiagonal of each result, and
-one bit more than its largest bit length is a width every final
-coefficient fits.  Only ``quotient``, whose result is not known before it
-is solved, sizes its slots per coefficient (``measure``, ``slot_width``)
-and widens them as it goes.
+n1 + n2 = t, the sum of |c| over its cells and coordinates, the scalars
+of a map held in the slots of one int (``Majorant``, a Kronecker
+substitution in t on the doubled window), and the same Horner scheme run
+on these ints, one int product, shift or mask per step.  These sums are
+subadditive and submultiplicative, so the result bounds the sum of |c|
+over each antidiagonal of each result, and one bit more than its largest
+bit length is a width every final coefficient fits.  Only ``quotient``,
+whose result is not known before it is solved, sizes its slots per
+coefficient (``measure``, ``slot_width``) and widens them as it goes.
 
 The order rule.  ``evaluate`` takes its maps by decreasing window start,
 in both passes, before it runs the Horner scheme of ``Substitution``,
@@ -50,17 +51,19 @@ chi_10^c * chi_12^d on [c + d, N] before psi_4 and psi_6, dense on
 order, because the unit enters only a poly's constant term
 (``Substitution``): the window rules of products and sums distribute.
 
-Swap signs.  The swap sign of a scalar cell map is the s in {1, -1} with
-cell (n2, n1) = s * cell (n1, n2) for every cell (``swap_sign``).  For a
-scalar Siegel modular form of degree 2 and weight k it is (-1)^k: the
-action of U = [[0, 1], [1, 0]] in GL2(Z) on the half-integral index
-matrix swaps n1 and n2 and multiplies by det(U)^k.  The sign is read off
-the cells, never assumed from a weight, and a vector-valued map (whose
-swap also reverses its coordinates), an asymmetric map, or a map with
-sign -1 and a nonzero diagonal cell has none.  The product of two maps
-with swap signs s and t has swap sign s * t, so ``Packed.__mul__`` then
-computes only the output cells with n2 <= n1 and mirrors the rest; a sum
-of maps with one sign keeps it.
+Swap signs.  The swap sign of a cell map is the s in {1, -1} with
+cell (n2, n1) = s * reversed(cell (n1, n2)) for every cell
+(``swap_sign``); for a scalar map, cell (n2, n1) = s * cell (n1, n2).
+U = [[0, 1], [1, 0]] in GL2(Z) swaps n1 and n2 in the half-integral
+index matrix and acts on weight (j, k) by det(U)^k Sym^j(U), which
+reverses the j + 1 coordinates: a scalar form of weight k has sign
+(-1)^k, and the registry forms, Sym^j ones included, all have sign 1.
+The sign is read off the cells, never assumed from a weight; an
+asymmetric map, or a diagonal cell v with v != s * reversed(v), has none.
+The product of two maps with swap signs s and t has swap sign s * t, so
+``Packed.__mul__`` then computes only the output cells with n2 <= n1 and
+mirrors the rest, and ``quotient`` solves only the cells m1 <= m2; a sum
+of maps of one sign and one width keeps the sign.
 """
 
 from __future__ import annotations
@@ -226,36 +229,66 @@ def pack_rows(rows, w: int):
     return out
 
 
+def _negated(x: dict, y: dict) -> bool:
+    """Whether the coefficient dicts x and y are negatives of each other."""
+    return len(y) == len(x) and all(y.get(e) == -v for e, v in x.items())
+
+
 def swap_sign(cells):
-    """The s in {1, -1} with cell (n2, n1) = s * cell (n1, n2) for every
-    cell of a scalar cell map {(n1, n2): (LaurentPoly,)}, or None: for a
-    vector-valued map, a cell without its mirror, mirrors that differ by
-    other than one common sign, or a nonzero diagonal cell under sign -1.
-    Zero cells count as absent, and a map without nonzero cells has sign 1.
+    """The s in {1, -1} with cell (n2, n1) = s * reversed(cell (n1, n2))
+    for every cell of a cell map {(n1, n2): (LaurentPoly, ...)}, or None:
+    for a cell without its mirror, mirrors that differ by other than one
+    common sign, or a diagonal cell v with v != s * reversed(v) (for a
+    scalar map: a nonzero diagonal cell under sign -1).  Zero cells count
+    as absent, and a map without nonzero cells has sign 1.
     """
-    if any(len(vec) != 1 for vec in cells.values()):
-        return None
     sign = None
-    for (n1, n2), (x,) in cells.items():
-        if not x.c:
-            continue
+    for (n1, n2), vec in cells.items():
         mirror = cells.get((n2, n1))
-        y = mirror[0].c if mirror else {}
-        if n1 > n2:  # compared from the other side; only its presence here
-            if not y:
-                return None
-            continue
-        if y == x.c:
-            s = 1
-        elif len(y) == len(x.c) and all(y.get(e) == -v for e, v in x.c.items()):
-            s = -1
+        if len(vec) == 1:  # a scalar cell is its own reversal
+            x = vec[0].c
+            if not x:
+                continue
+            y = mirror[0].c if mirror else {}
+            if n1 > n2:  # compared from the other side; only its presence here
+                if not y:
+                    return None
+                continue
+            s = 1 if y == x else -1 if _negated(x, y) else None
         else:
+            xs = [x.c for x in vec]
+            if not any(xs):
+                continue
+            ys = [y.c for y in reversed(mirror)] if mirror else []
+            if n1 > n2:
+                if not any(ys):
+                    return None
+                continue
+            if ys == xs:
+                s = 1
+            elif len(ys) == len(xs) and all(map(_negated, xs, ys)):
+                s = -1
+            else:
+                return None
+        if s is None or (sign is not None and s != sign):
             return None
-        if sign is None:
-            sign = s
-        elif s != sign:
-            return None
+        sign = s
     return 1 if sign is None else sign
+
+
+def product_window(a, b):
+    """(start, kN) of the product of images a and b, each with a window
+    [start, kN] and a cut ``top``: the window rule of
+    ``qexp.FourierExpansion.mul`` cut at top.  An empty window raises
+    OrderTooSmall unless the cut lies below the product's start, where the
+    product is zero."""
+    start, top = a.start + b.start, a.top
+    bound = min(a.kN + b.start, b.kN + a.start)
+    if top is not None:
+        bound = min(bound, top)
+    if bound < start and (top is None or top >= start):
+        raise OrderTooSmall("truncation too small: product window is empty")
+    return start, bound
 
 
 class Packed:
@@ -297,8 +330,7 @@ class Packed:
         on the window [start, kN], each cell packed at its own lowest
         exponent, with the map's Sym^j width and swap sign; under a cut
         ``top``, of its cells with max index <= top, on [start, min(kN,
-        top)].  At w = 0 each coordinate packs to the sum of its
-        coefficients."""
+        top)]."""
         if top is not None:
             kN = min(kN, top)
             cells = {key: vec for key, vec in cells.items() if max(key) <= kN}
@@ -317,14 +349,9 @@ class Packed:
         coordinate l lands in coordinate i + l.  Each output cell
         accumulates at its own lowest exponent, the least sum of its operand
         cells' lowest.  When both maps have a swap sign, only the cells with
-        n2 <= n1 are computed, and cell (n2, n1) is cell (n1, n2) times the
-        product of the signs."""
-        start, top = self.start + other.start, self.top
-        bound = min(self.kN + other.start, other.kN + self.start)
-        if top is not None:
-            bound = min(bound, top)
-        if bound < start and (top is None or top >= start):
-            raise OrderTooSmall("truncation too small: product window is empty")
+        n2 <= n1 are computed, and cell (n2, n1) is cell (n1, n2) reversed,
+        times the product of the signs."""
+        start, bound = product_window(self, other)
         width = self.width + other.width - 1
         half = self.sign is not None and other.sign is not None
         groups = {}  # other's cells by first index, each group ascending in the second
@@ -356,12 +383,15 @@ class Packed:
                 cells[key] = (lo, row)
         sign = None
         if half:
-            sign = self.sign * other.sign
+            sign, last = self.sign * other.sign, width - 1
             for (n1, n2), (lo, row) in list(cells.items()):
                 if n2 < n1:
-                    mirror = row if sign == 1 else [(i, -v) for i, v in row]
-                    cells[n2, n1] = (lo, mirror)
-        return Packed(cells, w, width, sign, start, bound, top)
+                    if sign == -1:
+                        row = [(i, -v) for i, v in row]
+                    if last:
+                        row = [(last - i, v) for i, v in reversed(row)]
+                    cells[n2, n1] = (lo, row)
+        return Packed(cells, w, width, sign, start, bound, self.top)
 
     def __add__(self, other):
         """The image of the sum, on the window of ``qexp.FourierExpansion.add``."""
@@ -385,7 +415,9 @@ class Packed:
                 cells[key] = (lo, row)
             else:
                 del cells[key]
-        sign = self.sign if self.sign == other.sign else None
+        # the mirror reverses the coordinates: one sign needs one width
+        same = self.sign == other.sign and self.width == other.width
+        sign = self.sign if same else None
         start = min(self.start, other.start)
         return Packed(cells, w, width, sign, start, kN, self.top)
 
@@ -401,7 +433,8 @@ class Packed:
     def unpacked(self):
         """The cell map {(n1, n2): (LaurentPoly, ...)} of this image, read
         as signed w-bit digits: exact when every coefficient fits.  With a
-        swap sign only the cells n2 <= n1 are read, and mirrored."""
+        swap sign only the cells n2 <= n1 are read, and mirrored with their
+        coordinates reversed."""
         zero, sign = LaurentPoly(), self.sign
         out = {}
         for (n1, n2), (lo, row) in self.cells.items():
@@ -412,6 +445,7 @@ class Packed:
                 vec[i] = LaurentPoly.over(unpack(x, lo, self.w))
             out[n1, n2] = vec = tuple(vec)
             if sign is not None and n2 < n1:
+                vec = vec[::-1]
                 out[n2, n1] = vec if sign == 1 else tuple(-x for x in vec)
         return out
 
@@ -489,15 +523,41 @@ def _images(maps, windows, w, top):
     return Substitution(images, one)
 
 
-def _magnitudes(cells):
-    """The antidiagonal majorant of a cell map: {(t, 0): (M(t),)} with
-    M(t) the constant sum of |c| over every r-coefficient of every
-    coordinate of every cell (n1, n2) with n1 + n2 = t."""
-    sums = {}
-    for (n1, n2), vec in cells.items():
-        t = n1 + n2
-        sums[t] = sums.get(t, 0) + sum(abs(v) for x in vec for v in x.c.values())
-    return {(t, 0): (LaurentPoly.over({0: m}),) for t, m in sums.items()}
+class Majorant:
+    """The antidiagonal majorant of a cell map as one int: the sum M(t) of
+    |c| over every coordinate of every cell (n1, n2) with n1 + n2 = t in
+    the ``w``-bit slot t - start of ``x``, on the doubled window [start,
+    kN] cut at ``top``.  ``*``, ``+`` and ``scale`` follow the window
+    rules of ``Packed``, one int operation each: the slots are nonnegative
+    and ``w`` holds each, so a product's slot is its convolution sum, and
+    a mask keeps the slots of the window."""
+
+    __slots__ = ("x", "w", "start", "kN", "top")
+
+    def __init__(self, x, w, start, kN, top):
+        self.x = x
+        self.w = w
+        self.start = start
+        self.kN = kN
+        self.top = top
+
+    def _masked(self, x, start, kN):
+        """A majorant of this width and cut: x kept on the slots of [start, kN]."""
+        mask = (1 << self.w * max(0, kN - start + 1)) - 1
+        return Majorant(x & mask, self.w, start, kN, self.top)
+
+    def __mul__(self, other):
+        start, bound = product_window(self, other)
+        return self._masked(self.x * other.x, start, bound)
+
+    def __add__(self, other):
+        start = min(self.start, other.start)
+        x = self.x << self.w * (self.start - start)
+        x += other.x << self.w * (other.start - start)
+        return self._masked(x, start, min(self.kN, other.kN))
+
+    def scale(self, c: int) -> "Majorant":
+        return Majorant(self.x * c, self.w, self.start, self.kN, self.top)
 
 
 def majorant_width(maps, windows, polys, top=None) -> int:
@@ -505,27 +565,47 @@ def majorant_width(maps, windows, polys, top=None) -> int:
     for ``polys``, cut at ``top``.
 
     Each poly is evaluated once more, with every coefficient replaced by
-    its absolute value, at the antidiagonal majorants of the maps
-    (``_magnitudes``: one scalar per total index t = n1 + n2), packed at
-    w = 0 on the doubled windows [2 * start, 2 * kN] and cut at 2 * top, by
-    the same Horner scheme and the same packed products.  Antidiagonal
-    sums of |c| are subadditive and submultiplicative, M_fg(t) <= sum over
-    t1 + t2 = t of M_f(t1) * M_g(t2), and every cell with max index <= kN
-    has t <= 2 * kN, so the value at t bounds the sum of |c| over every
-    coordinate of every cell of the true value on that antidiagonal, and
-    one bit more than its largest bit length puts every coefficient of
-    every result in (-2^(w-1), 2^(w-1)).
+    its absolute value, at the maps' ``Majorant`` on t in [2 * start,
+    2 * min(kN, top)], by the same Horner scheme, cut at 2 * top.
+    Antidiagonal sums of |c| are subadditive and submultiplicative, M_fg(t)
+    <= sum over t1 + t2 = t of M_f(t1) * M_g(t2), and every cell with max
+    index <= kN has t <= 2 * kN, so the value at t bounds the sum of |c|
+    over every coordinate of every cell of the true value on that
+    antidiagonal, and one bit more than its largest bit length puts every
+    coefficient of every result in (-2^(w-1), 2^(w-1)).  The majorants'
+    slots are as wide as the poly with |c| at the maps' total masses (each
+    at least 1), which bounds every slot of every value the scheme forms.
     """
-    bound = _images(
-        [_magnitudes(cells) for cells in maps],
-        [(2 * start, 2 * kN) for start, kN in windows],
-        0,
-        None if top is None else 2 * top,
+    top2 = None if top is None else 2 * top
+    sums, masses = [], []
+    for cells, (start, kN) in zip(maps, windows):
+        cut = 2 * (kN if top is None else min(kN, top))
+        m = {}
+        for (n1, n2), vec in cells.items():
+            t = n1 + n2
+            if t <= cut:
+                m[t] = m.get(t, 0) + sum(abs(v) for x in vec for v in x.c.values())
+        sums.append((m, 2 * start, cut))
+        masses.append(max(1, sum(m.values())))
+    most = max(
+        (sum(abs(c) * math.prod(map(pow, masses, e)) for e, c in p.items())
+         for p in polys),
+        default=0,
     )
-    most = 0
+    w = most.bit_length()
+    images = [
+        Majorant(sum(v << w * (t - start) for t, v in m.items()), w, start, kN, top2)
+        for m, start, kN in sums
+    ]
+    kN = 2 * min(k for _, k in windows)
+    one = Majorant(1, w, 0, kN if top2 is None else min(kN, top2), top2)
+    sub = Substitution(images, one)
+    most, mask = 0, (1 << w) - 1
     for p in polys:
-        for _, row in bound({e: abs(c) for e, c in p.items()}).cells.values():
-            most = max(most, max(x for _, x in row))
+        x = sub({e: abs(c) for e, c in p.items()}).x
+        while x:
+            most = max(most, x & mask)
+            x >>= w
     return most.bit_length() + 1
 
 
@@ -560,6 +640,11 @@ def quotient(d, b, corner, keys, width):
     b[t] * q[m + corner - t] over t != corner) / b[corner], solved in the
     order of ``keys``, which must reach a cell before every cell needing it.
 
+    When d and b have swap signs and the corner is diagonal, q has the
+    product of their signs: only the cells m1 <= m2 are solved, and each
+    one's mirror is written with it.  The equation of a mirrored cell is
+    the mirror of the solved one's, so it holds, or fails, with it.
+
     Over Z: each quotient cell is an exact Laurent division by the corner
     cell, so a quotient that is not integral raises NotDivisible.  The
     negated off-corner divisor cells are packed once and each quotient cell
@@ -568,6 +653,9 @@ def quotient(d, b, corner, keys, width):
     quotient outgrows them, the width grows by a quarter and the stored
     cells are repacked.
     """
+    sign_d, sign_b = swap_sign(d), swap_sign(b)
+    half = corner[0] == corner[1] and sign_d is not None and sign_b is not None
+    sign = sign_d * sign_b if half else None
     dividend = dict(int_rows(d.items()))
     div = dict(int_rows(b.items()))
     pivot = LaurentPoly.over(div.pop(corner)[0][1])
@@ -582,6 +670,8 @@ def quotient(d, b, corner, keys, width):
 
     c1, c2 = corner
     for m1, m2 in keys:
+        if half and m1 > m2:  # written as the mirror of (m2, m1)
+            continue
         need = slot_width(max(d_bits, b_bits + q_bits), 0, b_terms + 1)
         if need > w:
             w = need + need // 4
@@ -606,10 +696,14 @@ def quotient(d, b, corner, keys, width):
         vec = tuple(LaurentPoly.over(unpack(x, lo, w)).exact_div(pivot) for x in rhs)
         if all(x.is_zero for x in vec):
             continue
-        q[m1, m2] = vec
+        solved = [((m1, m2), vec)]
+        if half and m1 < m2:
+            mirror = vec[::-1] if sign == 1 else tuple(-x for x in reversed(vec))
+            solved.append(((m2, m1), mirror))
+        q.update(solved)
         top = max(max(map(abs, x.c.values())) for x in vec if x.c)
         q_bits = max(q_bits, top.bit_length())
-        packed_q.update(packed([((m1, m2), vec)]))
+        packed_q.update(packed(solved))
     return q
 
 

@@ -7,9 +7,9 @@ Each subcommand takes only the options its command reads: covariant
 --no-timestamp.
 
 Exit codes: 0 success / all checks pass, 1 failed check or a division that
-leaves a remainder, 2 usage error (bad arguments, an option the subcommand
-does not take, parse errors, unknown names, inputs the computation rejects
-such as odd-order covariants).
+leaves a remainder, 2 usage error, printed as one ``error: ...`` line (bad
+arguments, an option the subcommand does not take, parse errors, unknown
+names, inputs the computation rejects such as odd-order covariants).
 """
 
 from __future__ import annotations
@@ -435,8 +435,18 @@ _COMMAND_OPTIONS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one ``error: ...`` line,
+    exit code 2; its subcommand parsers are of the same class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The parser of ``main``, built once per process: it reads only the
+    static option tables."""
+    parser = _Parser(
         prog="sexticforms",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -463,18 +473,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    parser = _PARSER
     args = parser.parse_args(argv)
     # --order and --prime are checked on the subcommands that take them
     if getattr(args, "order", 1) < 1:
-        parser.exit(2, "truncation order must be >= 1\n")
+        parser.error("truncation order must be >= 1")
     prime = getattr(args, "prime", None)
     try:
         if prime is not None and not modp.is_prime(prime):
-            parser.exit(2, f"{prime} is not prime\n")
+            parser.error(f"{prime} is not prime")
     except ValueError as exc:
-        parser.exit(2, f"{exc}\n")
+        parser.error(str(exc))
     try:
         return args.func(args)
     except NotDivisible as exc:

@@ -23,7 +23,8 @@ beta_i built once, and each coordinate is unpacked once.
 
 The mirror rule halves the evaluation.  Exchanging x1 and x2 reverses the
 sextic (a_i <-> a_(6-i)) and the seeds: beta_(6-i)(n1, n2) = beta_i(n2, n1)
-on every cell, which nu_raw checks.  A covariant has a mirror sign
+on every cell, which nu_raw checks (the swap sign of chi_6_8 is 1,
+``arith.swap_sign``).  A covariant has a mirror sign
 s = (-1)^((6d - j)/2), read off its terms: the coefficient at
 (sigma a; x2, x1) is s times the one at (a; x1, x2).  So coordinate j - i
 of nu_raw(c) is s times coordinate i with n1 and n2 exchanged, and only
@@ -43,7 +44,7 @@ that way (chi_35) takes its scale from one pin, ``FourierExpansion.pinned``.
 
 from __future__ import annotations
 
-from .arith import LaurentPoly
+from .arith import LaurentPoly, swap_sign
 from .covariants import Covariant, a11_order_bound
 from .errors import NormalizationFailure, OddOrder, OrderTooSmall
 from .poly import transvect
@@ -104,11 +105,9 @@ def nu_raw(c: Covariant, N: int) -> FourierExpansion:
         raise ValueError("truncation must be at least 1")
     s = _mirror_sign(c)
     seed = chi_6_8(N)
-    for (n1, n2), vec in seed.cells.items():
-        if seed.vec_at((n2, n1)) != vec[::-1]:
-            raise NormalizationFailure(
-                f"chi_6_8 at ({n1},{n2}) is not the mirror of ({n2},{n1})"
-            )
+    sign = swap_sign(seed.cells)
+    if sign != 1:
+        raise NormalizationFailure(f"chi_6_8 is not its own mirror: swap sign {sign}")
     beta = [
         FourierExpansion(
             (0, 0), False, seed.kN,

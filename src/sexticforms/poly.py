@@ -15,6 +15,7 @@ covariants and Fourier expansions).
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
 
 from .arith import Substitution, frac_from_str, frac_to_str, render_sum
@@ -59,14 +60,30 @@ def _grlex(exps):
     return (sum(exps), exps)
 
 
-def _packed_terms(terms, f: int):
-    """[(k, c)] of {exponents: c}, with k the exponent vector read as the
-    digits of an int in base 2^f, its first exponent the most significant."""
+# the struct format of an unsigned field of 1, 2, 4 or 8 bytes
+_FIELD_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _key_fields(n: int, top: int):
+    """(bits, struct) of n byte-aligned fields, each of the fewest bytes
+    among 1, 2, 4 and 8 that hold ``top``: an exponent vector packs into
+    one int, its first exponent in the lowest field, and vectors whose sums
+    stay at or below top add as ints without a carry between fields.  The
+    little-endian struct reads the int's bytes back as the vector."""
+    size = next((b for b in _FIELD_FORMATS if top < 1 << 8 * b), None)
+    if size is None:
+        raise ValueError(f"exponent {top} does not fit a 64-bit field")
+    return 8 * size, struct.Struct(f"<{n}{_FIELD_FORMATS[size]}")
+
+
+def _packed_keys(terms, bits: int):
+    """[(k, c)] of {exponents: c}, k the exponents in ``bits``-bit fields,
+    the first one lowest."""
     out = []
     for e, c in terms.items():
         k = 0
-        for x in e:
-            k = k << f | x
+        for x in reversed(e):
+            k = k << bits | x
         out.append((k, c))
     return out
 
@@ -174,14 +191,13 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        # each exponent vector packed into one int, one f-bit field per
-        # variable; f holds the largest exponent of the product, so packed
-        # vectors add as ints without a carry between fields
+        # each exponent vector packed into one int of byte-aligned fields
+        # (``_key_fields``) that hold the largest exponent of the product
         top = max((max(e, default=0) for e in self.terms), default=0) + max(
             (max(e, default=0) for e in other.terms), default=0
         )
-        f = top.bit_length()
-        a, b = _packed_terms(self.terms, f), _packed_terms(other.terms, f)
+        bits, fields = _key_fields(len(self.vars), top)
+        a, b = _packed_keys(self.terms, bits), _packed_keys(other.terms, bits)
         if len(a) > len(b):
             a, b = b, a
         out = {}
@@ -189,11 +205,12 @@ class MultiPoly:
             for kb, cb in b:
                 k = ka + kb
                 out[k] = out.get(k, 0) + ca * cb
-        n, mask = len(self.vars), (1 << f) - 1
-        shifts = [f * (n - 1 - i) for i in range(n)]
         return MultiPoly(
             self.vars,
-            {tuple(k >> s & mask for s in shifts): c for k, c in out.items()},
+            {
+                fields.unpack_from(k.to_bytes(fields.size, "little")): c
+                for k, c in out.items()
+            },
             self.modulus,
         )
 

@@ -545,8 +545,9 @@ def span_matrix(forms):
 
     Column rule: when every form has the same swap sign s
     (``arith.swap_sign``), the columns of the cells (n1, n2) with n1 > n2
-    are dropped.  Each is s times the column of (n2, n1), which is kept,
-    so the rank of the rows is unchanged.
+    are dropped.  The column of ((n1, n2), i, e) is s times that of
+    ((n2, n1), j - i, e), which is kept, so the rank of the rows is
+    unchanged; Sym^j forms fold as scalar ones do.
     """
     first = forms[0]
     for g in forms[1:]:

@@ -525,6 +525,23 @@ def test_usage_errors(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["covariant", "A", "--order", "2"], "unrecognized arguments: --order 2"),
+        (["expand", "chi10", "--order", "0"], "truncation order must be >= 1"),
+        (["verify", "modp", "--prime", "6"], "6 is not prime"),
+    ],
+    ids=["argparse", "order", "prime"],
+)
+def test_a_usage_error_is_one_error_line(capsys, argv, message):
+    # argparse's own errors and main's checks alike: no usage line
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_prime_past_the_decided_range(capsys):
     # 318665857834031151167461 passes Miller-Rabin to every base up to 37
     # but is 399165290221 * 798330580441

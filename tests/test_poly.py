@@ -143,6 +143,38 @@ def test_exact_div_inverts_mul(a, b):
     assert (a * b).exact_div(b) == a
 
 
+def _schoolbook(a, b):
+    out = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return MultiPoly(a.vars, out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from((2, 2**8, 2**16, 2**32)).flatmap(lambda top: st.tuples(*[
+        st.dictionaries(
+            st.tuples(*[st.integers(0, top // 2 - 1) | st.just(top // 2)] * 9),
+            st.integers(-9, 9),
+            max_size=4,
+        ).map(lambda terms: MultiPoly(SEXTIC_VARS, terms))
+    ] * 2))
+)
+@example((_mono([128] * 9), _mono([128] * 8 + [127])))  # 256 needs a 2-byte field
+@example((_mono([2**31] * 9), _mono([2**31] * 9)))  # 2^32 needs an 8-byte field
+def test_mul_on_byte_aligned_fields(pair):
+    # exponent sums at a field boundary: 1-, 2-, 4- and 8-byte fields
+    a, b = pair
+    assert a * b == _schoolbook(a, b)
+
+
+def test_mul_refuses_exponents_past_64_bits():
+    with pytest.raises(ValueError, match="64-bit field"):
+        _mono([2**63] * 9) * _mono([2**63] * 9)
+
+
 # monomials of total degree <= 3 (the constant included) and images of
 # degree <= 2, so a substituted polynomial stays small
 def _low_degree_polys(degree, size):

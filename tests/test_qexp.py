@@ -3,7 +3,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sexticforms import arith, covariants, linalg, numap, qexp, ringlab, theta
@@ -467,8 +467,11 @@ def test_swap_sign_detection():
     assert arith.swap_sign({(0, 1): (x,), (1, 0): (-x + y,)}) is None
     # a nonzero diagonal cell under sign -1
     assert arith.swap_sign({**anti, (2, 2): (y,)}) is None
-    # vector-valued, even when each coordinate is symmetric
-    assert arith.swap_sign({(0, 1): (x, x), (1, 0): (x, x)}) is None
+    # vector-valued: the mirror reverses the coordinates, so a map whose
+    # cells repeat unreversed has none, even when each coordinate is
+    # symmetric
+    assert arith.swap_sign({(0, 1): (x, y), (1, 0): (x, y)}) is None
+    assert arith.swap_sign({(0, 1): (x, y), (1, 0): (y, x)}) == 1
     # a product of maps of opposite signs, in either order
     windows = [(0, 3)] * 2
     assert (
@@ -476,6 +479,165 @@ def test_swap_sign_detection():
         == _product(sym, anti, windows)[0]
         == _nonzero_cells(_schoolbook(anti, sym, 3, 1))
     )
+
+
+def _sym_map(half, sign):
+    """The cell map with the cells ``half`` (n1 <= n2, vectors of one
+    width) and cell (n2, n1) = sign * reversed(cell (n1, n2)); a diagonal
+    cell v is made v + sign * reversed(v), which its swap keeps."""
+    cells = {}
+    for (n1, n2), vec in half.items():
+        mirror = tuple(x.scale(sign) for x in reversed(vec))
+        if n1 == n2:
+            cells[n1, n1] = tuple(x + y for x, y in zip(vec, mirror))
+        else:
+            cells[n1, n2], cells[n2, n1] = vec, mirror
+    return cells
+
+
+@st.composite
+def _sym_maps(draw, width, laurent=_wide_laurent):
+    sign = draw(_signs)
+    half = draw(st.dictionaries(
+        _upper_keys, st.tuples(*[laurent] * width), max_size=4
+    ))
+    return _sym_map(half, sign)
+
+
+_widths = st.integers(min_value=1, max_value=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.tuples(_widths, _widths).flatmap(
+        lambda w: st.tuples(_sym_maps(w[0]), _sym_maps(w[1]), st.just(sum(w) - 1))
+    ),
+    st.integers(min_value=0, max_value=6),
+    _starts,
+)
+def test_kronecker_on_swap_symmetric_sym_maps(drawn, bound, starts):
+    # the half product of Sym^j maps mirrors each cell with its
+    # coordinates reversed
+    a, b, width = drawn
+    assert arith.swap_sign(a) is not None and arith.swap_sign(b) is not None
+    _check_product(a, b, bound, starts, width)
+
+
+_nonzero_laurent = st.dictionaries(
+    st.integers(-2, 2), st.integers(1, 9), min_size=1, max_size=2
+).map(LaurentPoly)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.tuples(_widths, _widths).flatmap(
+        lambda w: st.tuples(
+            _sym_maps(w[0], _nonzero_laurent),
+            _sym_maps(w[1], _nonzero_laurent),
+            st.just(w),
+        )
+    ),
+    st.integers(min_value=0, max_value=4),
+)
+def test_chained_half_products_of_sym_maps(drawn, bound):
+    # a * a * b: the cells a half product mirrors feed the next product
+    a, b, (wa, wb) = drawn
+    a, b = ({k: v for k, v in x.items() if max(k) <= bound} for x in (a, b))
+    ((got, _, _),) = arith.evaluate([a, b], [(0, bound)] * 2, [{(2, 1): 1}])
+    square = _schoolbook(a, a, bound, 2 * wa - 1)
+    want = _schoolbook(square, b, bound, 2 * wa + wb - 2)
+    assert _nonzero_cells(got) == _nonzero_cells(want)
+
+
+def test_swap_sign_of_sym_maps():
+    # U = [[0, 1], [1, 0]] acts on weight (j, k) by det(U)^k Sym^j(U): every
+    # registry form but chi35 (too slow to build here) has swap sign 1
+    for name in ringlab.registry_names():
+        if name != "chi35":
+            assert arith.swap_sign(ringlab.named_form(name, 4).expansion.cells) == 1
+    x, y, zero = LaurentPoly({0: 1, 1: -2}), LaurentPoly({-1: 3}), LaurentPoly()
+    # an asymmetric vector map
+    assert arith.swap_sign({(0, 1): (x, y, x), (1, 0): (x, y, y)}) is None
+    assert arith.swap_sign({(1, 1): (x, zero, y)}) is None
+    # under sign -1 a diagonal vector v = -reversed(v) is allowed, and its
+    # middle coordinate is zero
+    anti = {(0, 1): (x, y, zero), (1, 0): (zero, -y, -x)}
+    assert arith.swap_sign(anti) == -1
+    assert arith.swap_sign({**anti, (1, 1): (x, zero, -x)}) == -1
+    assert arith.swap_sign({**anti, (1, 1): (x, y, -x)}) is None
+    assert arith.swap_sign({(1, 1): (x, zero, -x)}) == -1
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _widths.flatmap(lambda w: st.tuples(_sym_maps(w), st.just(w))),
+    st.dictionaries(
+        _upper_keys,
+        st.dictionaries(st.integers(-2, 2), st.integers(-3, 3), max_size=2).map(
+            LaurentPoly
+        ),
+        max_size=3,
+    ),
+    st.integers(min_value=1, max_value=3),
+)
+def test_half_quotient_equals_the_full_solve(drawn, divisor_half, corner):
+    # d = q * b with q and b of swap signs: the quotient solves the cells
+    # m1 <= m2 and mirrors them, and equals the full solve and q
+    (q_cells, width), kN = drawn, 3
+    q = FourierExpansion((width - 1, 0), False, kN, q_cells, validate=False)
+    pivot = divisor_half.get((0, 0), LaurentPoly()) + LaurentPoly({0: corner})
+    assume(not pivot.is_zero)
+    divisor_half[0, 0] = pivot
+    b_cells = _sym_map({k: (lp,) for k, lp in divisor_half.items()}, 1)
+    b = FourierExpansion((0, 0), False, kN, b_cells, validate=False)
+    d = q.mul(b)
+    assert arith.swap_sign(d.cells) is not None and arith.swap_sign(b.cells) == 1
+    keys = sorted(
+        ((m1, m2) for m1 in range(kN + 1) for m2 in range(kN + 1)),
+        key=lambda k: (k[0] + k[1], k),
+    )
+    half = arith.quotient(d.cells, b.cells, (0, 0), keys, width)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arith, "swap_sign", lambda cells: None)
+        full = arith.quotient(d.cells, b.cells, (0, 0), keys, width)
+    assert half == full == q.cells
+
+
+def test_half_quotient_of_a_symmetric_dividend_still_refuses():
+    # d and b of swap sign 1, b with corner 2: cell (0, 1) of the quotient
+    # is (1 - 2r, 0, 1/2), not integral.  The half solve meets it at (0, 1)
+    # and never solves its mirror (1, 0), which the full solve finds no
+    # more divisible
+    x, half_r = LaurentPoly({0: 2, 1: -4}), LaurentPoly({0: 1})
+    zero = LaurentPoly()
+    d = {(0, 0): (x, zero, x), (0, 1): (x, zero, half_r), (1, 0): (half_r, zero, x)}
+    b = {(0, 0): (LaurentPoly({0: 2}),)}
+    assert arith.swap_sign(d) == 1 and arith.swap_sign(b) == 1
+    keys = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    with pytest.raises(NotDivisible):
+        arith.quotient(d, b, (0, 0), keys, 3)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arith, "swap_sign", lambda cells: None)
+        for solved in (keys, [(0, 0), (1, 0)]):
+            with pytest.raises(NotDivisible):
+                arith.quotient(d, b, (0, 0), solved, 3)
+
+
+def test_span_matrix_folds_sym_forms():
+    # forms of one Sym^j weight and one swap sign: the columns of the cells
+    # n1 > n2 are dropped, and the rank is the full rank
+    forms = [
+        ringlab.named_form("chi6_8", 3).expansion,
+        ringlab.named_form("chi6_8", 3).expansion.scale(2),
+        theta.chi_6_8(3),
+    ]
+    rows = qexp.span_matrix(forms)
+    columns = {
+        (key, i, e) for g in forms for key, vec in g.cells.items() if key[0] <= key[1]
+        for i, lp in enumerate(vec) for e in lp.c
+    }
+    assert all(len(row) == len(columns) for row in rows)
+    assert qexp.rank_of_span(forms) == _full_rank(forms) == 1
 
 
 def _full_rank(forms):
@@ -633,22 +795,26 @@ def test_evaluation_is_independent_of_the_order_of_the_maps(drawn, top, rnd):
 
 def test_evaluation_multiplies_the_highest_start_first(monkeypatch):
     # f * (g + g^2 + g^3) cut at 3, f of start 0 and g of start 1: in the
-    # majorant pass (w = 0, starts doubled) and in the image pass alike,
-    # the powers of g are formed first and f multiplies once, last; in the
-    # order given, f would multiply each power of g as it is formed
+    # majorant pass (one int per map, starts doubled) and in the image pass
+    # alike, the powers of g are formed first and f multiplies once, last;
+    # in the order given, f would multiply each power of g as it is formed
     products = []
-    mul = arith.Packed.__mul__
 
-    def spy(x, y):
-        products.append((x.w, x.start, y.start))
-        return mul(x, y)
+    def spy(cls):
+        mul = cls.__mul__
 
-    monkeypatch.setattr(arith.Packed, "__mul__", spy)
+        def product(x, y):
+            products.append((cls.__name__, x.start, y.start))
+            return mul(x, y)
+
+        monkeypatch.setattr(cls, "__mul__", product)
+
+    spy(arith.Majorant)
+    spy(arith.Packed)
     (got,) = qexp.evaluate([_f, _g], [{(1, 1): 1, (1, 2): 1, (1, 3): 1}], 3)
-    w = products[-1][0]
-    assert w > 0
     assert products == [
-        (0, 2, 2), (0, 4, 2), (0, 0, 2), (w, 1, 1), (w, 2, 1), (w, 0, 1)
+        ("Majorant", 2, 2), ("Majorant", 4, 2), ("Majorant", 0, 2),
+        ("Packed", 1, 1), ("Packed", 2, 1), ("Packed", 0, 1),
     ]
     monkeypatch.undo()
     sub = Substitution([_f, _g], _one(N))
@@ -680,6 +846,36 @@ def test_packed_evaluation_cancels_to_zero():
     )
     assert not x.cells and not y.cells
     assert c == _one(N).scale(7)
+
+
+def _packed_majorant_width(maps, windows, polys, top=None):
+    """The slot width as the packed pass of earlier versions read it: each
+    map reduced to {(t, 0): (M(t),)}, M(t) its sum of |c| on the
+    antidiagonal n1 + n2 = t, the poly with |c| evaluated through
+    ``Packed`` products at w = 0 on the doubled windows, cut at 2 * top."""
+
+    def magnitudes(cells):
+        sums = {}
+        for (n1, n2), vec in cells.items():
+            sums[n1 + n2] = sums.get(n1 + n2, 0) + sum(
+                abs(v) for x in vec for v in x.c.values()
+            )
+        return {(t, 0): (LaurentPoly({0: m}),) for t, m in sums.items()}
+
+    top2 = None if top is None else 2 * top
+    kN = min(2 * k for _, k in windows)
+    sub = Substitution(
+        [
+            arith.Packed.of(magnitudes(cells), 0, 2 * start, 2 * k, top2)
+            for cells, (start, k) in zip(maps, windows)
+        ],
+        arith.Packed.of({(0, 0): (LaurentPoly({0: 1}),)}, 0, 0, kN, top2),
+    )
+    most = 0
+    for p in polys:
+        for _, row in sub({e: abs(c) for e, c in p.items()}).cells.values():
+            most = max([most] + [x for _, x in row])
+    return most.bit_length() + 1
 
 
 def test_majorant_width_is_tight_for_positive_coefficients():
@@ -753,6 +949,19 @@ def test_majorant_width_bounds_every_result_coefficient(drawn, top):
     for p in polys:
         for vec in _cut(sub(p), top).cells.values():
             assert all(abs(v).bit_length() < w for x in vec for v in x.c.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(_forms_and_polys(), _chains()),
+    st.one_of(st.none(), st.integers(0, 6)),
+)
+def test_majorant_width_equals_the_packed_pass(drawn, top):
+    # one int per map gives the width the packed products at w = 0 gave
+    forms, polys = drawn
+    maps, windows = [f.cells for f in forms], [(f.start, f.kN) for f in forms]
+    packed = _packed_majorant_width(maps, windows, polys, top)
+    assert _width(forms, polys, top) == packed
 
 
 class _Width(Exception):
