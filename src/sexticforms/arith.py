@@ -3,22 +3,22 @@ series product kernel.
 
 Every series coefficient is a Python ``int``: ``LaurentPoly`` refuses any
 other type, so the kernel, the Fourier expansions built on it and their
-exact divisions all run over Z.  A rational enters only at the edges: a
-covariant with rational coefficients is split into its content times an
-integer covariant before it is evaluated (``cli.cmd_nu``), and the content
-is applied when the expansion is printed.  Everything here is immutable
-after construction and free of floating point.  Mod-p arithmetic lives in
-:mod:`sexticforms.poly`.
+divisions by powers of chi_10 all run over Z.  A rational enters only at
+the edges: a covariant with rational coefficients is split into its
+content times an integer covariant before it is evaluated
+(``cli.cmd_nu``), and the content is applied when the expansion is
+printed.  Everything here is immutable after construction and free of
+floating point.  Mod-p arithmetic lives in :mod:`sexticforms.poly`.
 
 ``evaluate`` is the one entry of every series product in the package
 (Kronecker substitution; Schoenhage 1982, Harvey 2009): it evaluates
 polynomials at cell maps in their packed images.  Laurent polynomials,
 theta products and, through ``qexp.evaluate``, Fourier expansions
-(elliptic forms among them, as boundary rows) and polynomials in forms
-all go through it; ``quotient``,
-the cell-map division behind ``qexp.FourierExpansion.exact_div``, is built
-from its parts.  No other module knows the packed format, and
-``accumulate`` is the one multiply-add.
+(elliptic forms among them, as boundary rows), polynomials in forms and
+the divisions by chi_10^k (a product by a power of the series inverse,
+``qexp.FourierExpansion.exact_div_chi10``) all go through it.  No other
+module knows the packed format, and ``accumulate`` is the one
+multiply-add.
 
 The packed image.  A ``Packed`` map is a cell map evaluated at r = 2^w:
 per cell, its own lowest exponent lo and one int per Sym^j coordinate,
@@ -37,9 +37,7 @@ substitution in t on the doubled window), and the same Horner scheme run
 on these ints, one int product, shift or mask per step.  These sums are
 subadditive and submultiplicative, so the result bounds the sum of |c|
 over each antidiagonal of each result, and one bit more than its largest
-bit length is a width every final coefficient fits.  Only ``quotient``,
-whose result is not known before it is solved, sizes its slots per
-coefficient (``measure``, ``slot_width``) and widens them as it goes.
+bit length is a width every final coefficient fits.
 
 The order rule.  ``evaluate`` takes its maps by decreasing window start,
 in both passes, before it runs the Horner scheme of ``Substitution``,
@@ -62,8 +60,7 @@ The sign is read off the cells, never assumed from a weight; an
 asymmetric map, or a diagonal cell v with v != s * reversed(v), has none.
 The product of two maps with swap signs s and t has swap sign s * t, so
 ``Packed.__mul__`` then computes only the output cells with n2 <= n1 and
-mirrors the rest, and ``quotient`` solves only the cells m1 <= m2; a sum
-of maps of one sign and one width keeps the sign.
+mirrors the rest; a sum of maps of one sign and one width keeps the sign.
 """
 
 from __future__ import annotations
@@ -147,37 +144,6 @@ def frac_from_str(s: str):
 # -- the packed-evaluation kernel ---------------------------------------------
 
 
-def int_rows(cells):
-    """The integer rows [(key, [(i, {e: int})])] of the nonzero
-    coordinates of cell map items [(key, (LaurentPoly, ...))]; a cell
-    without a nonzero coordinate has no row."""
-    rows = []
-    for key, vec in cells:
-        row = [(i, x.c) for i, x in enumerate(vec) if x.c]
-        if row:
-            rows.append((key, row))
-    return rows
-
-
-def measure(cells):
-    """(largest coefficient bit length, term count) of a cell map
-    {(n1, n2): (LaurentPoly, ...)}."""
-    hi, terms = 0, 0
-    for vec in cells.values():
-        for x in vec:
-            if x.c:
-                hi = max(hi, max(x.c.values()), -min(x.c.values()))
-                terms += len(x.c)
-    return hi.bit_length(), terms
-
-
-def slot_width(bits_a: int, bits_b: int, terms: int) -> int:
-    """Slot width, in bits, of a sum of at most ``terms`` products of a
-    ``bits_a``-bit and a ``bits_b``-bit coefficient: every such sum lies
-    strictly inside (-2^(w-1), 2^(w-1)), one sign bit included."""
-    return bits_a + bits_b + terms.bit_length() + 1
-
-
 def pack(c: dict, lo: int, w: int) -> int:
     """The integer sum of c[e] * 2^(w * (e - lo))."""
     x = 0
@@ -217,16 +183,6 @@ def accumulate(acc: list, xs, ys, shift: int) -> None:
     for i, x in xs:
         for l, y in ys:
             acc[i + l] += x * y << shift
-
-
-def pack_rows(rows, w: int):
-    """[(key, low, [(i, packed coordinate)])] of integer rows, each cell
-    packed at ``low``, its own lowest exponent."""
-    out = []
-    for key, row in rows:
-        low = min(min(c) for _, c in row)
-        out.append((key, low, [(i, pack(c, low, w)) for i, c in row]))
-    return out
 
 
 def _negated(x: dict, y: dict) -> bool:
@@ -334,8 +290,12 @@ class Packed:
         if top is not None:
             kN = min(kN, top)
             cells = {key: vec for key, vec in cells.items() if max(key) <= kN}
-        rows = pack_rows(int_rows(cells.items()), w)
-        packed = {key: (low, row) for key, low, row in rows}
+        packed = {}
+        for key, vec in cells.items():
+            row = [(i, x.c) for i, x in enumerate(vec) if x.c]
+            if row:
+                low = min(min(c) for _, c in row)
+                packed[key] = (low, [(i, pack(c, low, w)) for i, c in row])
         width = len(next(iter(cells.values()), ()))
         return cls(packed, w, width, swap_sign(cells), start, kN, top)
 
@@ -632,79 +592,6 @@ def evaluate(maps, windows, polys, top=None):
     polys = [{tuple(e[i] for i in order): c for e, c in p.items()} for p in polys]
     sub = _images(maps, windows, majorant_width(maps, windows, polys, top), top)
     return ((x.unpacked(), x.start, x.kN) for x in map(sub, polys))
-
-
-def quotient(d, b, corner, keys, width):
-    """The cell map q with d = b * q, for a scalar (width 1) divisor b whose
-    ``corner`` cell is nonzero: cell m of q is (d[m + corner] - the sum of
-    b[t] * q[m + corner - t] over t != corner) / b[corner], solved in the
-    order of ``keys``, which must reach a cell before every cell needing it.
-
-    When d and b have swap signs and the corner is diagonal, q has the
-    product of their signs: only the cells m1 <= m2 are solved, and each
-    one's mirror is written with it.  The equation of a mirrored cell is
-    the mirror of the solved one's, so it holds, or fails, with it.
-
-    Over Z: each quotient cell is an exact Laurent division by the corner
-    cell, so a quotient that is not integral raises NotDivisible.  The
-    negated off-corner divisor cells are packed once and each quotient cell
-    once, in slots bounding the dividend coefficient plus the at most
-    (terms of b) products that reach one output coefficient; when the
-    quotient outgrows them, the width grows by a quarter and the stored
-    cells are repacked.
-    """
-    sign_d, sign_b = swap_sign(d), swap_sign(b)
-    half = corner[0] == corner[1] and sign_d is not None and sign_b is not None
-    sign = sign_d * sign_b if half else None
-    dividend = dict(int_rows(d.items()))
-    div = dict(int_rows(b.items()))
-    pivot = LaurentPoly.over(div.pop(corner)[0][1])
-    neg = [(t, [(0, {e: -v for e, v in c.items()})]) for t, ((_, c),) in div.items()]
-    d_bits, _ = measure(d)
-    b_bits, b_terms = measure({t: vec for t, vec in b.items() if t != corner})
-    q_bits, w = d_bits, 0
-    q = {}
-
-    def packed(cells):
-        return {key: (low, x) for key, low, x in pack_rows(int_rows(cells), w)}
-
-    c1, c2 = corner
-    for m1, m2 in keys:
-        if half and m1 > m2:  # written as the mirror of (m2, m1)
-            continue
-        need = slot_width(max(d_bits, b_bits + q_bits), 0, b_terms + 1)
-        if need > w:
-            w = need + need // 4
-            packed_neg = pack_rows(neg, w)
-            packed_q = packed(q.items())
-        n1, n2 = m1 + c1, m2 + c2
-        products = []
-        for (t1, t2), low, nb in packed_neg:
-            qx = packed_q.get((n1 - t1, n2 - t2))
-            if qx is not None:
-                products.append((low + qx[0], qx[1], nb))
-        drow = dividend.get((n1, n2), ())
-        lows = [low for low, _, _ in products] + [min(c) for _, c in drow]
-        if not lows:
-            continue
-        lo = min(lows)
-        rhs = [0] * width
-        for i, c in drow:
-            rhs[i] = pack(c, lo, w)
-        for low, qx, nb in products:
-            accumulate(rhs, qx, nb, w * (low - lo))
-        vec = tuple(LaurentPoly.over(unpack(x, lo, w)).exact_div(pivot) for x in rhs)
-        if all(x.is_zero for x in vec):
-            continue
-        solved = [((m1, m2), vec)]
-        if half and m1 < m2:
-            mirror = vec[::-1] if sign == 1 else tuple(-x for x in reversed(vec))
-            solved.append(((m2, m1), mirror))
-        q.update(solved)
-        top = max(max(map(abs, x.c.values())) for x in vec if x.c)
-        q_bits = max(q_bits, top.bit_length())
-        packed_q.update(packed(solved))
-    return q
 
 
 def common_ratio(pairs):

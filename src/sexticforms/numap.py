@@ -11,8 +11,8 @@ terms x1^(j-i) x2^i give coordinate i), so
     nu_raw(c) = chi_10^d * nu(c),   weight (j, 11d - j/2),
 
 and then divide once by chi_10^(d - m) to keep chi_10^m * nu(c)
-(``FourierExpansion.exact_div_chi10``: one division by the power equals
-d - m divisions by chi_10).  A failing division (NotDivisible) is the
+(``FourierExpansion.exact_div_chi10``: one product by the (d - m)-th power
+of the series inverse of chi_10, equal to d - m divisions by chi_10).  A failing division (NotDivisible) is the
 detection mechanism for genuine non-holomorphy.
 
 All coordinates come from one ``qexp.evaluate``: the seven beta_i are

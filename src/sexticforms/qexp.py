@@ -12,20 +12,21 @@ triple (n1, n2, r-exponent rho) encodes the half-integral matrix
 * ``start``: a certified vanishing offset — every coefficient (stored or
   not) with min(n1, n2) < start/denom is zero.  Cusp forms justify start
   1 (singular matrices carry no cusp-form coefficients); products add
-  starts; exact division by a form of start s subtracts s.  This is what
-  keeps windows small and deep products (e.g. eleventh powers) honest.
+  starts; exact division by chi_10^k subtracts k.  This is what keeps
+  windows small and deep products (e.g. eleventh powers) honest.
 
 Reliability contract: a stored window [start..kN]^2 is exact; operations
 shrink kN so that the contract is preserved (mul: kN_out =
-min(kN_a + start_b, kN_b + start_a); exact_div by a form of start s:
-kN_out = min(kN_a - s, kN_b - s + start_out)).  An evaluation cut at
+min(kN_a + start_b, kN_b + start_a); exact_div_chi10(k): kN_out = kN - k,
+with chi_10 built on [1, kN - start + 1]).  An evaluation cut at
 ``top`` (see ``evaluate``) also takes kN_out = min(kN_out, top), and a
 product with start_out > top is zero on its window, no cells: every
 coefficient with min(n1, n2) < start_out vanishes.  A cut window is still
 exact, because a cell never depends on a cell of larger index.
 
 Every product is one ``evaluate``: ``mul`` evaluates x * y, ``pow`` x**n,
-and ``evaluate`` runs one ``arith.evaluate`` under these window rules.
+``exact_div_chi10`` x * V^k for the series inverse V of chi_10, and
+``evaluate`` runs one ``arith.evaluate`` under these window rules.
 
 An elliptic form f is a boundary row: weight (0, k), a(n) at cell (n, 0),
 the Fourier series of f(tau_11) (``elliptic_form``, ``siegel_phi``).
@@ -36,6 +37,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from functools import lru_cache
 
 from . import arith, linalg
 from .arith import LaurentPoly, common_ratio
@@ -265,49 +267,22 @@ class FourierExpansion:
         return power
 
     # -- division -----------------------------------------------------------------
-    def exact_div(self, other: "FourierExpansion") -> "FourierExpansion":
-        """Exact quotient by a scalar (j=0) expansion with a nonzero corner
-        cell (s, s); graded two-variable series division over Z.
-
-        Raises NotDivisible unless the quotient has integer coefficients.
-        A division by a form whose corner cell is primitive, such as chi_10
-        with its r - 2 + r^-1, loses nothing by this: when the quotient
-        exists over Q, Gauss's lemma makes it integral.
-
-        The quotient's start offset other.start lower is certified whenever
-        the division is globally exact, which is the only case the result
-        is meaningful for.  Its window stops where either operand's window
-        stops: q_kN = min(kN - s, other.kN - s + q_start).
-        """
-        if other.j != 0 or other.character or other.denom != 1:
-            raise WeightMismatch("divisor must be a scalar trivial-character form")
-        if self.character or self.denom != 1:
-            raise WeightMismatch("dividend must be on the integral lattice")
-        s = other.start
-        if other.vec_at((s, s))[0].is_zero:
-            raise NotDivisible("divisor corner cell vanishes")
-        if self.start < s:
-            raise NotDivisible("dividend has smaller vanishing offset than divisor")
-        q_start = self.start - s
-        q_kN = min(self.kN - s, other.kN - s + q_start)
-        if q_kN < q_start:
-            raise OrderTooSmall("truncation too small for division")
-        window = range(q_start, q_kN + 1)
-        keys = _graded((m1, m2) for m1 in window for m2 in window)
-        q_cells = arith.quotient(self.cells, other.cells, (s, s), keys, self.j + 1)
-        return FourierExpansion(
-            (self.j, self.k - other.k), False, q_kN, q_cells, q_start, 1
-        )
-
     def exact_div_chi10(self, k: int = 1) -> "FourierExpansion":
-        """Exact quotient by chi_10^k in one division; k = 0 returns self.
+        """Exact quotient by chi_10^k, one product; k = 0 returns self.
 
-        chi_10 is built just deep enough for this window, on [1, kN - start
-        + 1], and its k-th power, one ``pow``, reaches kN - start + k, so
-        the quotient's window is [start - k, kN - k], as after k divisions
-        by chi_10.  The corner cell of chi_10^k, (r - 2 + r^-1)^k, is
-        primitive, so the quotient exists over Z exactly when the k
-        successive quotients do, and raises NotDivisible otherwise.
+        chi_10 vanishes to order 2 on the diagonal, so each of its cells is
+        divisible by P = r - 2 + r^-1, its (1, 1) cell: chi_10 = q1 q2 P U
+        with U's cell (0, 0) equal to 1.  Hence f / chi_10^k is f * V^k,
+        V = U^-1, moved by (-k, -k), with each cell divided exactly by P^k
+        (``LaurentPoly.exact_div``).  V on [0, T], T = kN - start, comes
+        from chi_10 on [1, T + 1] by Newton steps and is built once per T
+        (``_chi10_inverse``); f * V^k is one ``evaluate``.  The quotient's
+        window is [start - k, kN - k], as after k divisions by chi_10.
+
+        Raises WeightMismatch for a character or half-integral dividend,
+        NotDivisible when start < k or when a cell leaves a Laurent
+        remainder, and OrderTooSmall for an empty window.  P is primitive,
+        so by Gauss's lemma a quotient that exists over Q exists over Z.
         """
         from . import theta
 
@@ -315,7 +290,28 @@ class FourierExpansion:
             raise ValueError("chi_10 power must be non-negative")
         if not k:
             return self
-        return self.exact_div(theta.chi_10(self.kN - self.start + 1).pow(k))
+        if self.character or self.denom != 1:
+            raise WeightMismatch("dividend must be on the integral lattice")
+        if self.start < k:
+            raise NotDivisible("dividend has smaller vanishing offset than divisor")
+        if self.kN < self.start:
+            raise OrderTooSmall("truncation too small for division")
+        inverse = _chi10_inverse(self.kN - self.start)
+        (g,) = evaluate([self, inverse], [{(1, k): 1}])
+        pk, memo = theta.CHI10_PIN ** k, {}
+
+        def divided(x):
+            # mirrored cells share their coordinates: divide each one once
+            y = memo.get(id(x))
+            if y is None:
+                y = memo[id(x)] = x.exact_div(pk)
+            return y
+
+        cells = {
+            (n1 - k, n2 - k): tuple(map(divided, vec))
+            for (n1, n2), vec in g.cells.items()
+        }
+        return FourierExpansion(g.weight, False, g.kN - k, cells, g.start - k)
 
     # -- boundary operators ---------------------------------------------------------
     def siegel_phi(self) -> "FourierExpansion":
@@ -439,6 +435,33 @@ class FourierExpansion:
             f"character={self.character}, window=[{self.start},{self.kN}], "
             f"cells={len(self.cells)})"
         )
+
+
+@lru_cache(maxsize=None)
+def _chi10_inverse(T):
+    """V = U^-1 on the window [0, T], for chi_10 = q1 q2 P U: U is chi_10
+    on [1, T + 1] with each cell divided by P = r - 2 + r^-1 and moved by
+    (-1, -1), and V comes from Newton steps V <- 2V - U V^2 from V = 1,
+    each one ``evaluate``.  The error 1 - U V squares at each step, so
+    after s steps it vanishes below total degree n1 + n2 = 2^s, and
+    (2T).bit_length() steps reach every cell of [0, T].  The moved cells
+    leave the positive semi-definite cone, so U and V are not validated;
+    their weights (0, 10) and (0, -10) let ``evaluate`` grade them."""
+    from . import theta
+
+    chi10 = theta.chi_10(T + 1)
+    u = FourierExpansion(
+        (0, 10), False, T,
+        {(n1 - 1, n2 - 1): (x.exact_div(theta.CHI10_PIN),)
+         for (n1, n2), (x,) in chi10.cells.items()},
+        validate=False,
+    )
+    v = FourierExpansion(
+        (0, -10), False, T, {(0, 0): (LaurentPoly.const(1),)}, validate=False
+    )
+    for _ in range((2 * T).bit_length()):
+        (v,) = evaluate([u, v], [{(0, 1): 2, (1, 2): -1}])
+    return v
 
 
 def evaluate(forms, polys, top=None):

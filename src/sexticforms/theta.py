@@ -178,22 +178,22 @@ def chi_6_3(N: int) -> FourierExpansion:
     return _to_fourier(_theta_product(series, N), (6, 3), N, "chi_6_3")
 
 
-_CHI10_PIN = LaurentPoly({1: 1, 0: -2, -1: 1})  # r - 2 + r^-1
+CHI10_PIN = LaurentPoly({1: 1, 0: -2, -1: 1})  # r - 2 + r^-1
 
 
 @lru_cache(maxsize=None)
 def chi_10(N: int) -> FourierExpansion:
     """chi_5 squared, rescaled so the (1,1) coefficient is r - 2 + r^-1."""
     x5 = chi_5(N)
-    return x5.mul(x5).pinned((1, 1), 0, _CHI10_PIN)
+    return x5.mul(x5).pinned((1, 1), 0, CHI10_PIN)
 
 
 _CHI68_PIN = (
     LaurentPoly(),
     LaurentPoly(),
-    _CHI10_PIN,
+    CHI10_PIN,
     LaurentPoly({1: 2, -1: -2}),
-    _CHI10_PIN,
+    CHI10_PIN,
     LaurentPoly(),
     LaurentPoly(),
 )
@@ -203,7 +203,7 @@ _CHI68_PIN = (
 def chi_6_8(N: int) -> FourierExpansion:
     """chi_5 * chi_6_3, rescaled so the (1,1) coefficient vector equals
     (0, 0, r^-1 - 2 + r, 2(r - r^-1), r^-1 - 2 + r, 0, 0)."""
-    scaled = chi_5(N).mul(chi_6_3(N)).pinned((1, 1), 2, _CHI10_PIN)
+    scaled = chi_5(N).mul(chi_6_3(N)).pinned((1, 1), 2, CHI10_PIN)
     if scaled.vec_at((1, 1)) != _CHI68_PIN:
         raise NormalizationFailure(
             "chi_6_8 corner vector does not match the pinned normalization"

@@ -174,8 +174,8 @@ _PACKED_FORMAT = {"Packed", "pack", "unpack", "pack_rows", "accumulate"}
 
 
 def test_only_arith_knows_the_packed_format():
-    # every other module reaches the kernel through arith.evaluate or
-    # arith.quotient, never through the packed images themselves
+    # every other module reaches the kernel through arith.evaluate, never
+    # through the packed images themselves
     for path in pathlib.Path(arith.__file__).parent.glob("*.py"):
         if path.name == "arith.py":
             continue

@@ -223,6 +223,40 @@ def test_one_division_equals_successive_divisions(N):
     assert (one.start, one.kN) == (chain.start - 13, chain.kN - 13)
 
 
+# the five nu divisions of the registry: psi4, psi6, chi12, chi8_8, chi4_10
+_REGISTRY_NU = [
+    (cv.invariant, ("B",), 0),
+    (cv.combination_AB_minus_3C, (), 0),
+    (cv.invariant, ("A",), 1),
+    (cv.grace_young, ("Hessian",), 1),
+    (cv.grace_young, ("V8,4",), 1),
+]
+
+
+def _times_chi10_power(q, k, f):
+    """q * chi10^k, by products alone, on f's window, which it must fill."""
+    back = q.mul(theta.chi_10(f.kN - f.start + 1).pow(k))
+    assert (back.weight, back.start, back.kN) == (f.weight, f.start, f.kN)
+    return back
+
+
+@pytest.mark.parametrize("N", [5, 9])
+@pytest.mark.parametrize("covariant, args, m", _REGISTRY_NU)
+def test_each_registry_division_times_the_divisor_is_the_dividend(
+    covariant, args, m, N
+):
+    # an oracle that shares no step with the division: q * chi10^k = f
+    c = covariant(*args)
+    raw = numap.nu_raw(c, max(1, N - m + 1))
+    k = c.degree - m
+    assert _times_chi10_power(raw.exact_div_chi10(k), k, raw) == raw
+
+
+def test_chi35_division_times_the_divisor_is_the_dividend():
+    e0 = _chi35_chain(4)  # the chain of the registry's chi35 at N = 5
+    assert _times_chi10_power(e0.exact_div_chi10(13), 13, e0) == e0
+
+
 def test_exact_div_chi10_by_the_zeroth_power_is_the_identity(chi10_n3):
     assert chi10_n3.exact_div_chi10(0) is chi10_n3
     with pytest.raises(ValueError):

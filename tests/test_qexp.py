@@ -3,7 +3,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sexticforms import arith, covariants, linalg, numap, qexp, ringlab, theta
@@ -102,8 +102,13 @@ def test_agrees_with_compares_the_common_window(chi10_n3):
 
 def test_exact_div_recovers_factor(chi10_n3):
     sq = chi10_n3.mul(chi10_n3)
-    assert sq.exact_div(chi10_n3).agrees_with(chi10_n3)
-    assert sq.exact_div_chi10().agrees_with(chi10_n3)
+    q = sq.exact_div_chi10()
+    assert q.agrees_with(chi10_n3)
+    # a mirrored cell shares its coordinates with the cell it mirrors
+    assert q.cells[1, 2][0] is q.cells[2, 1][0]
+    one = sq.exact_div_chi10(2)
+    assert (one.weight, one.start, one.kN) == ((0, 0), 0, 2)
+    assert one.agrees_with(_one(2))
 
 
 def test_pow_equals_repeated_products(chi10_n3):
@@ -162,29 +167,58 @@ def test_cut_keeps_the_start_and_refuses_past_the_truncation(chi10_n3):
         x5.cut(4)
 
 
-def test_exact_div_window_limited_by_divisor(chi10_n3):
-    # the divisor's window bounds the quotient's: chi10 at truncation 1
-    # only determines chi10^2 / chi10 on [1, 1]
-    q = chi10_n3.mul(chi10_n3).exact_div(theta.chi_10(1))
-    assert q.kN == 1
-    assert q.agrees_with(chi10_n3)
-
-
 def test_exact_div_chi10_right_sizes_divisor(monkeypatch, chi10_n3):
-    # chi10^2 on [2, 4] needs chi10 only on [1, 3] for its quotient window
-    asked = []
-    chi_10 = theta.chi_10
-    monkeypatch.setattr(theta, "chi_10", lambda n: asked.append(n) or chi_10(n))
+    # chi10^2 on [2, 4] needs the inverse V only on [0, 2] = [0, kN - start]
+    # for its quotient window, and V needs chi10 only on [1, 3]
+    asked, inverse = [], qexp._chi10_inverse
+    monkeypatch.setattr(qexp, "_chi10_inverse", lambda T: asked.append(T) or inverse(T))
     q = chi10_n3.mul(chi10_n3).exact_div_chi10()
-    assert asked == [3]
+    assert asked == [2]
     assert (q.start, q.kN) == (1, 3)
     assert q.agrees_with(chi10_n3)
+    built, chi_10 = [], theta.chi_10
+    monkeypatch.setattr(theta, "chi_10", lambda n: built.append(n) or chi_10(n))
+    v = inverse.__wrapped__(2)
+    assert built == [3]
+    assert (v.weight, v.start, v.kN) == ((0, -10), 0, 2)
 
 
 def test_exact_div_detects_non_holomorphy(chi10_n3):
     one = _one(chi10_n3.kN)
-    with pytest.raises(NotDivisible):
-        one.exact_div(chi10_n3)
+    with pytest.raises(NotDivisible):  # start 0 < 1
+        one.exact_div_chi10()
+    q1q2 = _scalar({(1, 1): {0: 1}}, start=1)
+    with pytest.raises(NotDivisible):  # 1 / (r - 2 + r^-1) at (0, 0)
+        q1q2.exact_div_chi10()
+
+
+def test_exact_div_chi10_guards(chi10_n3):
+    with pytest.raises(WeightMismatch):
+        theta.chi_5(3).exact_div_chi10()
+    with pytest.raises(NotDivisible, match="vanishing offset"):
+        chi10_n3.exact_div_chi10(2)
+    with pytest.raises(OrderTooSmall):  # the window [1, 0] is empty
+        chi10_n3.cut(0).exact_div_chi10()
+
+
+def _u(T):
+    """chi10 on [1, T + 1] divided by q1 q2 (r - 2 + r^-1): U on [0, T]."""
+    pin = LaurentPoly({1: 1, 0: -2, -1: 1})
+    cells = {
+        (n1 - 1, n2 - 1): (x.exact_div(pin),)
+        for (n1, n2), (x,) in theta.chi_10(T + 1).cells.items()
+    }
+    return FourierExpansion((0, 10), False, T, cells, validate=False)
+
+
+@pytest.mark.parametrize("T", range(1, 7))
+def test_chi10_inverse_inverts_u(T):
+    v = qexp._chi10_inverse(T)
+    product = _u(T).mul(v)
+    assert (product.weight, product.start, product.kN) == ((0, 0), 0, T)
+    assert product == _one(T)
+    # Newton's steps are exact on [0, T]: a deeper inverse, cut, is the same
+    assert qexp._chi10_inverse(T + 2).cut(T) == v
 
 
 def test_denominator_two_product_halves(chi10_n3):
@@ -281,11 +315,12 @@ def test_every_series_product_reaches_the_kernel(monkeypatch):
 
     lp = LaurentPoly({0: 1, 1: 2})
     f = _scalar({(1, 1): {0: 1}, (1, 2): {0: 1}}, start=1)
-    sq = f.mul(f)
+    chi10 = theta.chi_10(2)
+    sq10 = chi10.mul(chi10)
     e4 = qexp.elliptic_form("E4", 2)
     assert reaches(lambda: lp * lp)
     assert reaches(lambda: f.mul(f))
-    assert reaches(lambda: sq.exact_div(f))
+    assert reaches(lambda: sq10.exact_div_chi10())
     assert reaches(lambda: e4.mul(e4))
     assert reaches(lambda: theta.chi_5.__wrapped__(1))
 
@@ -566,61 +601,6 @@ def test_swap_sign_of_sym_maps():
     assert arith.swap_sign({**anti, (1, 1): (x, zero, -x)}) == -1
     assert arith.swap_sign({**anti, (1, 1): (x, y, -x)}) is None
     assert arith.swap_sign({(1, 1): (x, zero, -x)}) == -1
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    _widths.flatmap(lambda w: st.tuples(_sym_maps(w), st.just(w))),
-    st.dictionaries(
-        _upper_keys,
-        st.dictionaries(st.integers(-2, 2), st.integers(-3, 3), max_size=2).map(
-            LaurentPoly
-        ),
-        max_size=3,
-    ),
-    st.integers(min_value=1, max_value=3),
-)
-def test_half_quotient_equals_the_full_solve(drawn, divisor_half, corner):
-    # d = q * b with q and b of swap signs: the quotient solves the cells
-    # m1 <= m2 and mirrors them, and equals the full solve and q
-    (q_cells, width), kN = drawn, 3
-    q = FourierExpansion((width - 1, 0), False, kN, q_cells, validate=False)
-    pivot = divisor_half.get((0, 0), LaurentPoly()) + LaurentPoly({0: corner})
-    assume(not pivot.is_zero)
-    divisor_half[0, 0] = pivot
-    b_cells = _sym_map({k: (lp,) for k, lp in divisor_half.items()}, 1)
-    b = FourierExpansion((0, 0), False, kN, b_cells, validate=False)
-    d = q.mul(b)
-    assert arith.swap_sign(d.cells) is not None and arith.swap_sign(b.cells) == 1
-    keys = sorted(
-        ((m1, m2) for m1 in range(kN + 1) for m2 in range(kN + 1)),
-        key=lambda k: (k[0] + k[1], k),
-    )
-    half = arith.quotient(d.cells, b.cells, (0, 0), keys, width)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(arith, "swap_sign", lambda cells: None)
-        full = arith.quotient(d.cells, b.cells, (0, 0), keys, width)
-    assert half == full == q.cells
-
-
-def test_half_quotient_of_a_symmetric_dividend_still_refuses():
-    # d and b of swap sign 1, b with corner 2: cell (0, 1) of the quotient
-    # is (1 - 2r, 0, 1/2), not integral.  The half solve meets it at (0, 1)
-    # and never solves its mirror (1, 0), which the full solve finds no
-    # more divisible
-    x, half_r = LaurentPoly({0: 2, 1: -4}), LaurentPoly({0: 1})
-    zero = LaurentPoly()
-    d = {(0, 0): (x, zero, x), (0, 1): (x, zero, half_r), (1, 0): (half_r, zero, x)}
-    b = {(0, 0): (LaurentPoly({0: 2}),)}
-    assert arith.swap_sign(d) == 1 and arith.swap_sign(b) == 1
-    keys = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    with pytest.raises(NotDivisible):
-        arith.quotient(d, b, (0, 0), keys, 3)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(arith, "swap_sign", lambda cells: None)
-        for solved in (keys, [(0, 0), (1, 0)]):
-            with pytest.raises(NotDivisible):
-                arith.quotient(d, b, (0, 0), solved, 3)
 
 
 def test_span_matrix_folds_sym_forms():
@@ -1101,40 +1081,27 @@ def test_ring_axioms(forms):
     assert not a.sub(a).cells
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    scalar_forms(),
-    scalar_forms(j=0),
-    st.builds(
-        lambda n, sign: sign * n, st.integers(1, 9), st.sampled_from((1, -1))
-    ),
-    st.integers(min_value=1, max_value=6),
-)
-@example(  # a divisor whose corner cell has content 2
-    _scalar({(0, 0): {0: 2}, (0, 1): {0: 1}}),
-    _scalar({(0, 0): {0: 1}, (1, 1): {-1: 1, 1: 1}}),
-    1,
-    2,
-)
-def test_exact_div_inverts_mul(a, b, c, content):
-    # division requires a nonzero pivot cell at the start corner; the
-    # quotient is integral even when that cell has content
-    if b.vec_at((0, 0))[0].is_zero:
-        return
-    a, b = a.scale(c), b.scale(content)
-    assert a.mul(b).exact_div(b).agrees_with(a)
+@settings(max_examples=100, deadline=None)
+@given(scalar_forms(), st.integers(min_value=1, max_value=3))
+def test_exact_div_inverts_mul(a, k):
+    # a * chi10^k on [k, k + 2], divided by chi10^k, gives a back on [0, 2],
+    # for scalar and Sym^j forms
+    q = a.mul(theta.chi_10(N).pow(k)).exact_div_chi10(k)
+    assert (q.weight, q.start, q.kN) == (a.weight, 0, N - 1)
+    assert q.agrees_with(a)
 
 
-def test_exact_div_refuses_a_non_integral_quotient():
-    # the quotients 1/2 and 1 + q1*q2/2 exist over Q, not over Z
-    two = _scalar({(0, 0): {0: 2}})
-    with pytest.raises(NotDivisible):
-        _scalar({(0, 0): {0: 1}}).exact_div(two)
-    with pytest.raises(NotDivisible):
-        _scalar({(0, 0): {0: 2}, (1, 1): {0: 1}}).exact_div(two)
-    assert _scalar({(0, 0): {0: 4}, (1, 1): {1: 2}}).exact_div(two).agrees_with(
-        _scalar({(0, 0): {0: 2}, (1, 1): {1: 1}})
-    )
+def test_exact_div_refuses_a_non_integral_quotient(chi10_n3):
+    # chi10 + q1 q2 over chi10 is 1 + 1/(r - 2 + r^-1) at (0, 0): a Laurent
+    # remainder.  Over Z this is the only refusal that can occur: the
+    # divisor's corner r - 2 + r^-1 is primitive, so by Gauss's lemma a
+    # quotient cell that exists over Q is integral, and no case is
+    # divisible over Q but not over Z
+    bumped = chi10_n3.add(_scalar({(1, 1): {0: 1}}, k=10, start=1))
+    with pytest.raises(NotDivisible, match="Laurent division leaves a remainder"):
+        bumped.exact_div_chi10()
+    two = chi10_n3.scale(2).exact_div_chi10()
+    assert two.agrees_with(_scalar({(0, 0): {0: 2}}, kN=2))
 
 
 @settings(max_examples=200, deadline=None)
