@@ -755,11 +755,23 @@ class LaurentPoly:
     # ``factor``: the content split off a rational covariant before its
     # integer part was evaluated.
     def to_json(self, factor=1) -> dict:
-        return {str(e): frac_to_str(v * factor) for e, v in sorted(self.c.items())}
+        items = sorted(self.c.items())
+        if factor == 1:
+            return {str(e): str(v) for e, v in items}
+        return {str(e): frac_to_str(v * factor) for e, v in items}
 
     @classmethod
     def from_json(cls, data: dict) -> "LaurentPoly":
-        return cls({int(e): frac_from_str(v) for e, v in data.items()})
+        """The polynomial of {"exponent": "int"}; TypeError for a rational
+        coefficient such as "1/2".  Zero coefficients are dropped."""
+        out = {}
+        for e, v in data.items():
+            if "/" in v:
+                raise TypeError(f"Laurent coefficients are ints, not {v!r}")
+            v = int(v)
+            if v:
+                out[int(e)] = v
+        return cls.over(out)
 
     def to_text(self, factor=1) -> str:
         return render_sum(

@@ -213,12 +213,13 @@ def _cache_dir(args):
     return path
 
 
-def _emit(args, text, data):
-    """Print ``data()`` as JSON under --json, else ``text()``; only the
-    format asked for is built.  A result holding an integer past the
-    interpreter's limit for int-to-str conversion is a usage error."""
+def _emit(args, text, data, encoded=None):
+    """Print ``data()`` as JSON under --json, or its JSON text ``encoded``
+    when given, else ``text()``; only the format asked for is built.  A
+    result holding an integer past the interpreter's limit for int-to-str
+    conversion is a usage error."""
     try:
-        out = json.dumps(data(), sort_keys=True) if args.json else text()
+        out = (encoded or json.dumps(data(), sort_keys=True)) if args.json else text()
     except ValueError:
         limit = _int_digit_limit()
         if not limit:
@@ -246,7 +247,7 @@ def cmd_covariant(args) -> int:
 
 def cmd_expand(args) -> int:
     form = ringlab.named_form(args.name, args.order, _cache_dir(args))
-    _emit(args, form.expansion.to_text, form.expansion.to_json)
+    _emit(args, form.expansion.to_text, form.expansion.to_json, form.json_text)
     return 0
 
 

@@ -275,7 +275,8 @@ class FourierExpansion:
         with U's cell (0, 0) equal to 1.  Hence f / chi_10^k is f * V^k,
         V = U^-1, moved by (-k, -k), with each cell divided exactly by P^k
         (``LaurentPoly.exact_div``).  V on [0, T], T = kN - start, comes
-        from chi_10 on [1, T + 1] by Newton steps and is built once per T
+        from chi_10 on [1, T + 1] by Newton steps that double its
+        precision, step s cut at min(T, 2^s - 1), and is built once per T
         (``_chi10_inverse``); f * V^k is one ``evaluate``.  The quotient's
         window is [start - k, kN - k], as after k divisions by chi_10.
 
@@ -444,9 +445,17 @@ def _chi10_inverse(T):
     (-1, -1), and V comes from Newton steps V <- 2V - U V^2 from V = 1,
     each one ``evaluate``.  The error 1 - U V squares at each step, so
     after s steps it vanishes below total degree n1 + n2 = 2^s, and
-    (2T).bit_length() steps reach every cell of [0, T].  The moved cells
-    leave the positive semi-definite cone, so U and V are not validated;
-    their weights (0, 10) and (0, -10) let ``evaluate`` grade them."""
+    (2T).bit_length() steps reach every cell of [0, T].
+
+    Precision doubling: step s is cut at top = min(T, 2^s - 1).  Its exact
+    cells, those of total degree <= 2^s - 1, depend only on cells of total
+    degree <= 2^s - 1, and all of those lie in the cut box.  Each iterate
+    is relabelled to the window [0, T], or the product's window rule would
+    hold the next step to the cut.  The moved cells leave the positive
+    semi-definite cone, and an iterate is exact only below its degree, so
+    U and the iterates are unvalidated non-forms that never leave this
+    function; the V returned is exact on [0, T].  The weights (0, 10) and
+    (0, -10) let ``evaluate`` grade them."""
     from . import theta
 
     chi10 = theta.chi_10(T + 1)
@@ -459,8 +468,9 @@ def _chi10_inverse(T):
     v = FourierExpansion(
         (0, -10), False, T, {(0, 0): (LaurentPoly.const(1),)}, validate=False
     )
-    for _ in range((2 * T).bit_length()):
-        (v,) = evaluate([u, v], [{(0, 1): 2, (1, 2): -1}])
+    for s in range(1, (2 * T).bit_length() + 1):
+        (v,) = evaluate([u, v], [{(0, 1): 2, (1, 2): -1}], min(T, 2**s - 1))
+        v = FourierExpansion((0, -10), False, T, v.cells, validate=False)
     return v
 
 

@@ -42,11 +42,16 @@ from .qexp import FourierExpansion
 
 
 class NamedForm:
-    __slots__ = ("name", "expansion")
+    """A registry form; ``json_text`` is the JSON text of its expansion,
+    keys sorted as the CLI prints it, when it went through the disk cache,
+    else None."""
 
-    def __init__(self, name, expansion):
+    __slots__ = ("name", "expansion", "json_text")
+
+    def __init__(self, name, expansion, json_text=None):
         self.name = name
         self.expansion = expansion
+        self.json_text = json_text
 
     def __repr__(self):
         return f"NamedForm({self.name!r}, {self.expansion!r})"
@@ -130,20 +135,25 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _encoded(data) -> str:
+    """The JSON text of ``data`` with sorted keys, as the CLI prints it."""
+    return json.dumps(data, sort_keys=True)  # the C encoder; json.dump is pure Python
+
+
 def _read_cached(path: str, digest: str):
-    """The expansion cached at ``path``, or None if the entry is missing,
-    unreadable, corrupt (support outside the cone included), written under
-    another key, or edited since: its expansion no longer matches the
-    ``expansion_sha256`` stored with it."""
+    """(expansion, its JSON text) of the entry cached at ``path``, or None
+    if the entry is missing, unreadable, corrupt (support outside the cone
+    included), written under another key, or edited since: its expansion
+    no longer matches the ``expansion_sha256`` stored with it."""
     try:
         with open(path) as fh:
             data = json.load(fh)
         if data["recipe_hash"] != digest:
             return None
-        expansion = data["expansion"]
-        if data["expansion_sha256"] != _sha256(json.dumps(expansion)):
+        text = _encoded(data["expansion"])
+        if data["expansion_sha256"] != _sha256(text):
             return None
-        return FourierExpansion.from_json(expansion)
+        return FourierExpansion.from_json(data["expansion"]), text
     except (OSError, ValueError, LookupError, TypeError, AttributeError,
             ArithmeticError, SexticFormsError):
         return None
@@ -159,11 +169,12 @@ def named_form(name: str, N: int, cache_dir=None) -> NamedForm:
         path = os.path.join(cache_dir, f"{key}_{N}_{digest}.json")
         cached = _read_cached(path, digest)
         if cached is not None:
-            return NamedForm(key, cached)
+            return NamedForm(key, *cached)
     expansion = _build(key, N)
+    text = None
     if path:
         os.makedirs(cache_dir, exist_ok=True)
-        text = json.dumps(expansion.to_json())  # the C encoder; json.dump is pure Python
+        text = _encoded(expansion.to_json())
         head = {"recipe_hash": digest, "expansion_sha256": _sha256(text)}
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
@@ -172,7 +183,7 @@ def named_form(name: str, N: int, cache_dir=None) -> NamedForm:
             fh.write(text)
             fh.write("}")
         os.replace(tmp, path)
-    return NamedForm(key, expansion)
+    return NamedForm(key, expansion, text)
 
 
 # -- dimensions ---------------------------------------------------------------

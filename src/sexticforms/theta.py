@@ -10,12 +10,22 @@ With q1 = e^(2 pi i tau11), q2 = e^(2 pi i tau22), r = e^(2 pi i tau12),
 the n-term carries q1^((n1+mu1)^2/2) q2^((n2+mu2)^2/2) r^((n1+mu1)(n2+mu2)).
 With t = 2n + 2mu', a theta series is a cell map in eighth units, the same
 {(n1, n2): (LaurentPoly, ...)} layout as ``FourierExpansion.cells``: key
-(t1^2, t2^2), r-exponent t1*t2 (quarter units), so everything is integer
-arithmetic.  Even constants have one coordinate with coefficients +-1; an
-odd gradient has two coordinates (the z1- and z2-partials), scaled by 2
-(making them integers) with the constant global phase (a fourth root of
-unity per characteristic) dropped — all exposed forms are pinned by an
-explicit normalization, so global phases are unobservable.
+(t1^2, t2^2), so everything is integer arithmetic.  Even constants have
+one coordinate with coefficients +-1; an odd gradient has two coordinates
+(the z1- and z2-partials), scaled by 2 (making them integers) with the
+constant global phase (a fourth root of unity per characteristic) dropped
+— all exposed forms are pinned by an explicit normalization, so global
+phases are unobservable.
+
+The r-exponents live on the r^2 lattice.  The term t has r-exponent
+t1*t2 in quarter units, odd exactly when mu' = (1/2, 1/2), so all the
+exponents of one series have the parity p = m1[0] * m1[1]
+(``ThetaCharacteristic.r_parity``): the series is r^p * Y(r^2), and the
+cell map stores Y, exponent (t1*t2 - p)/2.  r -> r^2 is a ring
+homomorphism, so a product of series is r^(sum of p) times the product
+of the Y's, packed in half the slots; ``_to_fourier`` adds (sum of p)/2
+to every exponent, which gives the doubled r-exponent (sum of t1*t2)/2
+of the half-integral lattice.  Both chi_5 and chi_6_3 have sum of p = 2.
 
 A product of theta series is one ``arith.evaluate`` of x1 * ... * xn,
 whose coordinate convolution is the Sym product: chi_6_3 is the plain
@@ -30,8 +40,13 @@ import math
 from functools import lru_cache
 
 from .arith import LaurentPoly, evaluate
-from .errors import EvenCharacteristic, NormalizationFailure, OddCharacteristic
-from .qexp import FourierExpansion, reindexed
+from .errors import (
+    EvenCharacteristic,
+    NormalizationFailure,
+    OddCharacteristic,
+    SupportViolation,
+)
+from .qexp import FourierExpansion
 
 
 class ThetaCharacteristic:
@@ -45,6 +60,12 @@ class ThetaCharacteristic:
             raise ValueError("characteristic entries must be 0 or 1 (doubled)")
         self.m1 = tuple(m1)
         self.m2 = tuple(m2)
+
+    @property
+    def r_parity(self) -> int:
+        """The parity p = m1[0] * m1[1] of every r-exponent t1*t2 of the
+        theta series, t = 2n + m1."""
+        return self.m1[0] * self.m1[1]
 
     @property
     def parity(self) -> str:
@@ -83,9 +104,9 @@ def odd_characteristics():
 
 def _theta_series(ch: ThetaCharacteristic, N: int, values):
     """Cell map in eighth units of a theta series complete through
-    q-exponent N: the lattice term t = 2n + m1 (t1^2, t2^2 <= 8N) adds the
-    coordinate vector ``values(t1, t2, n1, n2)`` at key (t1^2, t2^2),
-    r-exponent t1*t2."""
+    q-exponent N, on the r^2 lattice: the lattice term t = 2n + m1 (t1^2,
+    t2^2 <= 8N) adds the coordinate vector ``values(t1, t2, n1, n2)`` at
+    key (t1^2, t2^2), exponent (t1*t2 - p)/2 for the parity p of t1*t2."""
     bound = 8 * N
     M = math.isqrt(2 * N) + 2
     acc = {}
@@ -97,8 +118,9 @@ def _theta_series(ch: ThetaCharacteristic, N: int, values):
                 continue
             vec = values(t1, t2, n1, n2)
             cell = acc.setdefault((t1 * t1, t2 * t2), [{} for _ in vec])
+            e = t1 * t2 >> 1  # (t1*t2 - p) / 2
             for d, v in zip(cell, vec):
-                d[t1 * t2] = d.get(t1 * t2, 0) + v
+                d[e] = d.get(e, 0) + v
     return {key: tuple(map(LaurentPoly, cell)) for key, cell in acc.items()}
 
 
@@ -133,28 +155,41 @@ def odd_theta_gradient(ch: ThetaCharacteristic, N: int):
 
 
 def _theta_product(series, N: int):
-    """Sym product of theta cell maps, complete through q-exponent N: one
-    evaluation of x1 * ... * xn on the window [0, 8N]."""
+    """Sym product of theta cell maps on the r^2 lattice, complete through
+    q-exponent N: one evaluation of x1 * ... * xn on the window [0, 8N]."""
     ((cells, _, _),) = evaluate(
         series, [(0, 8 * N)] * len(series), [{(1,) * len(series): 1}]
     )
     return cells
 
 
-def _to_fourier(cells, weight, N, label):
-    """Convert an eighth-unit cell map to a half-integral-lattice (denom 2)
-    character FourierExpansion with start 1.
+def _to_fourier(cells, parity, weight, N, label):
+    """Convert an eighth-unit cell map on the r^2 lattice, a product of
+    series whose exponent parities p sum to ``parity``, to a
+    half-integral-lattice (denom 2) character FourierExpansion with start 1:
+    keys divided by 4, and parity / 2 added to every exponent, which gives
+    the doubled r-exponent (sum of t1*t2) / 2.
 
     The start offset is certified by cuspidality, and checked in-window:
     a nonzero cell with a zero q-exponent raises NormalizationFailure.  A
-    key or r-exponent off the half-integral lattice raises SupportViolation.
+    key off the half-integral lattice, or an odd ``parity`` (an odd doubled
+    r-exponent), raises SupportViolation.
     """
+    if parity % 2:
+        raise SupportViolation(
+            f"{label}: r-exponents of parity {parity} lie off the lattice"
+        )
+    shift = parity // 2
+    out = {}
     for (e1, e2), vec in cells.items():
+        if e1 % 4 or e2 % 4:
+            raise SupportViolation(f"{label}: cell ({e1},{e2}) lies off the lattice")
         if (e1 == 0 or e2 == 0) and not all(x.is_zero for x in vec):
             raise NormalizationFailure(f"{label}: unexpected boundary coefficient")
-    return FourierExpansion(
-        weight, True, 2 * N, reindexed(cells, 4), 1, denom=2, validate=False
-    )
+        out[e1 // 4, e2 // 4] = tuple(
+            LaurentPoly.over({e + shift: v for e, v in x.c.items()}) for x in vec
+        )
+    return FourierExpansion(weight, True, 2 * N, out, 1, denom=2, validate=False)
 
 
 @lru_cache(maxsize=None)
@@ -163,8 +198,10 @@ def chi_5(N: int) -> FourierExpansion:
     character, on the half-integral lattice."""
     if N < 1:
         raise ValueError("truncation must be at least 1")
-    series = [even_theta_constant(ch, N) for ch in even_characteristics()]
-    return _to_fourier(_theta_product(series, N), (0, 5), N, "chi_5")
+    chars = even_characteristics()
+    series = [even_theta_constant(ch, N) for ch in chars]
+    parity = sum(ch.r_parity for ch in chars)
+    return _to_fourier(_theta_product(series, N), parity, (0, 5), N, "chi_5")
 
 
 @lru_cache(maxsize=None)
@@ -174,8 +211,10 @@ def chi_6_3(N: int) -> FourierExpansion:
     prod_i (G_i1 X1 + G_i2 X2)."""
     if N < 1:
         raise ValueError("truncation must be at least 1")
-    series = [odd_theta_gradient(ch, N) for ch in odd_characteristics()]
-    return _to_fourier(_theta_product(series, N), (6, 3), N, "chi_6_3")
+    chars = odd_characteristics()
+    series = [odd_theta_gradient(ch, N) for ch in chars]
+    parity = sum(ch.r_parity for ch in chars)
+    return _to_fourier(_theta_product(series, N), parity, (6, 3), N, "chi_6_3")
 
 
 CHI10_PIN = LaurentPoly({1: 1, 0: -2, -1: 1})  # r - 2 + r^-1

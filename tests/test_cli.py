@@ -133,6 +133,22 @@ def test_expand_uses_cache(tmp_path, capsys):
     assert out1 == out2
 
 
+def test_expand_json_is_encoded_once(tmp_path, capsys, monkeypatch):
+    # the cache entry's text is what --json prints: a cold run encodes the
+    # expansion once, for both, and a warm run prints the entry's text
+    argv = ["expand", "chi6_3", "--order", "2", "--json"]
+    _, plain, _ = run(capsys, *argv, "--no-cache")
+    encoded, to_json = [], FourierExpansion.to_json
+    monkeypatch.setattr(
+        FourierExpansion, "to_json",
+        lambda self, *a: encoded.append(1) or to_json(self, *a),
+    )
+    _, cold, _ = run(capsys, *argv, "--cache", str(tmp_path))
+    _, warm, _ = run(capsys, *argv, "--cache", str(tmp_path))
+    assert cold == warm == plain
+    assert len(encoded) == 1
+
+
 def test_nu_command(capsys):
     code, out, _ = run(capsys, "nu", "A", "--order", "2")
     assert code == 0
@@ -292,7 +308,7 @@ def _signed(data):
     """The entry text of ``data`` with the digest of its expansion
     recomputed, so that only the checks of the expansion itself can
     reject it."""
-    text = json.dumps(data["expansion"])
+    text = json.dumps(data["expansion"], sort_keys=True)
     data["expansion_sha256"] = hashlib.sha256(text.encode()).hexdigest()
     return json.dumps(data)
 

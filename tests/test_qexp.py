@@ -211,7 +211,7 @@ def _u(T):
     return FourierExpansion((0, 10), False, T, cells, validate=False)
 
 
-@pytest.mark.parametrize("T", range(1, 7))
+@pytest.mark.parametrize("T", range(1, 9))
 def test_chi10_inverse_inverts_u(T):
     v = qexp._chi10_inverse(T)
     product = _u(T).mul(v)
@@ -219,6 +219,25 @@ def test_chi10_inverse_inverts_u(T):
     assert product == _one(T)
     # Newton's steps are exact on [0, T]: a deeper inverse, cut, is the same
     assert qexp._chi10_inverse(T + 2).cut(T) == v
+
+
+@pytest.mark.parametrize("T", [1, 2, 4, 5, 8])
+def test_chi10_inverse_doubles_its_precision(monkeypatch, T):
+    # step s is cut at min(T, 2^s - 1), the box of the cells it makes exact
+    theta.chi_10(T + 1)  # built first: its product is no Newton step
+    tops, evaluate = [], qexp.evaluate
+
+    def spy(forms, polys, top=None):
+        tops.append(top)
+        return evaluate(forms, polys, top)
+
+    monkeypatch.setattr(qexp, "evaluate", spy)
+    v = qexp._chi10_inverse.__wrapped__(T)
+    monkeypatch.undo()
+    steps = (2 * T).bit_length()
+    assert tops == [min(T, 2**s - 1) for s in range(1, steps + 1)]
+    assert (v.start, v.kN) == (0, T)
+    assert _u(T).mul(v) == _one(T)
 
 
 def test_denominator_two_product_halves(chi10_n3):

@@ -119,7 +119,8 @@ def test_disk_cache_keyed_by_source(tmp_path, monkeypatch):
     (entry,) = tmp_path.iterdir()
     data = json.loads(entry.read_text())
     data["expansion"] = real.scale(2).to_json()
-    text = json.dumps(data["expansion"])  # the edit keeps its entry's digest
+    # the edit keeps its entry's digest, of the text as the CLI prints it
+    text = json.dumps(data["expansion"], sort_keys=True)
     data["expansion_sha256"] = hashlib.sha256(text.encode()).hexdigest()
     entry.write_text(json.dumps(data))
     # the sources that wrote the entry are served it ...

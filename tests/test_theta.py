@@ -1,8 +1,11 @@
+import math
+
 import pytest
 
-from sexticforms import arith, theta
+from sexticforms import arith, qexp, theta
 from sexticforms.arith import LaurentPoly
-from sexticforms.errors import EvenCharacteristic, OddCharacteristic
+from sexticforms.errors import EvenCharacteristic, OddCharacteristic, SupportViolation
+from sexticforms.qexp import FourierExpansion
 
 
 def test_characteristic_census():
@@ -82,3 +85,55 @@ def test_chi10_symmetries(chi10_n3):
 def test_cusp_forms_kill_boundary(chi68_n2, chi10_n3):
     assert chi10_n3.siegel_phi().is_zero
     assert chi68_n2.siegel_phi().is_zero
+
+
+def _full_exponent_series(ch, N):
+    """Oracle: the theta series of ``ch`` with the r-exponent t1*t2 in
+    quarter units, straight from the definition; an odd characteristic
+    gives its two z-partials scaled by 2, global phase dropped."""
+    M = math.isqrt(2 * N) + 2
+    acc = {}
+    for n1 in range(-M, M + 1):
+        for n2 in range(-M, M + 1):
+            t1, t2 = 2 * n1 + ch.m1[0], 2 * n2 + ch.m1[1]
+            if max(t1 * t1, t2 * t2) > 8 * N:
+                continue
+            if ch.parity == "even":
+                vec = (-1 if (t1 * ch.m2[0] + t2 * ch.m2[1]) // 2 % 2 else 1,)
+            else:
+                sign = -1 if (n1 * ch.m2[0] + n2 * ch.m2[1]) % 2 else 1
+                vec = (sign * t1, sign * t2)
+            cell = acc.setdefault((t1 * t1, t2 * t2), [{} for _ in vec])
+            for d, v in zip(cell, vec):
+                d[t1 * t2] = d.get(t1 * t2, 0) + v
+    return {key: tuple(map(LaurentPoly, cell)) for key, cell in acc.items()}
+
+
+@pytest.mark.parametrize("N", range(1, 5))
+def test_r2_lattice_products_equal_the_full_exponent_products(N):
+    # the seeds multiply their series on the r^2 lattice; the full-exponent
+    # product, halved by reindexed, is the same form
+    for seed, chars, weight in (
+        (theta.chi_5, theta.even_characteristics(), (0, 5)),
+        (theta.chi_6_3, theta.odd_characteristics(), (6, 3)),
+    ):
+        full = theta._theta_product([_full_exponent_series(c, N) for c in chars], N)
+        want = FourierExpansion(
+            weight, True, 2 * N, qexp.reindexed(full, 4), 1, denom=2,
+            validate=False,
+        )
+        assert sum(c.r_parity for c in chars) == 2
+        assert seed(N) == want, (seed.__name__, N)
+
+
+def test_products_off_the_lattice_are_refused():
+    # one series with mu' = (1/2, 1/2) has odd r-exponents t1*t2: sum of p is 1
+    ch = theta.ThetaCharacteristic((1, 1), (0, 0))
+    series = theta.even_theta_constant(ch, 2)
+    cells = theta._theta_product([series], 2)
+    with pytest.raises(SupportViolation, match="parity 1"):
+        theta._to_fourier(cells, ch.r_parity, (0, 1), 2, "theta")
+    # two of them: even sum of p, but keys t1^2 + t1'^2 = 2 mod 8
+    cells = theta._theta_product([series, series], 2)
+    with pytest.raises(SupportViolation, match="off the lattice"):
+        theta._to_fourier(cells, 2 * ch.r_parity, (0, 1), 2, "theta")
