@@ -358,6 +358,12 @@ def _suite_nu(args):
     return _reported("nu", ringlab.nu_consistency_report())
 
 
+def _suite_eisenstein(args):
+    return _reported(
+        "eisenstein", ringlab.eisenstein_report(args.order, _cache_dir(args))
+    )
+
+
 _SUITES = {
     "even-ring": _suite_even_ring,
     "chi68-block": _suite_chi68_block,
@@ -367,6 +373,7 @@ _SUITES = {
     "odd-weight": _suite_odd_weight,
     "s68": _suite_s68,
     "nu": _suite_nu,
+    "eisenstein": _suite_eisenstein,
 }
 
 _QUICK_SUITES = ("chi68-block", "char2-K", "char3", "nu")

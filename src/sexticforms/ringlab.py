@@ -4,8 +4,11 @@ Builds the named scalar and vector-valued forms (psi_4, psi_6, chi_10,
 chi_12, chi_35, chi_8_8, chi_4_10, chi_6_8, ...) from one registry table.
 A normalized form takes its scale from one pin, FourierExpansion.pinned:
 one coordinate of one cell set to a fixed value (chi_10 and chi_6_8 at
-(1,1) in ``theta``, psi_6 at (0,0) and chi_35 at (2,3) here), so the
-chi_35 transvectant chain runs over Z up to its pin.
+(1,1) in ``theta``, chi_35 at (2,3) here), so the chi_35 transvectant
+chain runs over Z up to its pin.  psi_4 and psi_6 are the Siegel
+Eisenstein series, built from their coefficients (``eisenstein``) with
+constant term 1; ``eisenstein_report`` checks them against the paper's
+construction, nu(B) and nu(-8AB - 3C) / 8.
 
 The module also runs the desk-scale generation checks: ranks of weight-k
 monomials in {psi_4, psi_6, chi_10, chi_12} against the generating
@@ -62,15 +65,21 @@ def _theta(name):
     return lambda N: getattr(theta, name)(N)
 
 
-def _nu(m, covariant, *args):
-    """Builder of chi_10^m * nu(covariant(*args)) on the window [m, N]."""
-    return lambda N: numap.nu_normalized(covariant(*args), m, N)
+def _nu(covariant, *args):
+    """Builder of chi_10 * nu(covariant(*args)) on the window [1, N]."""
+    return lambda N: numap.nu_normalized(covariant(*args), 1, N)
 
 
-def _build_psi6(N: int) -> FourierExpansion:
-    # constant term 1, as for E6, the image of psi6 under the Siegel operator
-    raw = _nu(0, covariants.combination_AB_minus_3C)(N)
-    return raw.pinned((0, 0), 0, LaurentPoly.const(1))
+def _eisenstein(k):
+    """Builder of the Siegel Eisenstein series of weight k; its module is
+    imported by the first build."""
+
+    def build(N):
+        from . import eisenstein
+
+        return eisenstein.siegel_eisenstein(k, N)
+
+    return build
 
 
 def _build_chi35(N: int) -> FourierExpansion:
@@ -91,11 +100,11 @@ _REGISTRY = {
     "chi6_3": ("Sym^6 product of the 6 odd theta gradients", _theta("chi_6_3")),
     "chi10": ("chi5^2, (1,1) coefficient pinned to r - 2 + r^-1", _theta("chi_10")),
     "chi6_8": ("chi5 * chi6_3, (1,1) coefficient vector pinned", _theta("chi_6_8")),
-    "psi4": ("nu(B)", _nu(0, covariants.invariant, "B")),
-    "psi6": ("nu(-8*A*B - 3*C), (0,0) coefficient pinned to 1", _build_psi6),
-    "chi12": ("nu(A) * chi10", _nu(1, covariants.invariant, "A")),
-    "chi8_8": ("nu(Hessian) * chi10", _nu(1, covariants.grace_young, "Hessian")),
-    "chi4_10": ("nu(V[8,4]) * chi10", _nu(1, covariants.grace_young, "V8,4")),
+    "psi4": ("Siegel Eisenstein series of weight 4, by Cohen's H", _eisenstein(4)),
+    "psi6": ("Siegel Eisenstein series of weight 6, by Cohen's H", _eisenstein(6)),
+    "chi12": ("nu(A) * chi10", _nu(covariants.invariant, "A")),
+    "chi8_8": ("nu(Hessian) * chi10", _nu(covariants.grace_young, "Hessian")),
+    "chi4_10": ("nu(V[8,4]) * chi10", _nu(covariants.grace_young, "V8,4")),
     "chi35": (
         "chi10^2 * nu(E) via the q-side transvectant chain, "
         "(2,3) coefficient pinned to 8192*(r - r^-1)",
@@ -315,6 +324,24 @@ def dim_s68_probe(N: int = 3, cache_dir=None):
         "constant": None if const is None else str(const),
         "status": "PASS" if const not in (None, 0) else "FAIL",
     }
+
+
+def eisenstein_report(N: int, cache_dir=None):
+    """The registry's psi4 and psi6 against the paper's construction on
+    [0, N]: nu(B) = psi4 and nu(-8AB - 3C) = 8 * psi6, weight, window and
+    every cell; any difference is a FAIL.  Per form, the cells of the
+    registry's form and whether the two are equal."""
+    report = {"order": N}
+    for name, covariant, factor in (
+        ("psi4", covariants.invariant("B"), 1),
+        ("psi6", covariants.combination_AB_minus_3C(), 8),
+    ):
+        form = named_form(name, N, cache_dir).expansion
+        nu = numap.nu_normalized(covariant, 0, N)
+        report[name] = {"cells": len(form.cells), "equal": form.scale(factor) == nu}
+    ok = report["psi4"]["equal"] and report["psi6"]["equal"]
+    report["status"] = "PASS" if ok else "FAIL"
+    return report
 
 
 def nu_consistency_report(N: int = 2):

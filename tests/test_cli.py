@@ -483,6 +483,23 @@ def test_verify_s68_json(capsys):
     }
 
 
+def test_verify_eisenstein_json(capsys):
+    code, out, _ = run(
+        capsys, "verify", "eisenstein", "--order", "2", "--json", "--no-timestamp"
+    )
+    assert code == 0
+    assert json.loads(out) == {
+        "suite": "eisenstein",
+        "status": "PASS",
+        "report": {
+            "order": 2,
+            "psi4": {"cells": 9, "equal": True},
+            "psi6": {"cells": 9, "equal": True},
+            "status": "PASS",
+        },
+    }
+
+
 def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "bogus")
     assert code == 2

@@ -223,7 +223,8 @@ def test_one_division_equals_successive_divisions(N):
     assert (one.start, one.kN) == (chain.start - 13, chain.kN - 13)
 
 
-# the five nu divisions of the registry: psi4, psi6, chi12, chi8_8, chi4_10
+# the nu divisions of the registry (chi12, chi8_8, chi4_10) and of the
+# eisenstein cross-check suite (psi4 = nu(B), 8 * psi6 = nu(-8AB - 3C))
 _REGISTRY_NU = [
     (cv.invariant, ("B",), 0),
     (cv.combination_AB_minus_3C, (), 0),

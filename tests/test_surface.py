@@ -13,7 +13,6 @@ PERFBENCH = REPO / "perfbench"
 KEPT = {
     "act_sl2": "the symbolic SL2 action, the definition the invariance tests check",
     "restrict_to_a11": "the r = 1 restriction, with no other implementation",
-    "elliptic_form": "E4, E6 and Delta, the references Siegel-phi is checked against",
     "char2_is_singular": "the direct smoothness test the lifted discriminant is checked against",
 }
 
