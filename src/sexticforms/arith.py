@@ -134,13 +134,6 @@ def render_sum(terms) -> str:
     return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
-def frac_from_str(s: str):
-    if "/" in s:
-        num, den = s.split("/")
-        return Fraction(int(num), int(den))
-    return int(s)
-
-
 # -- the packed-evaluation kernel ---------------------------------------------
 
 

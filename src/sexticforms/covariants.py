@@ -13,9 +13,14 @@ end), and one routine solves each combination so a fixed set of anchor
 monomial coefficients takes pinned integer values, checked against further
 pinned coefficients.
 
-One mover, ``_transformed_sextic_values``, gives the coefficients of the
-sextic moved by an SL2 matrix; ``act_sl2`` runs it on the symbolic a_i and
-``modp`` on integer samples.
+Binary forms move and multiply as coefficient lists in x2-degree order,
+here and nowhere else.  One mover, ``_transformed_values``, gives the
+coefficients of a binary form of any degree moved by an SL2 matrix whose
+entries are ints or polynomials: ``act_sl2`` runs it on the symbolic a_i,
+``modp`` on integer samples of the sextic and on the shear x1 -> x1 + t*x2
+of the characteristic-2 cubic and sextic.  ``binary_product`` multiplies
+two forms; ``modp`` builds the lift a~^2 + 4b~ and the shift b + v^2 + v*a
+from it.
 """
 
 from __future__ import annotations
@@ -150,31 +155,46 @@ def transvectant(g: Covariant, h: Covariant, k: int) -> Covariant:
     return transvect(g, h, k).scale(norm)
 
 
-def _binomial_rows(a, b):
-    """Rows k = 0..6 of (a*x1 + b*x2)^k, each in x2-degree order."""
-    rows = [[1]]
-    for _ in range(6):
+def _binomial_rows(a, b, d):
+    """Rows k = 0..d of (a*x1 + b*x2)^k, each in x2-degree order."""
+    zero = a * 0
+    rows = [[a**0]]
+    for _ in range(d):
         row = rows[-1]
-        rows.append([a * x + b * y for x, y in zip(row + [0], [0] + row)])
+        rows.append([a * x + b * y for x, y in zip(row + [zero], [zero] + row)])
     return rows
 
 
-def _transformed_sextic_values(values, m):
-    """Coefficients a'_0..a'_6 of f(p*x1 + q*x2, r*x1 + s*x2), where f has
-    the coefficients ``values`` (ints, or polynomials) and m = (p, q, r, s).
+def _transformed_values(values, m):
+    """Coefficients of f(p*x1 + q*x2, r*x1 + s*x2), where f is the binary
+    form of degree d = len(values) - 1 with the coefficients ``values``
+    (ints, or polynomials) and m = (p, q, r, s) (ints, or polynomials of
+    the values' ring).
 
-    The term a_i x1^(6-i) x2^i moves to a_i (p*x1 + q*x2)^(6-i) (r*x1 +
-    s*x2)^i, so a' is the sum of a_i times the convolution of row 6 - i of
+    The term a_i x1^(d-i) x2^i moves to a_i (p*x1 + q*x2)^(d-i) (r*x1 +
+    s*x2)^i, so a' is the sum of a_i times the convolution of row d - i of
     the binomial rows of (p, q) with row i of those of (r, s).
     """
     p, q, r, s = m
-    left, right = _binomial_rows(p, q), _binomial_rows(r, s)
-    out = [values[0] * 0] * 7
+    d = len(values) - 1
+    left, right = _binomial_rows(p, q, d), _binomial_rows(r, s, d)
+    out = [values[0] * 0] * (d + 1)
     for i, a in enumerate(values):
         if a:
-            for u, x in enumerate(left[6 - i]):
+            for u, x in enumerate(left[d - i]):
                 for v, y in enumerate(right[i]):
                     out[u + v] += a * x * y
+    return out
+
+
+def binary_product(u, w):
+    """Coefficients of the product of the binary forms with coefficients
+    ``u`` and ``w``, all in x2-degree order, over any ring with ``*`` and
+    ``+``."""
+    out = [u[0] * w[0] * 0] * (len(u) + len(w) - 1)
+    for i, x in enumerate(u):
+        for j, y in enumerate(w):
+            out[i + j] += x * y
     return out
 
 
@@ -184,7 +204,7 @@ def act_sl2(m, c: Covariant) -> Covariant:
     if p * s - q * r != 1:
         raise NotUnimodular("matrix must have determinant 1")
     a_vars = [MultiPoly.variable(SEXTIC_VARS, name) for name in A_VARS]
-    moved = _transformed_sextic_values(a_vars, (p, q, r, s))
+    moved = _transformed_values(a_vars, (p, q, r, s))
     return Covariant(c.poly.substitute(dict(zip(A_VARS, moved))), c.degree, c.order)
 
 

@@ -12,17 +12,20 @@ Three strands:
 * invariance checks for the resulting polynomials under the symbolic
   SL2 substitutions and the extra unipotent action (a,b) -> (a, b+v^2+v*a)
   with a generic cubic v.
+
+The binary forms move and multiply through ``covariants``: the integer
+samples and the characteristic-2 shear through its one SL2 mover, the lift
+a~^2 + 4b~ and the shift through ``binary_product``.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from functools import lru_cache
 
 from . import covariants
 from .arith import is_prime
-from .covariants import Covariant, _transformed_sextic_values
+from .covariants import Covariant, _transformed_values, binary_product
 from .errors import ZeroAfterReduction
 from .poly import CHAR2_VARS, SEXTIC_VARS, MultiPoly, transvect
 
@@ -30,8 +33,6 @@ A_VARS = CHAR2_VARS[:4]
 B_VARS = CHAR2_VARS[4:]
 _INVARIANCE_NAMES = ("A", "B", "C", "D")
 _INVARIANCE_SAMPLES = 25  # SL2 moves per invariant in modp_invariance_check
-_ACTION_SAMPLES = 20  # F_2 points in char2_action_check
-_ACTION_SEED = 5
 
 
 # -- reduction mod p of the classical invariants ------------------------------
@@ -96,7 +97,7 @@ def modp_invariance_check(p: int, seed=11):
             values = [rng.randrange(p) for _ in range(7)]
             m = _random_sl2(rng)
             # reduced before evaluation: the moved values reach 10^12 for p = 13
-            moved = [v % p for v in _transformed_sextic_values(values, m)]
+            moved = [v % p for v in _transformed_values(values, m)]
             if red.evaluate_at_sextic(values) != red.evaluate_at_sextic(moved):
                 ok = False
                 break
@@ -145,10 +146,6 @@ class Char2Invariant:
         self.poly = poly
         self.degree = degree
 
-    @property
-    def is_zero(self):
-        return self.poly.is_zero
-
     def __eq__(self, other):
         return (
             isinstance(other, Char2Invariant)
@@ -160,9 +157,6 @@ class Char2Invariant:
         env = {f"a{i}": pair.a[i] for i in range(4)}
         env.update({f"b{i}": pair.b[i] for i in range(7)})
         return self.poly.evaluate(env)
-
-    def to_text(self) -> str:
-        return self.poly.to_text()
 
     def __repr__(self):
         return f"Char2Invariant(degree={self.degree}, {self.poly.to_text()})"
@@ -182,14 +176,9 @@ def _lift_sextic_coefficients():
     lifted verbatim; the result is a binary sextic whose seven coefficients
     are returned in x2-degree order.
     """
-    v = lambda n: MultiPoly.variable(CHAR2_VARS, n)  # noqa: E731
-    out = []
-    for i in range(7):
-        acc = v(f"b{i}").scale(4)
-        for j in range(max(0, i - 3), min(3, i) + 1):
-            acc = acc + v(f"a{j}") * v(f"a{i - j}")
-        out.append(acc)
-    return tuple(out)
+    a = [MultiPoly.variable(CHAR2_VARS, n) for n in A_VARS]
+    b = [MultiPoly.variable(CHAR2_VARS, n) for n in B_VARS]
+    return tuple(x + y.scale(4) for x, y in zip(binary_product(a, a), b))
 
 
 def _lift_evaluate(cov: Covariant) -> MultiPoly:
@@ -253,19 +242,28 @@ def _ext(name):
     return MultiPoly.variable(_EXT_VARS, name, 2)
 
 
-def _binomial_substitution(degree, prefix):
-    """Images of the coefficients of a degree-d binary form under
-    x1 -> x1 + t*x2 with symbolic t, over F_2."""
+@lru_cache(maxsize=None)
+def _action_images():
+    """The images of a0..a3, b0..b6 over F_2[a, b, t, v] under the swap
+    x1 <-> x2, the shear x1 -> x1 + t*x2 with symbolic t, and the shift
+    (a, b) -> (a, b + v^2 + v*a) with symbolic cubic v (the cross terms of
+    v^2 vanish mod 2): three substitutions, built once."""
+    a = [_ext(n) for n in A_VARS]
+    b = [_ext(n) for n in B_VARS]
+    v = [_ext(f"v{i}") for i in range(4)]
     t = _ext("t")
-    images = []
-    for i in range(degree + 1):
-        acc = MultiPoly.zero(_EXT_VARS, 2)
-        for j in range(i + 1):
-            c = math.comb(degree - j, i - j)
-            if c % 2:
-                acc = acc + _ext(f"{prefix}{j}") * t ** (i - j)
-        images.append(acc)
-    return images
+    shear = (t**0, t, t * 0, t**0)
+    shift = [
+        x + y + z for x, y, z in zip(b, binary_product(v, v), binary_product(v, a))
+    ]
+    return tuple(
+        dict(zip(CHAR2_VARS, a_img + b_img))
+        for a_img, b_img in (
+            (a[::-1], b[::-1]),
+            (_transformed_values(a, shear), _transformed_values(b, shear)),
+            (a, shift),
+        )
+    )
 
 
 def char2_action_check(inv: Char2Invariant) -> bool:
@@ -273,55 +271,12 @@ def char2_action_check(inv: Char2Invariant) -> bool:
     unipotent action (a,b) -> (a, b + v^2 + v*a) with generic cubic v.
 
     The three symbolic checks (swap, shear with symbolic t, b-shift with
-    symbolic v) cover the full group; _ACTION_SAMPLES randomized F_2 point
-    evaluations of the same identities are a cross-check.
+    symbolic v, from ``_action_images``) cover the full group.  Each is an
+    identity of polynomials over F_2[a, b, t, v], so it holds at every
+    F_2 point as well.
     """
     base = inv.poly.extend_ring(_EXT_VARS)
-
-    # x1 <-> x2: a_i <-> a_(3-i), b_i <-> b_(6-i)
-    swap = {f"a{i}": _ext(f"a{3 - i}") for i in range(4)}
-    swap.update({f"b{i}": _ext(f"b{6 - i}") for i in range(7)})
-    if inv.poly.substitute(swap) != base:
-        return False
-
-    # x1 -> x1 + t*x2 with symbolic t
-    shear = {f"a{i}": img for i, img in enumerate(_binomial_substitution(3, "a"))}
-    shear.update(
-        {f"b{i}": img for i, img in enumerate(_binomial_substitution(6, "b"))}
-    )
-    if inv.poly.substitute(shear) != base:
-        return False
-
-    # (a, b) -> (a, b + v^2 + v*a) with symbolic cubic v
-    v_poly = [_ext(f"v{i}") for i in range(4)]
-    a_poly = [_ext(f"a{i}") for i in range(4)]
-    shift = {f"a{i}": _ext(f"a{i}") for i in range(4)}
-    for i in range(7):
-        img = _ext(f"b{i}")
-        if i % 2 == 0:
-            img = img + v_poly[i // 2] * v_poly[i // 2]
-        for j in range(max(0, i - 3), min(3, i) + 1):
-            img = img + v_poly[j] * a_poly[i - j]
-        shift[f"b{i}"] = img
-    if inv.poly.substitute(shift) != base:
-        return False
-
-    rng = random.Random(_ACTION_SEED)
-    for _ in range(_ACTION_SAMPLES):
-        pair = Char2Pair(
-            [rng.randrange(2) for _ in range(4)],
-            [rng.randrange(2) for _ in range(7)],
-        )
-        v = [rng.randrange(2) for _ in range(4)]
-        moved_b = list(pair.b)
-        for i in range(7):
-            if i % 2 == 0:
-                moved_b[i] ^= v[i // 2] & v[i // 2]
-            for j in range(max(0, i - 3), min(3, i) + 1):
-                moved_b[i] ^= v[j] & pair.a[i - j]
-        if inv.evaluate(pair) != inv.evaluate(Char2Pair(pair.a, moved_b)):
-            return False
-    return True
+    return all(inv.poly.substitute(m) == base for m in _action_images())
 
 
 # -- singular-curve oracle over F_2 -----------------------------------------

@@ -18,7 +18,7 @@ import math
 import struct
 from fractions import Fraction
 
-from .arith import Substitution, frac_from_str, frac_to_str, render_sum
+from .arith import Substitution, frac_to_str, render_sum
 from .errors import DomainMismatch, NotDivisible
 
 SEXTIC_VARS = ("a0", "a1", "a2", "a3", "a4", "a5", "a6", "x1", "x2")
@@ -410,14 +410,6 @@ class MultiPoly:
             "modulus": self.modulus,
             "terms": terms,
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "MultiPoly":
-        mod = data.get("modulus")
-        terms = {
-            tuple(t["e"]): frac_from_str(t["c"]) for t in data["terms"]
-        }
-        return cls(tuple(data["vars"]), terms, mod)
 
     def __repr__(self):
         return self.to_text()

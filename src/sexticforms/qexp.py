@@ -122,10 +122,6 @@ class FourierExpansion:
     def vec_at(self, key):
         return self.cells.get(tuple(key), (_ZERO,) * (self.j + 1))
 
-    def coefficient(self, n1, n2):
-        """Coefficient vector at integer indices (logical units)."""
-        return self.vec_at((n1 * self.denom, n2 * self.denom))
-
     def __eq__(self, other):
         return (
             isinstance(other, FourierExpansion)
@@ -192,9 +188,6 @@ class FourierExpansion:
             self.weight, self.character, self.kN, cells, self.start,
             self.denom, validate=False,
         )
-
-    def sub(self, other) -> "FourierExpansion":
-        return self.add(other.scale(-1))
 
     def derivative(self, name: str) -> "FourierExpansion":
         """Partial derivative in the symbol variable X1 (``"x1"``) or X2

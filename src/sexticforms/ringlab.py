@@ -94,22 +94,20 @@ def _build_chi35(N: int) -> FourierExpansion:
     return x.pinned((2, 3), 0, LaurentPoly({1: 8192, -1: -8192})).cut(N)
 
 
-# the registry, name: (how it is built, builder N -> FourierExpansion)
+# the registry, name: builder N -> FourierExpansion
 _REGISTRY = {
-    "chi5": ("product of the 10 even theta constants", _theta("chi_5")),
-    "chi6_3": ("Sym^6 product of the 6 odd theta gradients", _theta("chi_6_3")),
-    "chi10": ("chi5^2, (1,1) coefficient pinned to r - 2 + r^-1", _theta("chi_10")),
-    "chi6_8": ("chi5 * chi6_3, (1,1) coefficient vector pinned", _theta("chi_6_8")),
-    "psi4": ("Siegel Eisenstein series of weight 4, by Cohen's H", _eisenstein(4)),
-    "psi6": ("Siegel Eisenstein series of weight 6, by Cohen's H", _eisenstein(6)),
-    "chi12": ("nu(A) * chi10", _nu(covariants.invariant, "A")),
-    "chi8_8": ("nu(Hessian) * chi10", _nu(covariants.grace_young, "Hessian")),
-    "chi4_10": ("nu(V[8,4]) * chi10", _nu(covariants.grace_young, "V8,4")),
-    "chi35": (
-        "chi10^2 * nu(E) via the q-side transvectant chain, "
-        "(2,3) coefficient pinned to 8192*(r - r^-1)",
-        _build_chi35,
-    ),
+    "chi5": _theta("chi_5"),  # product of the 10 even theta constants
+    "chi6_3": _theta("chi_6_3"),  # Sym^6 product of the 6 odd theta gradients
+    "chi10": _theta("chi_10"),  # chi5^2, (1,1) coefficient pinned to r - 2 + r^-1
+    "chi6_8": _theta("chi_6_8"),  # chi5 * chi6_3, (1,1) coefficient vector pinned
+    "psi4": _eisenstein(4),  # Siegel Eisenstein series of weight 4, by Cohen's H
+    "psi6": _eisenstein(6),  # Siegel Eisenstein series of weight 6, by Cohen's H
+    "chi12": _nu(covariants.invariant, "A"),  # nu(A) * chi10
+    "chi8_8": _nu(covariants.grace_young, "Hessian"),  # nu(Hessian) * chi10
+    "chi4_10": _nu(covariants.grace_young, "V8,4"),  # nu(V[8,4]) * chi10
+    # chi10^2 * nu(E) via the q-side transvectant chain, (2,3) coefficient
+    # pinned to 8192*(r - r^-1)
+    "chi35": _build_chi35,
 }
 
 
@@ -119,7 +117,7 @@ def registry_names():
 
 @lru_cache(maxsize=None)
 def _build(name: str, N: int) -> FourierExpansion:
-    return _REGISTRY[name][1](N)
+    return _REGISTRY[name](N)
 
 
 @lru_cache(maxsize=None)

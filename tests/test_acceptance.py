@@ -101,7 +101,7 @@ def test_criterion_6_elliptic_consistency():
     e4 = qexp.elliptic_form("E4", n)
     e6 = qexp.elliptic_form("E6", n)
     delta = qexp.elliptic_form("Delta", n)
-    relation = e4.pow(3).sub(e6.pow(2)) == delta.scale(1728)
+    relation = e4.pow(3).add(e6.pow(2).scale(-1)) == delta.scale(1728)
     psi4 = ringlab.named_form("psi4", 3).expansion
     e4_3 = qexp.elliptic_form("E4", 3)
     phi_ok = qexp.proportionality(psi4.siegel_phi(), e4_3) == 1

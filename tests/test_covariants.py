@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -228,17 +229,18 @@ def _random_matrix(t, u, include_swap):
 
 
 def _transform(coeffs, m):
+    # the coefficients of the degree-d form f(p x1 + q x2, r x1 + s x2),
+    # d = len(coeffs) - 1, by the binomial expansion of each term
     p, q, r, s = m
-    out = [0] * 7
-    import math
-
+    d = len(coeffs) - 1
+    out = [0] * (d + 1)
     for i, a in enumerate(coeffs):
-        for u in range(6 - i + 1):
+        for u in range(d - i + 1):
             for v in range(i + 1):
                 out[u + v] += (
                     a
-                    * math.comb(6 - i, u)
-                    * p ** (6 - i - u)
+                    * math.comb(d - i, u)
+                    * p ** (d - i - u)
                     * q**u
                     * math.comb(i, v)
                     * r ** (i - v)

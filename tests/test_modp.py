@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,7 +7,7 @@ from test_covariants import _transform
 
 from sexticforms import covariants as cv
 from sexticforms import modp, poly
-from sexticforms.poly import CHAR2_VARS, MultiPoly
+from sexticforms.poly import CHAR2_VARS, SEXTIC_VARS, MultiPoly
 
 
 def test_reduce_mod_p_examples():
@@ -59,14 +61,58 @@ def test_action_checks():
         assert modp.char2_action_check(inv)
 
 
+def _holds(poly):
+    """Whether poly is fixed by the swap, the shear and the shift."""
+    base = poly.extend_ring(modp._EXT_VARS)
+    return [poly.substitute(m) == base for m in modp._action_images()]
+
+
+def _c2(name):
+    return MultiPoly.variable(CHAR2_VARS, name, 2)
+
+
+@pytest.mark.parametrize(
+    "control, holds",
+    [
+        (lambda: _c2("a0") * _c2("a3"), [True, False, True]),
+        (lambda: _c2("b3"), [True, True, False]),
+    ],
+    ids=["a0*a3", "b3"],
+)
+def test_each_substitution_is_needed(control, holds):
+    # a0*a3 is caught by the shear alone and b3 by the shift alone
+    assert _holds(control()) == holds
+    assert not modp.char2_action_check(modp.Char2Invariant(control(), 1))
+
+
+def _shear_oracle(prefix, d):
+    # x1 -> x1 + t*x2 takes a_i to sum_j C(d - j, i - j) t^(i - j) a_j
+    t = modp._ext("t")
+    return [
+        sum(
+            (
+                modp._ext(f"{prefix}{j}") * t ** (i - j)
+                for j in range(i + 1)
+                if math.comb(d - j, i - j) % 2
+            ),
+            MultiPoly.zero(modp._EXT_VARS, 2),
+        )
+        for i in range(d + 1)
+    ]
+
+
+def test_shear_images_are_the_binomial_substitution():
+    _, shear, _ = modp._action_images()
+    for prefix, d in (("a", 3), ("b", 6)):
+        assert [shear[f"{prefix}{i}"] for i in range(d + 1)] == _shear_oracle(
+            prefix, d
+        )
+
+
 def test_action_negative_control():
-    k1 = modp.k1()
-    broken = modp.Char2Invariant(
-        k1.poly
-        + MultiPoly.variable(CHAR2_VARS, "a0", 2)
-        * MultiPoly.variable(CHAR2_VARS, "a1", 2),
-        1,
-    )
+    broken = modp.Char2Invariant(modp.k1().poly + _c2("a0") * _c2("a1"), 1)
+    # the swap and the shear catch it, the shift does not
+    assert _holds(broken.poly) == [False, False, True]
     assert not modp.char2_action_check(broken)
 
 
@@ -90,11 +136,31 @@ def test_singular_detection_exhaustive():
 @settings(max_examples=200, deadline=None)
 @given(
     st.randoms(use_true_random=False),
-    st.lists(st.integers(-20, 20), min_size=7, max_size=7),
+    st.sampled_from([4, 7]).flatmap(
+        lambda n: st.lists(st.integers(-20, 20), min_size=n, max_size=n)
+    ),
 )
-def test_transformed_sextic_values_is_the_binomial_expansion(rng, coeffs):
+def test_transformed_values_is_the_binomial_expansion(rng, coeffs):
+    # the cubic and the sextic, as modp moves them
     m = modp._random_sl2(rng)
-    assert modp._transformed_sextic_values(coeffs, m) == _transform(coeffs, m)
+    assert cv._transformed_values(coeffs, m) == _transform(coeffs, m)
+
+
+def _form(coeffs):
+    # sum_i c_i x1^(d-i) x2^i in the sextic ring, d = len(coeffs) - 1
+    d = len(coeffs) - 1
+    return MultiPoly(
+        SEXTIC_VARS, {(0,) * 7 + (d - i, i): c for i, c in enumerate(coeffs)}
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(-9, 9), min_size=1, max_size=7),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=7),
+)
+def test_binary_product_is_the_product_of_forms(u, w):
+    assert _form(cv.binary_product(u, w)) == _form(u) * _form(w)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
